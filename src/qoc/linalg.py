@@ -192,17 +192,18 @@ def kron(a, b):
 def expm_hermitian(h, scale: float) -> np.ndarray:
     """exp(i * scale * H) via the eigendecomposition of Hermitian H.
 
-    The eigen route keeps the result unitary to roundoff; ``scale`` carries
-    the sign convention (e.g. -dt for forward time evolution).
+    ``h`` is one matrix or a ``(..., d, d)`` stack, exponentiated matrix by
+    matrix.  The eigen route keeps the result unitary to roundoff; ``scale``
+    carries the sign convention (e.g. -dt for forward time evolution).
     """
     m = h.matrix if isinstance(h, HermitianOperator) else _as_complex(h)
     try:
         w, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
-        residual = float(np.abs(m - m.conj().T).max())
+        residual = float(np.abs(m - m.conj().swapaxes(-1, -2)).max())
         raise DecompositionError(f"eigendecomposition failed: {exc}", residual) from exc
     phases = np.exp(1j * scale * w)
-    return (v * phases) @ v.conj().T
+    return (v * phases[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def _split_axes(site_dims: Sequence[int], keep: Iterable[int]) -> tuple[list[int], list[int]]:

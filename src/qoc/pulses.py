@@ -14,6 +14,14 @@ Gradients use the first-order rule dU_k/du ~ (+-i dt) H_a U_k; the overall
 sign of each analytic gradient below is fixed against the central-difference
 oracle (see tests), which is authoritative.  All gradients cost one forward
 sweep plus one backward adjoint sweep.
+
+Memory
+------
+One propagation holds one (K, d, d) stack, the segment unitaries that the
+backward sweep reuses, plus (K+1, d) forward states.  Segment Hamiltonians
+and their exponentials are built in chunks of segments sized so that each
+(n, d, d) temporary stays within CHUNK_BYTES; the transients of a call are a
+few such temporaries, whatever K is.
 """
 
 from __future__ import annotations
@@ -24,9 +32,9 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ContractError, DecompositionError
+from .errors import ContractError
 from .hamiltonians import SystemModel
-from .linalg import StateVector
+from .linalg import StateVector, expm_hermitian
 
 __all__ = [
     "SIGN_FORWARD",
@@ -39,9 +47,9 @@ __all__ = [
     "state_infidelity",
     "subsystem_impurity",
     "ground_leakage",
-    "state_infidelity_gradient",
-    "impurity_gradient",
-    "ground_leakage_gradient",
+    "infidelity_value_and_gradient",
+    "impurity_value_and_gradient",
+    "ground_leakage_value_and_gradient",
     "finite_difference_gradient",
     "random_initial_pulses",
     "write_pulse_file",
@@ -54,6 +62,11 @@ SIGN_FORWARD = "forward"
 SIGN_REVERSED = "reversed"
 _SIGN_FACTOR = {SIGN_FORWARD: -1.0, SIGN_REVERSED: +1.0}
 
+# Byte budget of one (n, d, d) complex temporary in segment_unitaries.  A few
+# such temporaries stay far below the U stack they fill and near cache size;
+# 4 and 8 MiB budgets ran slower at d = 64.
+CHUNK_BYTES = 1 << 20
+
 
 @dataclass(frozen=True)
 class PulseGrid:
@@ -63,8 +76,8 @@ class PulseGrid:
     segments: int
 
     def __post_init__(self):
-        if not (self.dt > 0.0):
-            raise ValueError(f"segment duration must be positive, got {self.dt}")
+        if not (0.0 < self.dt < math.inf):
+            raise ValueError(f"segment duration must be positive and finite, got {self.dt}")
         if self.segments < 1:
             raise ValueError(f"segment count must be >= 1, got {self.segments}")
 
@@ -98,6 +111,8 @@ class PulseSequence:
             )
         if self.sign not in _SIGN_FACTOR:
             raise ValueError(f"sign must be forward or reversed, got {self.sign!r}")
+        if not np.all(np.isfinite(amps)):
+            raise ValueError("amplitudes must be finite")
         lo, hi = self.bounds
         if not (lo <= hi):
             raise ValueError(f"invalid bounds {self.bounds}")
@@ -125,7 +140,11 @@ class PulseSequence:
 
 @dataclass
 class Workspace:
-    """Cached per-segment unitaries and forward states from one propagation."""
+    """Cached per-segment unitaries and forward states from one propagation.
+
+    This is all a propagation keeps: one (K, d, d) unitary stack and
+    (K+1, d) states.  The backward sweep reuses the stack without copying it.
+    """
 
     model: SystemModel
     pulses: PulseSequence
@@ -143,7 +162,7 @@ class Workspace:
         acc = np.asarray(vec, dtype=complex)
         bw[k_seg - 1] = acc  # nothing after the last segment
         for k in range(k_seg - 1, 0, -1):
-            acc = self.unitaries[k].conj().T @ acc
+            acc = (acc.conj() @ self.unitaries[k]).conj()  # U_k† acc, no transposed copy
             bw[k - 1] = acc
         return bw
 
@@ -163,16 +182,24 @@ def segment_hamiltonians(model: SystemModel, amplitudes: np.ndarray) -> np.ndarr
     return h
 
 
+def _chunk_length(dim: int) -> int:
+    """Segments per chunk: as many d x d complex matrices as fit CHUNK_BYTES."""
+    return max(1, CHUNK_BYTES // (16 * dim * dim))
+
+
 def segment_unitaries(model: SystemModel, pulses: PulseSequence) -> np.ndarray:
-    """All segment propagators at once, via batched Hermitian eigensolves."""
-    h = segment_hamiltonians(model, pulses.amplitudes)
-    factor = _SIGN_FACTOR[pulses.sign]
-    try:
-        w, v = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:
-        raise DecompositionError(f"segment eigendecomposition failed: {exc}") from exc
-    phases = np.exp(1j * factor * pulses.grid.dt * w)
-    return (v * phases[:, None, :]) @ v.conj().transpose(0, 2, 1)
+    """(K, d, d) stack of segment propagators, via batched Hermitian eigensolves.
+
+    The stack is allocated once and filled chunk by chunk, so temporaries
+    are bounded by CHUNK_BYTES rather than growing with K.
+    """
+    amps = pulses.amplitudes
+    scale = _SIGN_FACTOR[pulses.sign] * pulses.grid.dt
+    u = np.empty((amps.shape[0], model.dim, model.dim), dtype=complex)
+    step = _chunk_length(model.dim)
+    for s in range(0, amps.shape[0], step):
+        u[s : s + step] = expm_hermitian(segment_hamiltonians(model, amps[s : s + step]), scale)
+    return u
 
 
 def propagate(
@@ -256,9 +283,10 @@ def _gradient_terms(ws: Workspace, adjoint: np.ndarray) -> np.ndarray:
     stack = ws.model.control_stack
     fw = ws.forward[1:]  # state after segment k, k = 1..K
     bw = ws.backward_adjoint(adjoint)
-    if not stack.shape[0]:
+    n_ch, d, _ = stack.shape
+    if not n_ch:
         return np.zeros((fw.shape[0], 0), dtype=complex)
-    h_fw = np.einsum("aij,kj->kai", stack, fw)
+    h_fw = (fw @ stack.reshape(n_ch * d, d).T).reshape(fw.shape[0], n_ch, d)  # one GEMM
     return np.einsum("ki,kai->ka", bw.conj(), h_fw)
 
 
@@ -320,18 +348,6 @@ def ground_leakage_value_and_gradient(
     terms = _gradient_terms(ws, eta)
     grad = 2.0 * pulses.grid.dt * np.imag(terms)
     return cost, grad, ws
-
-
-def state_infidelity_gradient(model, pulses, initial, target) -> np.ndarray:
-    return infidelity_value_and_gradient(model, pulses, initial, target)[1]
-
-
-def impurity_gradient(model, pulses, initial, keep) -> np.ndarray:
-    return impurity_value_and_gradient(model, pulses, initial, keep)[1]
-
-
-def ground_leakage_gradient(model, pulses, initial, frozen) -> np.ndarray:
-    return ground_leakage_value_and_gradient(model, pulses, initial, frozen)[1]
 
 
 def finite_difference_gradient(

@@ -125,6 +125,15 @@ class TestExpmHermitian:
             assert np.abs(u @ u.conj().T - np.eye(6)).max() < 1e-10
             assert np.abs(u @ expm_hermitian(h, -s) - np.eye(6)).max() < 1e-9
 
+    def test_stack_matches_matrix_by_matrix(self, rng):
+        a = rng.standard_normal((2, 3, 5, 5)) + 1j * rng.standard_normal((2, 3, 5, 5))
+        h = a + a.conj().swapaxes(-1, -2)
+        u = expm_hermitian(h, 0.37)
+        assert u.shape == h.shape
+        for i in range(2):
+            for j in range(3):
+                assert np.abs(u[i, j] - expm_hermitian(h[i, j], 0.37)).max() < 1e-14
+
 
 class TestPartialTrace:
     def test_product_state_factorizes(self):

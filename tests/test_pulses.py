@@ -1,12 +1,21 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qoc.errors import ContractError
 from qoc.hamiltonians import NmrSample, SystemModel, build_nmr
-from qoc.linalg import HermitianOperator, StateVector, ground_state, kron, random_state
+from qoc.linalg import (
+    HermitianOperator,
+    StateVector,
+    expm_hermitian,
+    ground_state,
+    kron,
+    random_state,
+)
 from qoc.pulses import (
+    _chunk_length,
     SIGN_FORWARD,
     SIGN_REVERSED,
     PulseGrid,
@@ -21,6 +30,7 @@ from qoc.pulses import (
     pulse_file_text,
     random_initial_pulses,
     read_pulse_file,
+    segment_unitaries,
     state_infidelity,
     subsystem_impurity,
     write_pulse_file,
@@ -123,6 +133,41 @@ class TestPropagate:
         seq = toy_sequence(rng, model, 3, 0.01, SIGN_FORWARD)
         with pytest.raises(ValueError):
             propagate(model, seq, ground_state((2,)))
+
+
+class TestChunkedUnitaries:
+    @pytest.mark.parametrize("sign", [SIGN_FORWARD, SIGN_REVERSED])
+    def test_chunk_boundaries_match_per_segment_exponentials(self, sign, rng):
+        model = toy_model(rng, n_sites=5)
+        n = _chunk_length(model.dim)
+        assert 1 < n < 200  # several chunks in a small test
+        scale = (-1.0 if sign == SIGN_FORWARD else 1.0) * 0.3
+        for segments in (1, n - 1, n, n + 1, 2 * n + 3):
+            seq = toy_sequence(rng, model, segments, 0.3, sign)
+            u = segment_unitaries(model, seq)
+            assert u.shape == (segments, model.dim, model.dim)
+            for k, row in enumerate(seq.amplitudes):
+                h = model.drift.matrix + sum(
+                    amp * op.matrix for amp, (_, op) in zip(row, model.controls)
+                )
+                assert np.abs(u[k] - expm_hermitian(h, scale)).max() <= 1e-13
+
+    def test_gradient_peak_memory_bounded_by_one_unitary_stack(self, rng):
+        # One U stack is kept for the backward sweep; everything else a
+        # cost-and-gradient call allocates must stay small beside it.
+        model = toy_model(rng, n_sites=5, n_channels=6)
+        seq = toy_sequence(rng, model, 512, 0.1, SIGN_FORWARD)
+        psi0 = random_state(model.site_dims, rng)
+        target = random_state(model.site_dims, rng)
+        model.control_stack  # cached on first use; not part of the call
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            _, _, ws = infidelity_value_and_gradient(model, seq, psi0, target)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * ws.unitaries.nbytes
 
 
 class TestCosts:
@@ -355,3 +400,24 @@ class TestPulseFiles:
         grid = PulseGrid(dt=1.0, segments=1)
         with pytest.raises(ValueError):
             PulseSequence(grid, np.array([[5.0]]), ("a",), SIGN_FORWARD, bounds=(-1, 1))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_amplitudes_rejected(self, bad):
+        grid = PulseGrid(dt=1.0, segments=2)
+        with pytest.raises(ValueError, match="finite"):
+            PulseSequence(grid, np.array([[0.5], [bad]]), ("a",), SIGN_FORWARD)
+        with pytest.raises(ValueError, match="finite"):
+            PulseSequence(grid, np.array([[0.5], [bad]]), ("a",), SIGN_FORWARD, bounds=(-1, 1))
+
+    def test_nan_in_pulse_file_rejected(self, rng):
+        grid = PulseGrid(dt=0.05, segments=2)
+        seq = random_initial_pulses(grid, ("a",), (-1.0, 1.0), rng, SIGN_FORWARD)
+        lines = pulse_file_text(seq).splitlines()
+        lines[-1] = "nan"
+        with pytest.raises(ValueError, match="finite"):
+            parse_pulse_file_text("\n".join(lines))
+
+    @pytest.mark.parametrize("dt", [np.inf, np.nan, 0.0, -1.0])
+    def test_bad_segment_duration_rejected(self, dt):
+        with pytest.raises(ValueError):
+            PulseGrid(dt=dt, segments=1)
