@@ -27,7 +27,3 @@ class OptimizationError(QocError):
 
 class SampleNotFoundError(QocError, KeyError):
     """Registry lookup for an unknown sample name."""
-
-
-class BundleError(QocError):
-    """A program bundle on disk is malformed or incomplete."""

@@ -226,13 +226,6 @@ class SystemModel:
             return np.zeros((0, self.dim, self.dim), dtype=complex)
         return np.stack([op.matrix for _, op in self.controls])
 
-    def max_hamiltonian_norm(self, amplitude_bound: float) -> float:
-        """Upper bound on ||H|| over in-box amplitudes (spectral norms summed)."""
-        total = float(np.linalg.norm(self.drift.matrix, 2))
-        for _, op in self.controls:
-            total += amplitude_bound * float(np.linalg.norm(op.matrix, 2))
-        return total
-
 
 def _nmr_drift_and_controls(
     spins: Sequence[tuple[str, float]],

@@ -22,7 +22,6 @@ __all__ = [
     "DensityMatrix",
     "SchmidtProfile",
     "ground_state",
-    "basis_state",
     "random_state",
     "kron",
     "expm_hermitian",
@@ -130,11 +129,6 @@ class DensityMatrix:
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.matrix)
 
-    def validate_spectrum(self, tol: float = 1e-10) -> None:
-        lo = float(self.eigenvalues().min())
-        if lo < -tol:
-            raise ValueError(f"density matrix has negative eigenvalue {lo:.3e}")
-
 
 @dataclass(frozen=True)
 class SchmidtProfile:
@@ -156,13 +150,6 @@ def ground_state(site_dims: Sequence[int]) -> StateVector:
     dims = tuple(int(d) for d in site_dims)
     amps = np.zeros(math.prod(dims), dtype=np.complex128)
     amps[0] = 1.0
-    return StateVector(amps, dims)
-
-
-def basis_state(site_dims: Sequence[int], index: int) -> StateVector:
-    dims = tuple(int(d) for d in site_dims)
-    amps = np.zeros(math.prod(dims), dtype=np.complex128)
-    amps[index] = 1.0
     return StateVector(amps, dims)
 
 

@@ -18,7 +18,7 @@ provided.  Both paths are deterministic given the same inputs.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -44,23 +44,20 @@ TERMINATION_LINE_SEARCH = "line-search-failure"
 class OptimizerConfig:
     """Knobs for ``minimize``; bounds apply elementwise when given.
 
-    ``sufficient_decrease``/``curvature`` are the Wolfe constants; the
-    quasi-Newton backend uses its built-in equivalents (0.9 curvature, as
-    configured here), while the descent fallback applies
-    ``sufficient_decrease`` in its backtracking test.
+    ``sufficient_decrease`` is the Armijo constant of the descent path's
+    backtracking test; the quasi-Newton backend keeps its own line-search
+    constants.
     """
 
     tolerance: float = 1e-3
     max_iterations: int = 500
     memory_pairs: int = 10
     sufficient_decrease: float = 1e-4
-    curvature: float = 0.9
     gradient_tolerance: float = 1e-9
     relative_cost_tolerance: float = 0.0
     bounds: tuple[float, float] | None = None
     learning_rate: float = 0.1
     method: str = "lbfgsb"
-    seed: int | None = None
 
     def __post_init__(self):
         if not (self.tolerance > 0.0):
@@ -75,14 +72,23 @@ class OptimizerConfig:
 
 @dataclass
 class OptimizationReport:
-    """Accepted-iterate traces and the reason the run stopped."""
+    """Accepted-iterate traces, the work done and the reason the run stopped.
+
+    ``evaluations`` counts calls of the cost-and-gradient callable; repeated
+    points answered from the cache are not counted.
+    """
 
     cost_trace: list[float] = field(default_factory=list)
     gradient_norm_trace: list[float] = field(default_factory=list)
     iterations: int = 0
+    evaluations: int = 0
     wall_time: float = 0.0
     termination: str = ""
     message: str = ""
+
+    def to_dict(self) -> dict:
+        """Plain fields, ready for ``json.dumps``."""
+        return asdict(self)
 
     @property
     def final_cost(self) -> float:
@@ -164,6 +170,7 @@ def minimize(
     if f0 < config.tolerance:
         report.termination = TERMINATION_TOLERANCE
         report.message = "initial point already below tolerance"
+        report.evaluations = objective.evaluations
         report.wall_time = time.perf_counter() - start
         return x0, report
 
@@ -239,6 +246,7 @@ def minimize(
         break
 
     report.iterations = iterations
+    report.evaluations = objective.evaluations
     report.termination = termination
     report.message = message
     report.wall_time = time.perf_counter() - start
@@ -310,6 +318,7 @@ def projected_gradient_descent(
                 break
 
     report.iterations = iterations
+    report.evaluations = objective.evaluations
     report.termination = termination
     report.message = message
     report.wall_time = time.perf_counter() - start

@@ -19,14 +19,30 @@ Memory
 ------
 One propagation holds one (K, d, d) stack, the segment unitaries that the
 backward sweep reuses, plus (K+1, d) forward states.  Segment Hamiltonians
-and their exponentials are built in chunks of segments sized so that each
-(n, d, d) temporary stays within CHUNK_BYTES; the transients of a call are a
-few such temporaries, whatever K is.
+and their exponentials are built in chunks of segments.  The chunks in
+flight at once share one CHUNK_BYTES budget: each (n, d, d) temporary stays
+within CHUNK_BYTES / W, so the transients of a call are a few CHUNK_BYTES,
+whatever K and W are.
+
+Parallelism
+-----------
+Once the amplitudes are fixed the segment exponentials are independent, so
+``segment_unitaries`` fills its chunks on W threads, W being the number of
+CPUs in the process's affinity mask (restrict a process with ``taskset`` to
+run several side by side).  The calling thread fills chunks 0, W, 2W, ...
+and a lazily created pool of W - 1 threads fills the rest; the einsum,
+eigh and matmul calls release the GIL.  Every chunk applies the same
+per-matrix arithmetic, so U is bit-identical for any W.  With W = 1, or a
+single chunk, no thread starts.  A forked child drops the parent's pool
+and creates its own on first use.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Sequence
 
@@ -62,10 +78,38 @@ SIGN_FORWARD = "forward"
 SIGN_REVERSED = "reversed"
 _SIGN_FACTOR = {SIGN_FORWARD: -1.0, SIGN_REVERSED: +1.0}
 
-# Byte budget of one (n, d, d) complex temporary in segment_unitaries.  A few
-# such temporaries stay far below the U stack they fill and near cache size;
-# 4 and 8 MiB budgets ran slower at d = 64.
+# Byte budget of the (n, d, d) complex temporaries that segment_unitaries has
+# in flight at once, one per worker.  A few such budgets stay far below the
+# U stack they fill and near cache size; 4 and 8 MiB budgets ran slower at
+# d = 64 on one thread.
 CHUNK_BYTES = 1 << 20
+
+# Threads that fill segment_unitaries chunks, the caller included.
+_WORKERS = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
+
+_pool: ThreadPoolExecutor | None = None  # the W - 1 helpers, created on first use
+_pool_lock = threading.Lock()
+
+
+def _reset_pool_after_fork() -> None:
+    # The parent's helper threads do not exist in a forked child; work queued
+    # on its pool would never run.
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_pool_after_fork)
+
+
+def _helpers() -> ThreadPoolExecutor:
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="qoc-segments")
+        return _pool
 
 
 @dataclass(frozen=True)
@@ -183,22 +227,50 @@ def segment_hamiltonians(model: SystemModel, amplitudes: np.ndarray) -> np.ndarr
 
 
 def _chunk_length(dim: int) -> int:
-    """Segments per chunk: as many d x d complex matrices as fit CHUNK_BYTES."""
-    return max(1, CHUNK_BYTES // (16 * dim * dim))
+    """Most segments per chunk: d x d complex matrices that fit CHUNK_BYTES / W."""
+    return max(1, CHUNK_BYTES // _WORKERS // (16 * dim * dim))
+
+
+def _chunk_bounds(segments: int, dim: int) -> list[tuple[int, int]]:
+    """(start, stop) of each chunk: a multiple of W chunks, lengths within one.
+
+    Equal chunks let the workers finish together; never more chunks than
+    segments.
+    """
+    count = -(-segments // _chunk_length(dim))
+    count = min(segments, -(-count // _WORKERS) * _WORKERS)
+    edges = [segments * i // count for i in range(count + 1)]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def _fill_chunks(u, model, amps, scale, chunks) -> None:
+    for start, stop in chunks:
+        u[start:stop] = expm_hermitian(segment_hamiltonians(model, amps[start:stop]), scale)
 
 
 def segment_unitaries(model: SystemModel, pulses: PulseSequence) -> np.ndarray:
     """(K, d, d) stack of segment propagators, via batched Hermitian eigensolves.
 
     The stack is allocated once and filled chunk by chunk, so temporaries
-    are bounded by CHUNK_BYTES rather than growing with K.
+    are bounded by CHUNK_BYTES rather than growing with K.  The calling
+    thread fills every W-th chunk and the helper pool the others; an error
+    in any chunk is raised here once every chunk has finished.
     """
     amps = pulses.amplitudes
     scale = _SIGN_FACTOR[pulses.sign] * pulses.grid.dt
     u = np.empty((amps.shape[0], model.dim, model.dim), dtype=complex)
-    step = _chunk_length(model.dim)
-    for s in range(0, amps.shape[0], step):
-        u[s : s + step] = expm_hermitian(segment_hamiltonians(model, amps[s : s + step]), scale)
+    chunks = _chunk_bounds(amps.shape[0], model.dim)
+    lanes = min(_WORKERS, len(chunks))
+    futures = [
+        _helpers().submit(_fill_chunks, u, model, amps, scale, chunks[j::lanes])
+        for j in range(1, lanes)
+    ]
+    try:
+        _fill_chunks(u, model, amps, scale, chunks[::lanes])
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
     return u
 
 

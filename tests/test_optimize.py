@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -147,3 +149,26 @@ class TestConfigValidation:
     def test_method_known(self):
         with pytest.raises(ValueError):
             OptimizerConfig(method="adam")
+
+
+class TestReport:
+    @pytest.mark.parametrize("method", ["lbfgsb", "gradient-descent"])
+    @pytest.mark.parametrize("x0", [[-1.2, 1.0], [1.0, 1.0]])
+    def test_evaluations_count_callable_runs(self, method, x0):
+        runs = []
+
+        def counted(x):
+            runs.append(1)
+            return rosenbrock(x)
+
+        config = OptimizerConfig(tolerance=1e-8, max_iterations=60, method=method)
+        _, report = minimize(counted, np.array(x0), config)
+        assert report.evaluations == len(runs) >= 1
+
+    def test_to_dict_round_trips_through_json(self):
+        _, report = minimize(rosenbrock, np.array([-1.2, 1.0]), OptimizerConfig(tolerance=1e-8))
+        data = json.loads(json.dumps(report.to_dict()))
+        assert data == report.to_dict()
+        assert data["evaluations"] == report.evaluations
+        assert data["cost_trace"] == report.cost_trace
+        assert data["termination"] == report.termination

@@ -1,10 +1,14 @@
 import math
+import multiprocessing
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from qoc.errors import ContractError
+from qoc import pulses
+from qoc.errors import ContractError, DecompositionError
 from qoc.hamiltonians import NmrSample, SystemModel, build_nmr
 from qoc.linalg import (
     HermitianOperator,
@@ -168,6 +172,142 @@ class TestChunkedUnitaries:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * ws.unitaries.nbytes
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """Set the worker count W; each setting gets its own helper pool."""
+    shared = pulses._pool
+
+    def shut_test_pool():
+        if pulses._pool is not None and pulses._pool is not shared:
+            pulses._pool.shutdown()
+
+    def set_workers(count):
+        shut_test_pool()
+        monkeypatch.setattr(pulses, "_WORKERS", count)
+        monkeypatch.setattr(pulses, "_pool", None)
+
+    yield set_workers
+    shut_test_pool()
+
+
+def _fill_in_child(model, seq, expected):
+    np.testing.assert_array_equal(segment_unitaries(model, seq), expected)
+
+
+class TestParallelChunks:
+    @pytest.mark.parametrize("sign", [SIGN_FORWARD, SIGN_REVERSED])
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_bit_identical_for_any_worker_count(self, count, sign, workers, rng):
+        model = toy_model(rng, n_sites=4, n_channels=4)
+        workers(count)
+        n = _chunk_length(model.dim)
+        cases = [
+            toy_sequence(rng, model, segments, 0.3, sign)
+            for segments in (1, 2, count * n - 1, count * n, count * n + 1, 1760)
+        ]
+        parallel = [segment_unitaries(model, seq) for seq in cases]
+        workers(1)
+        for seq, u in zip(cases, parallel):
+            assert np.array_equal(u, segment_unitaries(model, seq))
+
+    def test_chunks_are_a_multiple_of_workers_and_equal(self, workers):
+        workers(2)
+        bounds = pulses._chunk_bounds(1760, 16)
+        assert len(bounds) == 14
+        assert {stop - start for start, stop in bounds} == {125, 126}
+        assert bounds[0][0] == 0 and bounds[-1][1] == 1760
+        assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+
+    @pytest.mark.parametrize("count, segments", [(1, 1760), (2, 1)])
+    def test_single_lane_starts_no_thread(self, count, segments, workers, rng):
+        model = toy_model(rng, n_sites=4)
+        workers(count)
+        before = threading.active_count()
+        segment_unitaries(model, toy_sequence(rng, model, segments, 0.3, SIGN_FORWARD))
+        assert threading.active_count() == before
+        assert pulses._pool is None
+
+    def test_helper_error_reaches_caller(self, workers, monkeypatch, rng):
+        model = toy_model(rng, n_sites=4)
+        seq = toy_sequence(rng, model, 1760, 0.3, SIGN_FORWARD)
+        workers(2)
+        caller = threading.get_ident()
+        real = pulses.expm_hermitian
+
+        def failing_on_helpers(h, scale):
+            if threading.get_ident() != caller:
+                raise DecompositionError("injected", 1.0)
+            return real(h, scale)
+
+        monkeypatch.setattr(pulses, "expm_hermitian", failing_on_helpers)
+        with pytest.raises(DecompositionError, match="injected"):
+            segment_unitaries(model, seq)
+
+    def test_caller_error_raised_after_helpers_finish(self, workers, monkeypatch, rng):
+        model = toy_model(rng, n_sites=4)
+        seq = toy_sequence(rng, model, 1760, 0.3, SIGN_FORWARD)
+        workers(2)
+        caller = threading.get_ident()
+        real = pulses.expm_hermitian
+        helper_chunks = []
+
+        def failing_on_caller(h, scale):
+            if threading.get_ident() == caller:
+                raise DecompositionError("injected", 1.0)
+            helper_chunks.append(h.shape[0])
+            return real(h, scale)
+
+        monkeypatch.setattr(pulses, "expm_hermitian", failing_on_caller)
+        with pytest.raises(DecompositionError, match="injected"):
+            segment_unitaries(model, seq)
+        assert len(helper_chunks) == len(pulses._chunk_bounds(1760, model.dim)) // 2
+
+    def test_concurrent_callers_share_one_pool(self, workers, rng):
+        # More threads than cores and frequent switches: every caller must
+        # get the serial result, and the helper threads never exceed W - 1.
+        model = toy_model(rng, n_sites=4)
+        seq = toy_sequence(rng, model, 700, 0.3, SIGN_FORWARD)
+        workers(1)
+        expected = segment_unitaries(model, seq)
+        workers(3)
+        existing = set(threading.enumerate())
+        results = []
+        callers = [
+            threading.Thread(target=lambda: results.append(segment_unitaries(model, seq)))
+            for _ in range(4)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert len(results) == 4 and all(np.array_equal(u, expected) for u in results)
+        started = set(threading.enumerate()) - existing - set(callers)
+        assert 0 < len(started) <= 2
+
+    def test_forked_child_gets_a_working_pool(self, workers, rng):
+        model = toy_model(rng, n_sites=4)
+        seq = toy_sequence(rng, model, 1760, 0.3, SIGN_FORWARD)
+        workers(2)
+        expected = segment_unitaries(model, seq)  # the parent's pool now has a thread
+        assert pulses._pool is not None
+        child = multiprocessing.get_context("fork").Process(
+            target=_fill_in_child, args=(model, seq, expected)
+        )
+        child.start()
+        child.join(timeout=30)
+        if child.is_alive():
+            child.kill()
+            child.join()
+            pytest.fail("forked child hung in segment_unitaries")
+        assert child.exitcode == 0
 
 
 class TestCosts:
