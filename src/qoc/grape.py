@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,8 @@ class GrapeProblem:
             raise ValueError("target state must be normalized")
         if self.target.dim != self.model.dim:
             raise ValueError("target dimension does not match the model")
+        if not all(math.isfinite(b) for b in self.bounds):
+            raise ValueError(f"amplitude bounds must be finite, got {self.bounds}")
 
 
 @dataclass

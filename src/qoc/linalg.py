@@ -202,15 +202,18 @@ def _split_axes(site_dims: Sequence[int], keep: Iterable[int]) -> tuple[list[int
     return keep_sorted, rest
 
 
-def _bipartition_matrix(state: StateVector, keep: Iterable[int]) -> np.ndarray:
-    """Reshape amplitudes into a (kept x traced) matrix, kept sites first."""
+def _bipartition_matrix(state: StateVector, keep: Iterable[int]) -> tuple[np.ndarray, list[int]]:
+    """Amplitudes as a (kept x traced) matrix, plus the site order of its axes.
+
+    Kept sites come first, each group in ascending order.
+    """
     keep_sorted, rest = _split_axes(state.site_dims, keep)
     if not keep_sorted or not rest:
         raise ValueError("bipartition must be a non-empty proper subset of sites")
-    tensor = state.amplitudes.reshape(state.site_dims)
-    tensor = np.transpose(tensor, keep_sorted + rest)
+    order = keep_sorted + rest
+    tensor = np.transpose(state.amplitudes.reshape(state.site_dims), order)
     d_keep = math.prod(state.site_dims[i] for i in keep_sorted)
-    return tensor.reshape(d_keep, -1)
+    return tensor.reshape(d_keep, -1), order
 
 
 def partial_trace(state, keep: Iterable[int], site_dims: Sequence[int] | None = None) -> DensityMatrix:
@@ -221,7 +224,7 @@ def partial_trace(state, keep: Iterable[int], site_dims: Sequence[int] | None = 
     a power of two, in which case qubit sites are assumed.
     """
     if isinstance(state, StateVector):
-        m = _bipartition_matrix(state, keep)
+        m, _ = _bipartition_matrix(state, keep)
         rho = m @ m.conj().T
         # Symmetrize away roundoff so downstream validation stays quiet.
         rho = 0.5 * (rho + rho.conj().T)
@@ -287,7 +290,7 @@ def schmidt(state: StateVector, bipartition: Iterable[int], base: float = 2.0) -
     Singular values come from the SVD of the reshaped amplitude matrix and
     are returned in descending order; the entropy uses their squares.
     """
-    m = _bipartition_matrix(state, bipartition)
+    m, _ = _bipartition_matrix(state, bipartition)
     try:
         sv = np.linalg.svd(m, compute_uv=False)
     except np.linalg.LinAlgError as exc:

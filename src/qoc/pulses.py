@@ -15,26 +15,55 @@ sign of each analytic gradient below is fixed against the central-difference
 oracle (see tests), which is authoritative.  All gradients cost one forward
 sweep plus one backward adjoint sweep.
 
+Routes
+------
+``propagate`` applies the K segments by one of two routes, chosen once per
+call from its inputs; both give the same states to roundoff.
+
+- Dense: ``segment_unitaries`` builds the (K, d, d) stack of segment
+  propagators by batched Hermitian eigensolves, and both sweeps multiply
+  states by it.
+- Action: each chunk of segment Hamiltonians is assembled with one GEMM
+  and exp(+-i dt H_k) is applied to the state directly by a truncated
+  Taylor series (Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011) 488);
+  no propagator is formed.  The bound
+  theta_k = dt (||H_drift||_1 + sum_a |u_a(k)| ||H_a||_1) >= dt ||H_k||_2
+  sets s_k = max(1, ceil(theta_k)) steps of norm at most 1, each truncated
+  at the least degree m_k whose leading tail term
+  (theta_k / s_k)^(m_k+1) / (m_k+1)! is at most 2^-53.
+
+The action route is taken when 2 sum_k s_k m_k < K d, that is, when the
+matvecs of the forward and backward sweeps (d^2 work each) cost less than
+the dense route's d^3 work per segment.  Small d, or a large dt ||H_k||,
+goes dense: the 4-spin NMR sample (d = 16) needs 50 to 70 matvecs per
+segment and sweep.  The qubit chain at full-box amplitudes goes by action
+from d = 32 on.  The action route runs on the calling thread only.
+
 Memory
 ------
-One propagation holds one (K, d, d) stack, the segment unitaries that the
-backward sweep reuses, plus (K+1, d) forward states.  Segment Hamiltonians
-and their exponentials are built in chunks of segments.  The chunks in
-flight at once share one CHUNK_BYTES budget: each (n, d, d) temporary stays
-within CHUNK_BYTES / W, so the transients of a call are a few CHUNK_BYTES,
-whatever K and W are.
+Both routes keep (K+1, d) forward states.  The dense route also keeps one
+(K, d, d) stack, the segment unitaries that its backward sweep reuses; the
+action route keeps no (K, d, d) array, and its backward sweep assembles
+the segment Hamiltonians again, chunk by chunk in reverse.  Segment
+Hamiltonians and their exponentials are built in chunks of segments.  On
+the action route one chunk is in flight, within CHUNK_BYTES, beside a
+transposed copy of the control stack.  On the dense route the W chunks in
+flight share that budget: each (n, d, d) temporary stays within
+CHUNK_BYTES / W, or holds _MIN_CHUNK segments where that is more.  Either
+way the transients of a call do not grow with K.
 
 Parallelism
 -----------
 Once the amplitudes are fixed the segment exponentials are independent, so
-``segment_unitaries`` fills its chunks on W threads, W being the number of
-CPUs in the process's affinity mask (restrict a process with ``taskset`` to
-run several side by side).  The calling thread fills chunks 0, W, 2W, ...
-and a lazily created pool of W - 1 threads fills the rest; the einsum,
-eigh and matmul calls release the GIL.  Every chunk applies the same
-per-matrix arithmetic, so U is bit-identical for any W.  With W = 1, or a
-single chunk, no thread starts.  A forked child drops the parent's pool
-and creates its own on first use.
+on the dense route ``segment_unitaries`` fills its chunks on W threads, W
+being the number of CPUs in the process's affinity mask (restrict a process
+with ``taskset`` to run several side by side).  The calling thread fills
+chunks 0, W, 2W, ... and a lazily created pool of W - 1 threads fills the
+rest; the einsum, eigh and matmul calls release the GIL.  Every chunk
+applies the same per-matrix arithmetic, so U is bit-identical for any W.
+With W = 1, or a single chunk, no thread starts.  A forked child drops the
+parent's pool and creates its own on first use.  The action route's sweeps
+are chains of dependent matvecs and start no thread.
 """
 
 from __future__ import annotations
@@ -47,10 +76,11 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+from scipy.linalg.blas import zgemv
 
 from .errors import ContractError
 from .hamiltonians import SystemModel
-from .linalg import StateVector, expm_hermitian
+from .linalg import StateVector, _bipartition_matrix, expm_hermitian
 
 __all__ = [
     "SIGN_FORWARD",
@@ -83,6 +113,20 @@ _SIGN_FACTOR = {SIGN_FORWARD: -1.0, SIGN_REVERSED: +1.0}
 # U stack they fill and near cache size; 4 and 8 MiB budgets ran slower at
 # d = 64 on one thread.
 CHUNK_BYTES = 1 << 20
+
+# Fewest segments in a dense-route chunk.  The budget split W ways would
+# leave one matrix per chunk at d >= 32 on a machine with 64 CPUs.
+_MIN_CHUNK = 4
+
+# Leading Taylor tail term allowed per action-route step: float64 roundoff.
+_TAYLOR_TAIL = 2.0**-53
+
+# _TAYLOR_REACH[m] is the largest step norm theta whose leading tail term
+# theta^(m+1) / (m+1)! is at most _TAYLOR_TAIL.  Steps have theta <= 1,
+# which degree 18 reaches.
+_TAYLOR_REACH = np.array(
+    [math.exp((math.log(_TAYLOR_TAIL) + math.lgamma(m + 2)) / (m + 1)) for m in range(19)]
+)
 
 # Threads that fill segment_unitaries chunks, the caller included.
 _WORKERS = (
@@ -184,15 +228,18 @@ class PulseSequence:
 
 @dataclass
 class Workspace:
-    """Cached per-segment unitaries and forward states from one propagation.
+    """Forward states of one propagation, and what its backward sweep needs.
 
-    This is all a propagation keeps: one (K, d, d) unitary stack and
-    (K+1, d) states.  The backward sweep reuses the stack without copying it.
+    Every propagation keeps its (K+1, d) forward states.  On the dense route
+    it also keeps the (K, d, d) segment unitaries, which the backward sweep
+    reuses without copying.  On the action route ``unitaries`` is None: the
+    backward sweep assembles the segment Hamiltonians again and applies the
+    inverse of each segment to the adjoint vector by Taylor series.
     """
 
     model: SystemModel
     pulses: PulseSequence
-    unitaries: np.ndarray  # (K, d, d)
+    unitaries: np.ndarray | None  # (K, d, d) on the dense route, else None
     forward: np.ndarray  # (K+1, d); forward[k] = state after k segments
 
     @property
@@ -201,6 +248,8 @@ class Workspace:
 
     def backward_adjoint(self, vec: np.ndarray) -> np.ndarray:
         """bw[k] = (U_K ... U_{k+2} U_{k+1})† vec, returned for k = 1..K."""
+        if self.unitaries is None:
+            return _taylor_sweep(self.model, self.pulses, vec, backward=True)
         k_seg = self.unitaries.shape[0]
         bw = np.empty((k_seg, self.unitaries.shape[1]), dtype=complex)
         acc = np.asarray(vec, dtype=complex)
@@ -227,8 +276,9 @@ def segment_hamiltonians(model: SystemModel, amplitudes: np.ndarray) -> np.ndarr
 
 
 def _chunk_length(dim: int) -> int:
-    """Most segments per chunk: d x d complex matrices that fit CHUNK_BYTES / W."""
-    return max(1, CHUNK_BYTES // _WORKERS // (16 * dim * dim))
+    """Most segments per dense-route chunk: d x d complex matrices within
+    CHUNK_BYTES / W, but never fewer than _MIN_CHUNK."""
+    return max(_MIN_CHUNK, CHUNK_BYTES // _WORKERS // (16 * dim * dim))
 
 
 def _chunk_bounds(segments: int, dim: int) -> list[tuple[int, int]]:
@@ -274,24 +324,114 @@ def segment_unitaries(model: SystemModel, pulses: PulseSequence) -> np.ndarray:
     return u
 
 
+def _one_norm(matrix: np.ndarray) -> float:
+    return float(np.abs(matrix).sum(axis=0).max())
+
+
+def _taylor_plan(model: SystemModel, pulses: PulseSequence) -> tuple[np.ndarray, np.ndarray]:
+    """Steps s_k and degrees m_k of each segment's Taylor series (see Routes)."""
+    control_norms = np.array([_one_norm(op) for op in model.control_stack])
+    theta = pulses.grid.dt * (
+        _one_norm(model.drift.matrix) + np.abs(pulses.amplitudes) @ control_norms
+    )
+    steps = np.maximum(1.0, np.ceil(theta))
+    return steps, np.searchsorted(_TAYLOR_REACH, theta / steps)
+
+
+def _takes_action_route(model: SystemModel, pulses: PulseSequence) -> bool:
+    """Whether both sweeps' Taylor matvecs cost less than K dense d^3 segments."""
+    steps, degrees = _taylor_plan(model, pulses)
+    return 2.0 * float(steps @ degrees) < pulses.grid.segments * model.dim
+
+
+def _hamiltonian_chunks(
+    model: SystemModel, amplitudes: np.ndarray, lo: int, hi: int, reverse: bool
+):
+    """Yield (start, H_start ... H_stop-1) over segments lo..hi-1, chunk by chunk.
+
+    A chunk stays within CHUNK_BYTES and costs one real GEMM over the
+    transposed control stack viewed as interleaved float64 (re, im) pairs,
+    so the real amplitudes are not promoted to complex.  Assembling H_k^T
+    makes each yielded H_k Fortran-ordered, as zgemv takes it without a copy.
+    """
+    d = model.dim
+    length = max(1, CHUNK_BYTES // (16 * d * d))
+    controls = np.ascontiguousarray(model.control_stack.transpose(0, 2, 1))
+    controls = controls.reshape(-1, d * d).view(np.float64)
+    drift = model.drift.matrix.T.reshape(-1)
+    starts = range(lo, hi, length)
+    for start in reversed(starts) if reverse else starts:
+        h_t = (amplitudes[start : min(start + length, hi)] @ controls).view(complex)
+        h_t += drift
+        yield start, h_t.reshape(-1, d, d).transpose(0, 2, 1)
+
+
+def _taylor_apply(h: np.ndarray, psi: np.ndarray, coef: complex, steps: int, degree: int):
+    """exp(steps * coef * h) psi, as ``steps`` Taylor series truncated at ``degree``.
+
+    Each series runs in Horner form, w <- psi + (coef / j) h w for
+    j = degree ... 1, one BLAS call per term.
+    """
+    for _ in range(steps):
+        w = psi
+        for j in range(degree, 0, -1):
+            w = zgemv(coef / j, h, w, beta=1.0, y=psi)
+        psi = w
+    return psi
+
+
+def _taylor_sweep(
+    model: SystemModel, pulses: PulseSequence, vec: np.ndarray, backward: bool = False
+) -> np.ndarray:
+    """States of an action-route sweep, exp(+-i scale H_k) applied by Taylor series.
+
+    Forward: out[0] = vec and out[k+1] = exp(i scale H_k) out[k], (K+1, d).
+    Backward: out[K-1] = vec and out[k-1] = exp(-i scale H_k) out[k], (K, d),
+    the states that ``Workspace.backward_adjoint`` returns on the dense route.
+    """
+    amps = pulses.amplitudes
+    k_seg = amps.shape[0]
+    steps, degrees = (p.tolist() for p in _taylor_plan(model, pulses))
+    coef = (-1.0 if backward else 1.0) * 1j * _SIGN_FACTOR[pulses.sign] * pulses.grid.dt
+    out = np.empty((k_seg if backward else k_seg + 1, model.dim), dtype=complex)
+    psi = np.asarray(vec, dtype=complex)
+    out[-1 if backward else 0] = psi
+    # The backward sweep stops before segment 0: out[0] needs no inverse of it.
+    for start, h in _hamiltonian_chunks(model, amps, int(backward), k_seg, backward):
+        for i in range(len(h) - 1, -1, -1) if backward else range(len(h)):
+            k = start + i
+            psi = _taylor_apply(h[i], psi, coef / steps[k], int(steps[k]), degrees[k])
+            out[k - 1 if backward else k + 1] = psi
+    return out
+
+
+def _dense_route(model: SystemModel, pulses: PulseSequence, initial: StateVector) -> Workspace:
+    u = segment_unitaries(model, pulses)
+    fw = np.empty((u.shape[0] + 1, model.dim), dtype=complex)
+    fw[0] = initial.amplitudes
+    for k in range(u.shape[0]):
+        fw[k + 1] = u[k] @ fw[k]
+    return Workspace(model=model, pulses=pulses, unitaries=u, forward=fw)
+
+
+def _action_route(model: SystemModel, pulses: PulseSequence, initial: StateVector) -> Workspace:
+    fw = _taylor_sweep(model, pulses, initial.amplitudes)
+    return Workspace(model=model, pulses=pulses, unitaries=None, forward=fw)
+
+
 def propagate(
     model: SystemModel, pulses: PulseSequence, initial: StateVector
 ) -> tuple[StateVector, Workspace]:
-    """Apply the segment propagators in order; norm is preserved to roundoff."""
+    """Apply the segments in order by the cheaper route; norm is preserved to roundoff."""
     if initial.dim != model.dim:
         raise ValueError(f"state dim {initial.dim} != model dim {model.dim}")
     if pulses.num_channels != model.num_channels:
         raise ValueError(
             f"pulse channels {pulses.num_channels} != model channels {model.num_channels}"
         )
-    u = segment_unitaries(model, pulses)
-    k_seg = u.shape[0]
-    fw = np.empty((k_seg + 1, model.dim), dtype=complex)
-    fw[0] = initial.amplitudes
-    for k in range(k_seg):
-        fw[k + 1] = u[k] @ fw[k]
-    ws = Workspace(model=model, pulses=pulses, unitaries=u, forward=fw)
-    return StateVector(fw[-1], initial.site_dims), ws
+    route = _action_route if _takes_action_route(model, pulses) else _dense_route
+    ws = route(model, pulses, initial)
+    return StateVector(ws.forward[-1], initial.site_dims), ws
 
 
 # ---------------------------------------------------------------------------
@@ -304,38 +444,22 @@ def state_infidelity(final: StateVector, target: StateVector) -> float:
     return max(0.0, 1.0 - abs(c) ** 2)
 
 
-def _perm_matrix(state_amps: np.ndarray, site_dims: Sequence[int], part: Sequence[int]):
-    """Amplitudes as a (part x rest) matrix plus the inverse permutation."""
-    n = len(site_dims)
-    part_sorted = sorted(set(int(p) for p in part))
-    if not part_sorted or len(part_sorted) == n:
-        raise ValueError("site subset must be a non-empty proper subset")
-    if any(p < 0 or p >= n for p in part_sorted):
-        raise ValueError(f"site subset {part_sorted} out of range")
-    rest = [i for i in range(n) if i not in part_sorted]
-    perm = part_sorted + rest
-    tensor = np.transpose(state_amps.reshape(tuple(site_dims)), perm)
-    d_a = math.prod(site_dims[i] for i in part_sorted)
-    matrix = tensor.reshape(d_a, -1)
-    inv = np.argsort(perm)
-    perm_dims = tuple(site_dims[i] for i in perm)
-    return matrix, perm_dims, inv
-
-
-def _unpermute(matrix: np.ndarray, perm_dims, inv) -> np.ndarray:
-    return np.transpose(matrix.reshape(perm_dims), inv).reshape(-1)
+def _unpermute(matrix: np.ndarray, site_dims: Sequence[int], order: list[int]) -> np.ndarray:
+    """Flat amplitudes back from a ``_bipartition_matrix`` layout."""
+    tensor = matrix.reshape([site_dims[i] for i in order])
+    return np.transpose(tensor, np.argsort(order)).reshape(-1)
 
 
 def subsystem_impurity(state: StateVector, keep: Iterable[int]) -> float:
     """1 - tr(rho_keep^2); zero iff the state is a product across the cut."""
-    m, _, _ = _perm_matrix(state.amplitudes, state.site_dims, list(keep))
+    m, _ = _bipartition_matrix(state, keep)
     rho = m @ m.conj().T
     return max(0.0, 1.0 - float(np.vdot(rho, rho).real))
 
 
 def ground_leakage(state: StateVector, frozen: Iterable[int]) -> float:
     """1 - <0...0| rho_frozen |0...0>; zero iff the frozen block sits in |0...0>."""
-    m, _, _ = _perm_matrix(state.amplitudes, state.site_dims, list(frozen))
+    m, _ = _bipartition_matrix(state, frozen)
     return max(0.0, 1.0 - float(np.vdot(m[0], m[0]).real))
 
 
@@ -391,10 +515,10 @@ def impurity_value_and_gradient(
     """
     _require_sign(pulses, SIGN_REVERSED, "impurity gradient")
     final, ws = propagate(model, pulses, initial)
-    m, perm_dims, inv = _perm_matrix(final.amplitudes, final.site_dims, list(keep))
+    m, order = _bipartition_matrix(final, keep)
     rho = m @ m.conj().T
     cost = max(0.0, 1.0 - float(np.vdot(rho, rho).real))
-    lam = _unpermute(rho @ m, perm_dims, inv)
+    lam = _unpermute(rho @ m, final.site_dims, order)
     terms = _gradient_terms(ws, lam)
     grad = 4.0 * pulses.grid.dt * np.imag(terms)
     return cost, grad, ws
@@ -412,11 +536,11 @@ def ground_leakage_value_and_gradient(
     """
     _require_sign(pulses, SIGN_REVERSED, "ground-projection gradient")
     final, ws = propagate(model, pulses, initial)
-    m, perm_dims, inv = _perm_matrix(final.amplitudes, final.site_dims, list(frozen))
+    m, order = _bipartition_matrix(final, frozen)
     cost = max(0.0, 1.0 - float(np.vdot(m[0], m[0]).real))
     eta_m = np.zeros_like(m)
     eta_m[0] = m[0]
-    eta = _unpermute(eta_m, perm_dims, inv)
+    eta = _unpermute(eta_m, final.site_dims, order)
     terms = _gradient_terms(ws, eta)
     grad = 2.0 * pulses.grid.dt * np.imag(terms)
     return cost, grad, ws
@@ -452,6 +576,8 @@ def random_initial_pulses(
     """Uniform random amplitudes inside ``fraction`` of the box, seeded."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     lo, hi = bounds
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"a random start needs finite bounds, got {bounds}")
     amps = rng.uniform(fraction * lo, fraction * hi, size=(grid.segments, len(channels)))
     return PulseSequence(
         grid=grid, amplitudes=amps, channels=tuple(channels), sign=sign,

@@ -132,3 +132,14 @@ class TestRunGrape:
                 optimizer=OptimizerConfig(tolerance=1e-3),
                 bounds=(-1e4, 1e4),
             )
+
+    @pytest.mark.parametrize("bounds", [(-math.inf, math.inf), (-1e4, math.inf), (math.nan, 1e4)])
+    def test_non_finite_bounds_rejected(self, bounds):
+        with pytest.raises(ValueError, match="finite"):
+            GrapeProblem(
+                model=single_channel_qubit(),
+                target=ground_state((2,)),
+                grid=PulseGrid(1e-5, 5),
+                optimizer=OptimizerConfig(tolerance=1e-3),
+                bounds=bounds,
+            )

@@ -9,7 +9,15 @@ import pytest
 
 from qoc import pulses
 from qoc.errors import ContractError, DecompositionError
-from qoc.hamiltonians import NmrSample, SystemModel, build_nmr
+from qoc.hamiltonians import (
+    NMR_AMPLITUDE_BOUND_HZ,
+    SC_AMPLITUDE_BOUND_RAD_PER_NS,
+    NmrSample,
+    SystemModel,
+    build_nmr,
+    build_sc,
+    sample_registry,
+)
 from qoc.linalg import (
     HermitianOperator,
     StateVector,
@@ -172,6 +180,157 @@ class TestChunkedUnitaries:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * ws.unitaries.nbytes
+
+    def test_chunk_length_floor_with_many_workers(self, monkeypatch):
+        # Sizing only: a segment_unitaries call here would start 63 threads.
+        monkeypatch.setattr(pulses, "_WORKERS", 64)
+        assert 1 < _chunk_length(32) < 200  # the boundary test above needs this
+        assert _chunk_length(256) == pulses._MIN_CHUNK
+        bounds = pulses._chunk_bounds(1760, 32)
+        assert len(bounds) % 64 == 0
+        assert {stop - start for start, stop in bounds} == {3, 4}
+        assert bounds[0][0] == 0 and bounds[-1][1] == 1760
+        assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+
+
+@pytest.fixture
+def route(monkeypatch):
+    """Send propagate down one route: route("action") or route("dense")."""
+
+    def force(name):
+        monkeypatch.setattr(pulses, "_takes_action_route", lambda model, seq: name == "action")
+
+    return force
+
+
+def one_norm(m):
+    return np.abs(m).sum(axis=0).max()
+
+
+class TestActionRoute:
+    @staticmethod
+    def sequence(rng, model, segments, theta, sign):
+        """Random amplitudes, with dt such that max_k dt ||H_k||_2 = theta."""
+        amps = toy_sequence(rng, model, segments, 1.0, sign).amplitudes
+        norm = max(np.linalg.norm(h, 2) for h in pulses.segment_hamiltonians(model, amps))
+        return PulseSequence(
+            PulseGrid(theta / norm, segments), amps, model.channel_labels, sign, (-2.0, 2.0)
+        )
+
+    @staticmethod
+    def chunk_lengths(model, segments):
+        amps = np.zeros((segments, model.num_channels))
+        return [len(h) for _, h in pulses._hamiltonian_chunks(model, amps, 0, segments, False)]
+
+    def test_plan_takes_unit_steps_and_least_degree(self, rng):
+        model = toy_model(rng, n_sites=3)
+        amps = rng.uniform(-2.0, 2.0, (200, model.num_channels)) * np.logspace(-4, 3, 200)[:, None]
+        seq = PulseSequence(PulseGrid(1e-3, 200), amps, model.channel_labels, SIGN_FORWARD)
+        steps, degrees = pulses._taylor_plan(model, seq)
+        for row, s, m in zip(seq.amplitudes, steps, degrees):
+            theta = seq.grid.dt * (
+                one_norm(model.drift.matrix)
+                + sum(abs(u) * one_norm(op.matrix) for u, (_, op) in zip(row, model.controls))
+            )
+            assert s == max(1, math.ceil(theta))
+            tail = lambda m: (theta / s) ** (m + 1) / math.factorial(m + 1)
+            assert tail(m) <= 2.0**-53 * (1 + 1e-12)
+            assert m == 0 or tail(m - 1) > 2.0**-53 * (1 - 1e-12)
+        assert steps.min() == 1 and steps.max() >= 5 and degrees.min() <= 5
+
+    @pytest.mark.parametrize("degree", [0, 1, 2, 7])
+    def test_series_is_the_truncated_taylor_polynomial(self, degree, rng):
+        h = unit_norm_hermitian(rng, 8)
+        psi = random_state((2, 2, 2), rng).amplitudes
+        coef = -0.3j
+        want, term = psi.copy(), psi.copy()
+        for j in range(1, degree + 1):
+            term = coef * (h @ term) / j
+            want += term
+        got = pulses._taylor_apply(np.asfortranarray(h), psi, coef, 1, degree)
+        assert np.abs(got - want).max() <= 1e-15
+        twice = pulses._taylor_apply(np.asfortranarray(h), got, coef, 1, degree)
+        assert np.abs(pulses._taylor_apply(h, psi, coef, 2, degree) - twice).max() <= 1e-15
+
+    @pytest.mark.parametrize("theta", [1e-4, 0.1, 1.0, 4.0])
+    def test_matches_dense_route(self, theta, route, rng):
+        model = toy_model(rng, n_sites=5)
+        n = self.chunk_lengths(model, 1000)[0]
+        assert 1 < n < 1000
+        psi0 = random_state(model.site_dims, rng)
+        target = random_state(model.site_dims, rng)
+        costs = {
+            SIGN_FORWARD: [lambda s: infidelity_value_and_gradient(model, s, psi0, target)],
+            SIGN_REVERSED: [
+                lambda s: impurity_value_and_gradient(model, s, psi0, (0,)),
+                lambda s: ground_leakage_value_and_gradient(model, s, psi0, (0,)),
+            ],
+        }
+        # The backward sweep's chunks start at segment 1, so n + 2 splits it.
+        for segments in (1, n - 1, n, n + 1, n + 2):
+            assert self.chunk_lengths(model, segments)[0] == min(segments, n)
+            for sign, value_and_grads in costs.items():
+                seq = self.sequence(rng, model, segments, theta, sign)
+                dense = pulses._dense_route(model, seq, psi0)
+                action = pulses._action_route(model, seq, psi0)
+                assert action.unitaries is None
+                assert np.abs(action.forward - dense.forward).max() <= 1e-12
+                vec = random_state(model.site_dims, rng).amplitudes
+                bw = action.backward_adjoint(vec)
+                assert bw.shape == (segments, model.dim)
+                assert np.abs(bw - dense.backward_adjoint(vec)).max() <= 1e-12
+                for value_and_grad in value_and_grads:
+                    route("dense")
+                    cost_d, grad_d, ws_d = value_and_grad(seq)
+                    route("action")
+                    cost_a, grad_a, ws_a = value_and_grad(seq)
+                    assert ws_d.unitaries is not None and ws_a.unitaries is None
+                    assert abs(cost_a - cost_d) <= 1e-12
+                    assert rel_err(grad_a, grad_d) <= 1e-12
+
+    def test_rule_picks_dense_for_nmr_and_small_d_and_action_for_sc6(self, rng):
+        registry = sample_registry()
+        nmr = build_nmr(registry.get("iodotrifluoroethylene"))
+        schedule = registry.reference_schedule("nmr", 4)
+        bound = (-NMR_AMPLITUDE_BOUND_HZ, NMR_AMPLITUDE_BOUND_HZ)
+        seq = random_initial_pulses(
+            PulseGrid(schedule["dt"], schedule["grape"]), nmr.channel_labels, bound, 0, SIGN_FORWARD
+        )
+        _, ws = propagate(nmr, seq, ground_state(nmr.site_dims))
+        assert ws.unitaries is not None
+
+        toy = toy_model(rng)
+        _, ws = propagate(toy, toy_sequence(rng, toy, 8, 1e-4, SIGN_FORWARD), ground_state(toy.site_dims))
+        assert ws.unitaries is not None
+
+        sc = build_sc(registry.get("sc-chain-12").with_idle_frequencies(0.0), sites=range(6))
+        schedule = registry.reference_schedule("sc", 6)
+        bound = (-SC_AMPLITUDE_BOUND_RAD_PER_NS, SC_AMPLITUDE_BOUND_RAD_PER_NS)
+        seq = random_initial_pulses(
+            PulseGrid(schedule["dt"], schedule["grape"]), sc.channel_labels, bound, 0,
+            SIGN_FORWARD, fraction=1.0,
+        )
+        final, ws = propagate(sc, seq, ground_state(sc.site_dims))
+        assert ws.unitaries is None
+        assert abs(final.norm - 1.0) < 1e-12
+
+    def test_gradient_peak_memory_far_below_a_unitary_stack(self, route, rng):
+        model = toy_model(rng, n_sites=6, n_channels=6)
+        segments = 512
+        seq = self.sequence(rng, model, segments, 0.5, SIGN_FORWARD)
+        psi0 = random_state(model.site_dims, rng)
+        target = random_state(model.site_dims, rng)
+        model.control_stack  # cached on first use; not part of the call
+        route("action")
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            _, _, ws = infidelity_value_and_gradient(model, seq, psi0, target)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ws.unitaries is None
+        assert peak <= 0.25 * segments * model.dim**2 * 16
 
 
 @pytest.fixture
@@ -413,6 +572,12 @@ class TestGradients:
         assert max(errs) < 1e-4
 
     @pytest.mark.parametrize("kind", ["transfer", "impurity", "ground"])
+    def test_action_route_matches_finite_differences(self, kind, route, rng):
+        route("action")
+        errs = [self.fd_check(rng, kind)[0] for _ in range(4)]
+        assert max(errs) < 1e-4
+
+    @pytest.mark.parametrize("kind", ["transfer", "impurity", "ground"])
     def test_first_order_convergence(self, kind, rng):
         ratios = []
         for _ in range(4):
@@ -535,6 +700,11 @@ class TestPulseFiles:
         grid = PulseGrid(dt=1.0, segments=50)
         seq = random_initial_pulses(grid, ("a", "b"), (-10.0, 10.0), rng, SIGN_FORWARD)
         assert np.abs(seq.amplitudes).max() <= 1.0
+
+    @pytest.mark.parametrize("bounds", [(-np.inf, np.inf), (-1.0, np.inf), (np.nan, 1.0)])
+    def test_random_start_needs_finite_bounds(self, bounds, rng):
+        with pytest.raises(ValueError, match="finite"):
+            random_initial_pulses(PulseGrid(1.0, 3), ("a",), bounds, rng, SIGN_FORWARD)
 
     def test_bounds_enforced(self):
         grid = PulseGrid(dt=1.0, segments=1)
