@@ -49,6 +49,9 @@ class GrapeProblem:
             raise ValueError("target dimension does not match the model")
         if not all(math.isfinite(b) for b in self.bounds):
             raise ValueError(f"amplitude bounds must be finite, got {self.bounds}")
+        solver_bounds = self.optimizer.bounds  # run_grape replaces them by self.bounds
+        if solver_bounds is not None and not np.array_equal(solver_bounds, self.bounds):
+            raise ValueError(f"optimizer bounds {solver_bounds} conflict with bounds {self.bounds}")
 
 
 @dataclass

@@ -185,9 +185,6 @@ class ScSample:
         qubits = tuple((l, float(w), e) for (l, _, e), w in zip(self.qubits, ghz))
         return dataclasses.replace(self, qubits=qubits)
 
-    def with_coupling(self, mhz: float) -> "ScSample":
-        return dataclasses.replace(self, coupling_mhz=float(mhz))
-
 
 @dataclass(frozen=True)
 class SystemModel:
@@ -428,9 +425,6 @@ class SampleRegistry:
         if name in self.sc:
             return self.sc[name]
         raise SampleNotFoundError(f"no sample named {name!r}; known: {self.names()}")
-
-    def platform_of(self, name: str) -> str:
-        return "nmr" if isinstance(self.get(name), NmrSample) else "sc"
 
     def reference_schedule(self, platform: str, size: int) -> dict:
         """Reference segment budgets and transfer time for a system size."""

@@ -67,10 +67,6 @@ class StateVector:
         return self.amplitudes.size
 
     @property
-    def num_sites(self) -> int:
-        return len(self.site_dims)
-
-    @property
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 

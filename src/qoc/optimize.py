@@ -39,22 +39,22 @@ TERMINATION_GRADIENT = "gradient"
 TERMINATION_MAX_ITER = "max-iter"
 TERMINATION_LINE_SEARCH = "line-search-failure"
 
+MEMORY_PAIRS = 10  # correction pairs the quasi-Newton backend keeps
+RELATIVE_COST_TOLERANCE = 0.0  # its relative cost-decrease stop, switched off
+SUFFICIENT_DECREASE = 1e-4  # Armijo constant of the descent path's backtracking
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Knobs for ``minimize``; bounds apply elementwise when given.
 
-    ``sufficient_decrease`` is the Armijo constant of the descent path's
-    backtracking test; the quasi-Newton backend keeps its own line-search
-    constants.
+    ``learning_rate`` is the first step of the descent path and of the
+    restart probe; the module constants above fix the other settings.
     """
 
     tolerance: float = 1e-3
     max_iterations: int = 500
-    memory_pairs: int = 10
-    sufficient_decrease: float = 1e-4
     gradient_tolerance: float = 1e-9
-    relative_cost_tolerance: float = 0.0
     bounds: tuple[float, float] | None = None
     learning_rate: float = 0.1
     method: str = "lbfgsb"
@@ -205,8 +205,8 @@ def minimize(
             callback=callback,
             options={
                 "maxiter": remaining,
-                "maxcor": config.memory_pairs,
-                "ftol": config.relative_cost_tolerance,
+                "maxcor": MEMORY_PAIRS,
+                "ftol": RELATIVE_COST_TOLERANCE,
                 "gtol": config.gradient_tolerance,
             },
         )
@@ -295,7 +295,7 @@ def projected_gradient_descent(
                 candidate = projected_gradient_step(x, g, step, config.bounds)
                 direction = candidate - x
                 f_new, g_new = objective(candidate)
-                decrease_needed = config.sufficient_decrease * abs(float(g @ direction))
+                decrease_needed = SUFFICIENT_DECREASE * abs(float(g @ direction))
                 if f_new < f - decrease_needed:
                     accepted = True
                     break

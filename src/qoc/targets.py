@@ -61,15 +61,12 @@ class PqcSpec:
     qubits: int
     layers: int
     seed: int = 0
-    entangler: str = "cnot-chain"
 
     def __post_init__(self):
         if self.qubits < 1:
             raise ValueError("qubit count must be >= 1")
         if self.layers < 1:
             raise ValueError("layer count must be >= 1")
-        if self.entangler != "cnot-chain":
-            raise ValueError(f"unknown entangler {self.entangler!r}")
 
     def parameters(self) -> np.ndarray:
         """(layers, qubits, 3) array of angles, reproducible from the seed.

@@ -143,3 +143,16 @@ class TestRunGrape:
                 optimizer=OptimizerConfig(tolerance=1e-3),
                 bounds=bounds,
             )
+
+    def test_conflicting_optimizer_bounds_rejected(self):
+        kwargs = dict(
+            model=single_channel_qubit(),
+            target=ground_state((2,)),
+            grid=PulseGrid(1e-5, 5),
+            bounds=(-1e4, 1e4),
+        )
+        with pytest.raises(ValueError, match="conflict"):
+            GrapeProblem(optimizer=OptimizerConfig(tolerance=1e-3, bounds=(-1.0, 1.0)), **kwargs)
+        for same in (None, (-1e4, 1e4)):
+            problem = GrapeProblem(optimizer=OptimizerConfig(tolerance=1e-3, bounds=same), **kwargs)
+            assert run_grape(problem).converged

@@ -333,6 +333,58 @@ class TestActionRoute:
         assert peak <= 0.25 * segments * model.dim**2 * 16
 
 
+class TestChunkedContraction:
+    @staticmethod
+    def chunk_length(model):
+        return pulses.CHUNK_BYTES // (16 * model.num_channels * model.dim)
+
+    @pytest.mark.parametrize("sign", [SIGN_FORWARD, SIGN_REVERSED])
+    def test_matches_unchunked_contraction(self, sign, route, rng):
+        route("dense")  # either route's workspace serves; this one is quicker here
+        model = toy_model(rng, n_sites=5, n_channels=24)
+        n = self.chunk_length(model)
+        assert 3 < n < 200
+        stack = model.control_stack
+        for segments in (1, 2, 3, n - 1, n, n + 1, 2 * n + 1):
+            seq = toy_sequence(rng, model, segments, 0.05, sign)
+            _, ws = propagate(model, seq, random_state(model.site_dims, rng))
+            adjoint = random_state(model.site_dims, rng).amplitudes
+            fw, bw = ws.forward[1:], ws.backward_adjoint(adjoint)
+            h_fw = (fw @ stack.reshape(-1, model.dim).T).reshape(segments, -1, model.dim)
+            want = np.einsum("ki,kai->ka", bw.conj(), h_fw)
+            np.testing.assert_array_equal(pulses._gradient_terms(ws, adjoint), want)
+
+    def test_peak_memory_far_below_all_segments_at_once(self, route, rng):
+        # H_a fw_k for every segment would be a (K, A, d) array of 24 MiB.
+        # Zero drift and amplitudes make the sweeps exact and free of matvecs.
+        toy = toy_model(rng, n_sites=6, n_channels=12)
+        model = SystemModel(
+            drift=HermitianOperator(np.zeros((toy.dim, toy.dim))),
+            controls=toy.controls,
+            site_dims=toy.site_dims,
+            platform="nmr",
+        )
+        segments = 2048
+        seq = PulseSequence(
+            PulseGrid(0.1, segments),
+            np.zeros((segments, model.num_channels)),
+            model.channel_labels,
+            SIGN_FORWARD,
+        )
+        psi0 = random_state(model.site_dims, rng)
+        target = random_state(model.site_dims, rng)
+        model.control_stack  # cached on first use; not part of the call
+        route("action")
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            infidelity_value_and_gradient(model, seq, psi0, target)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * segments * model.num_channels * model.dim * 16
+
+
 @pytest.fixture
 def workers(monkeypatch):
     """Set the worker count W; each setting gets its own helper pool."""
