@@ -85,7 +85,6 @@ def run_grape(problem: GrapeProblem) -> GrapeResult:
         model.channel_labels,
         SIGN_FORWARD,
         bounds=problem.bounds,
-        platform=model.platform,
     )
     drift_only, _ = propagate(model, zero_seq, initial)
     zero_cost = state_infidelity(drift_only, problem.target)
@@ -108,12 +107,7 @@ def run_grape(problem: GrapeProblem) -> GrapeResult:
         )
 
     guess = random_initial_pulses(
-        grid,
-        model.channel_labels,
-        problem.bounds,
-        problem.seed,
-        SIGN_FORWARD,
-        platform=model.platform,
+        grid, model.channel_labels, problem.bounds, problem.seed, SIGN_FORWARD
     )
     shape = guess.amplitudes.shape
 

@@ -18,6 +18,9 @@ Registry values mirror the built-in catalogue bit-exactly.  Chemical shifts
 are used exactly as configured: the catalogue stores laboratory-frame
 values, and rotating-frame offsets (usually all zero) are substituted by
 the caller via ``with_shifts`` / ``with_idle_frequencies`` before building.
+The models are closed systems: the catalogue's relaxation times and
+formulas are left unread.  Non-finite shifts, couplings or frequencies are
+rejected when a sample is constructed.
 """
 
 from __future__ import annotations
@@ -74,9 +77,6 @@ class NmrSample:
     name: str
     spins: tuple[tuple[str, float], ...]  # (label, chemical shift in Hz)
     couplings: Mapping[tuple[int, int], float]  # (i, j) i<j -> Hz
-    t1_s: tuple[float | None, ...] = ()
-    t2_s: tuple[float | None, ...] = ()
-    formula: str = ""
 
     def __post_init__(self):
         canon: dict[tuple[int, int], float] = {}
@@ -92,8 +92,11 @@ class NmrSample:
             if key in canon and canon[key] != val:
                 raise ValueError(f"conflicting duplicate coupling {key} in {self.name}")
             canon[key] = float(val)
+        spins = tuple((str(l), float(s)) for l, s in self.spins)
+        if not all(math.isfinite(s) for _, s in spins):
+            raise ValueError(f"non-finite chemical shift in {self.name}")
         object.__setattr__(self, "couplings", canon)
-        object.__setattr__(self, "spins", tuple((str(l), float(s)) for l, s in self.spins))
+        object.__setattr__(self, "spins", spins)
 
     @property
     def size(self) -> int:
@@ -133,14 +136,10 @@ class NmrSample:
             for (i, j), v in self.couplings.items()
             if i in remap and j in remap
         }
-        pick = lambda tup: tuple(tup[i] for i in idx) if tup else ()
         return NmrSample(
             name=name or f"{self.name}[{','.join(self.labels[i] for i in idx)}]",
             spins=spins,
             couplings=coup,
-            t1_s=pick(self.t1_s),
-            t2_s=pick(self.t2_s),
-            formula=self.formula,
         )
 
 
@@ -152,15 +151,16 @@ class ScSample:
     qubits: tuple[tuple[str, float, float], ...]  # (label, idle GHz, anharmonicity MHz)
     coupling_mhz: float = 20.0
     truncation: int = 2
-    t1_us: tuple[float | None, ...] = ()
-    t2_us: tuple[float | None, ...] = ()
 
     def __post_init__(self):
         if self.truncation < 2:
             raise ValueError("per-site truncation must be at least 2")
-        object.__setattr__(
-            self, "qubits", tuple((str(l), float(w), float(e)) for l, w, e in self.qubits)
-        )
+        qubits = tuple((str(l), float(w), float(e)) for l, w, e in self.qubits)
+        if not all(math.isfinite(w) and math.isfinite(e) for _, w, e in qubits):
+            raise ValueError(f"non-finite idle frequency or anharmonicity in {self.name}")
+        if not math.isfinite(self.coupling_mhz):
+            raise ValueError(f"non-finite coupler strength in {self.name}")
+        object.__setattr__(self, "qubits", qubits)
 
     @property
     def size(self) -> int:
@@ -381,16 +381,7 @@ def _parse_nmr(name: str, spec: Mapping) -> NmrSample:
     for a, b, val in spec.get("couplings_hz", []):
         i, j = labels.index(a), labels.index(b)
         couplings[(min(i, j), max(i, j))] = float(val)
-    t1 = tuple(s.get("t1_s") for s in spec["spins"])
-    t2 = tuple(s.get("t2_s") for s in spec["spins"])
-    return NmrSample(
-        name=name,
-        spins=spins,
-        couplings=couplings,
-        t1_s=t1,
-        t2_s=t2,
-        formula=spec.get("formula", ""),
-    )
+    return NmrSample(name=name, spins=spins, couplings=couplings)
 
 
 def _parse_sc(name: str, spec: Mapping) -> ScSample:
@@ -403,8 +394,6 @@ def _parse_sc(name: str, spec: Mapping) -> ScSample:
         qubits=qubits,
         coupling_mhz=float(spec.get("coupling_mhz", 20.0)),
         truncation=int(spec.get("truncation", 2)),
-        t1_us=tuple(q.get("t1_us") for q in spec["qubits"]),
-        t2_us=tuple(q.get("t2_us") for q in spec["qubits"]),
     )
 
 

@@ -11,8 +11,7 @@ engines rely on:
 * one projected steepest-descent restart after a line-search failure
   before giving up.
 
-A plain projected-gradient-descent fallback with backtracking is also
-provided.  Both paths are deterministic given the same inputs.
+The search is deterministic given the same inputs.
 """
 
 from __future__ import annotations
@@ -26,13 +25,7 @@ from scipy.optimize import minimize as _scipy_minimize
 
 from .errors import OptimizationError
 
-__all__ = [
-    "OptimizerConfig",
-    "OptimizationReport",
-    "minimize",
-    "projected_gradient_step",
-    "projected_gradient_descent",
-]
+__all__ = ["OptimizerConfig", "OptimizationReport", "minimize"]
 
 TERMINATION_TOLERANCE = "tolerance"
 TERMINATION_GRADIENT = "gradient"
@@ -41,23 +34,21 @@ TERMINATION_LINE_SEARCH = "line-search-failure"
 
 MEMORY_PAIRS = 10  # correction pairs the quasi-Newton backend keeps
 RELATIVE_COST_TOLERANCE = 0.0  # its relative cost-decrease stop, switched off
-SUFFICIENT_DECREASE = 1e-4  # Armijo constant of the descent path's backtracking
+GRADIENT_TOLERANCE = 1e-9  # its flat-gradient stop, on the largest projected component
+PROBE_STEP = 0.1  # first step of the restart probe, halved until the cost drops
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Knobs for ``minimize``; bounds apply elementwise when given.
+    """Stop below ``tolerance`` or after ``max_iterations`` quasi-Newton
+    iterations; ``bounds`` apply elementwise when given.
 
-    ``learning_rate`` is the first step of the descent path and of the
-    restart probe; the module constants above fix the other settings.
+    The module constants above fix every other setting of the search.
     """
 
     tolerance: float = 1e-3
     max_iterations: int = 500
-    gradient_tolerance: float = 1e-9
     bounds: tuple[float, float] | None = None
-    learning_rate: float = 0.1
-    method: str = "lbfgsb"
 
     def __post_init__(self):
         if not (self.tolerance > 0.0):
@@ -66,8 +57,6 @@ class OptimizerConfig:
             lo, hi = self.bounds
             if not np.all(np.asarray(lo) <= np.asarray(hi)):
                 raise ValueError(f"invalid bounds {self.bounds}")
-        if self.method not in ("lbfgsb", "gradient-descent"):
-            raise ValueError(f"unknown method {self.method!r}")
 
 
 @dataclass
@@ -133,23 +122,12 @@ def _clip(x: np.ndarray, bounds) -> np.ndarray:
     return np.clip(x, lo, hi)
 
 
-def projected_gradient_step(x, grad, learning_rate: float, bounds=None) -> np.ndarray:
-    """x - lr * grad, clipped into the box."""
-    if not (learning_rate > 0.0):
-        raise ValueError("learning rate must be positive")
-    x = np.asarray(x, dtype=np.float64)
-    return _clip(x - learning_rate * np.asarray(grad, dtype=np.float64), bounds)
-
-
 def minimize(
     cost_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
     x0: Sequence[float],
     config: OptimizerConfig,
 ) -> tuple[np.ndarray, OptimizationReport]:
     """Minimize under box bounds; stop at tolerance, flat gradient, or budget."""
-    if config.method == "gradient-descent":
-        return projected_gradient_descent(cost_and_grad, x0, config)
-
     start = time.perf_counter()
     objective = _Objective(cost_and_grad)
     x0 = np.asarray(x0, dtype=np.float64).reshape(-1)
@@ -207,7 +185,7 @@ def minimize(
                 "maxiter": remaining,
                 "maxcor": MEMORY_PAIRS,
                 "ftol": RELATIVE_COST_TOLERANCE,
-                "gtol": config.gradient_tolerance,
+                "gtol": GRADIENT_TOLERANCE,
             },
         )
         iterations += int(res.nit)
@@ -230,7 +208,7 @@ def minimize(
         # restart from the best point before declaring failure.
         if restarts_left > 0:
             restarts_left -= 1
-            stepped, improved = _descent_probe(objective, best_x, best_f, config)
+            stepped, improved = _descent_probe(objective, best_x, best_f, config.bounds)
             if improved:
                 x = stepped
                 f, g = objective(x)
@@ -253,73 +231,14 @@ def minimize(
     return _clip(best_x, config.bounds), report
 
 
-def _descent_probe(objective, x, f_ref, config, max_halvings: int = 30):
+def _descent_probe(objective, x, f_ref, bounds, max_halvings: int = 30):
     """One backtracking projected-gradient step; (new_x, improved)."""
     _, g = objective(x)
-    step = config.learning_rate
+    step = PROBE_STEP
     for _ in range(max_halvings):
-        candidate = projected_gradient_step(x, g, step, config.bounds)
+        candidate = _clip(x - step * g, bounds)
         f_new, _ = objective(candidate)
         if f_new < f_ref:
             return candidate, True
         step *= 0.5
     return x, False
-
-
-def projected_gradient_descent(
-    cost_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
-    x0: Sequence[float],
-    config: OptimizerConfig,
-) -> tuple[np.ndarray, OptimizationReport]:
-    """Plain projected gradient descent with backtracking acceptance.
-
-    A step is accepted only when it satisfies the sufficient-decrease test
-    along the projected direction, so the cost trace decreases strictly.
-    """
-    start = time.perf_counter()
-    objective = _Objective(cost_and_grad)
-    x = _clip(np.asarray(x0, dtype=np.float64).reshape(-1), config.bounds)
-    f, g = objective(x)
-    report = OptimizationReport(
-        cost_trace=[f], gradient_norm_trace=[float(np.abs(g).max(initial=0.0))]
-    )
-    step = config.learning_rate
-    termination, message = TERMINATION_MAX_ITER, "iteration budget exhausted"
-    iterations = 0
-    if f < config.tolerance:
-        termination, message = TERMINATION_TOLERANCE, "initial point already below tolerance"
-    else:
-        while iterations < config.max_iterations:
-            accepted = False
-            for _ in range(40):
-                candidate = projected_gradient_step(x, g, step, config.bounds)
-                direction = candidate - x
-                f_new, g_new = objective(candidate)
-                decrease_needed = SUFFICIENT_DECREASE * abs(float(g @ direction))
-                if f_new < f - decrease_needed:
-                    accepted = True
-                    break
-                step *= 0.5
-                if step == 0.0 or not np.any(direction):
-                    break
-            if not accepted:
-                termination, message = TERMINATION_LINE_SEARCH, "no acceptable step"
-                break
-            x, f, g = candidate, f_new, g_new
-            iterations += 1
-            report.cost_trace.append(f)
-            report.gradient_norm_trace.append(float(np.abs(g).max(initial=0.0)))
-            step = min(step * 2.0, config.learning_rate)
-            if f < config.tolerance:
-                termination, message = TERMINATION_TOLERANCE, "cost below tolerance"
-                break
-            if np.abs(g).max(initial=0.0) < config.gradient_tolerance:
-                termination, message = TERMINATION_GRADIENT, "flat gradient"
-                break
-
-    report.iterations = iterations
-    report.evaluations = objective.evaluations
-    report.termination = termination
-    report.message = message
-    report.wall_time = time.perf_counter() - start
-    return x, report

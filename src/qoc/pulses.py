@@ -81,7 +81,7 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -107,10 +107,6 @@ __all__ = [
     "ground_leakage_value_and_gradient",
     "finite_difference_gradient",
     "random_initial_pulses",
-    "write_pulse_file",
-    "read_pulse_file",
-    "pulse_file_text",
-    "parse_pulse_file_text",
 ]
 
 SIGN_FORWARD = "forward"
@@ -188,7 +184,6 @@ class PulseSequence:
     channels: tuple[str, ...]
     sign: str
     bounds: tuple[float, float] = (-np.inf, np.inf)
-    platform: str = ""
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=np.float64)
@@ -263,11 +258,6 @@ class Workspace:
             acc = (acc.conj() @ self.unitaries[k]).conj()  # U_k† acc, no transposed copy
             bw[k - 1] = acc
         return bw
-
-    def consistency_residual(self, initial: StateVector) -> float:
-        """Distance between a fresh propagation and the cached final state."""
-        redone, _ = propagate(self.model, self.pulses, initial)
-        return float(np.linalg.norm(redone.amplitudes - self.forward[-1]))
 
 
 def segment_hamiltonians(model: SystemModel, amplitudes: np.ndarray) -> np.ndarray:
@@ -576,7 +566,6 @@ def random_initial_pulses(
     seed,
     sign: str,
     fraction: float = 0.1,
-    platform: str = "",
 ) -> PulseSequence:
     """Uniform random amplitudes inside ``fraction`` of the box, seeded."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
@@ -585,69 +574,5 @@ def random_initial_pulses(
         raise ValueError(f"a random start needs finite bounds, got {bounds}")
     amps = rng.uniform(fraction * lo, fraction * hi, size=(grid.segments, len(channels)))
     return PulseSequence(
-        grid=grid, amplitudes=amps, channels=tuple(channels), sign=sign,
-        bounds=bounds, platform=platform,
+        grid=grid, amplitudes=amps, channels=tuple(channels), sign=sign, bounds=bounds
     )
-
-
-# ---------------------------------------------------------------------------
-# Pulse file format: header lines, a separator, then K rows of A amplitudes.
-# Floats are written with repr-precision so files round-trip bit-exactly.
-
-
-def pulse_file_text(seq: PulseSequence) -> str:
-    lines = [
-        "# qoc pulse sequence v1",
-        f"platform: {seq.platform}",
-        f"sign: {seq.sign}",
-        f"dt: {seq.grid.dt!r}",
-        f"segments: {seq.grid.segments}",
-        f"channels: {' '.join(seq.channels)}",
-        f"bounds: {seq.bounds[0]!r} {seq.bounds[1]!r}",
-        "---",
-    ]
-    for row in seq.amplitudes:
-        lines.append(" ".join(repr(float(x)) for x in row))
-    return "\n".join(lines) + "\n"
-
-
-def parse_pulse_file_text(text: str) -> PulseSequence:
-    header: dict[str, str] = {}
-    lines = text.splitlines()
-    try:
-        split = lines.index("---")
-    except ValueError:
-        raise ValueError("pulse file missing '---' separator") from None
-    for line in lines[:split]:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition(":")
-        header[key.strip()] = value.strip()
-    grid = PulseGrid(dt=float(header["dt"]), segments=int(header["segments"]))
-    channels = tuple(header["channels"].split()) if header.get("channels") else ()
-    lo, hi = (float(tok) for tok in header["bounds"].split())
-    rows = [
-        [float(tok) for tok in line.split()]
-        for line in lines[split + 1 :]
-        if line.strip()
-    ]
-    amps = np.asarray(rows, dtype=np.float64).reshape(grid.segments, len(channels))
-    return PulseSequence(
-        grid=grid,
-        amplitudes=amps,
-        channels=channels,
-        sign=header["sign"],
-        bounds=(lo, hi),
-        platform=header.get("platform", ""),
-    )
-
-
-def write_pulse_file(seq: PulseSequence, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(pulse_file_text(seq))
-
-
-def read_pulse_file(path) -> PulseSequence:
-    with open(path) as fh:
-        return parse_pulse_file_text(fh.read())

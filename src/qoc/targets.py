@@ -1,32 +1,20 @@
-"""Target-state generators and entanglement profiling.
+"""Target-state generators: GHZ states and layered-circuit states.
 
 The circuit-generated family applies one layer of general single-qubit
 rotations, then alternates entangler sweeps (CNOT along a nearest-neighbour
 chain) with further rotation layers.  A depth-1 circuit therefore produces
-an exact product state, which anchors the depth-1 singular-value checks;
-deeper circuits ramp up entanglement with depth.
+an exact product state; deeper circuits ramp up entanglement with depth.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
-from .linalg import SchmidtProfile, StateVector, ground_state, schmidt
+from .linalg import StateVector, ground_state
 
-__all__ = [
-    "PqcSpec",
-    "ghz",
-    "u_gate",
-    "pqc_state",
-    "entanglement_profile",
-    "state_file_text",
-    "parse_state_file_text",
-    "write_state_file",
-    "read_state_file",
-]
+__all__ = ["PqcSpec", "ghz", "u_gate", "pqc_state"]
 
 
 def ghz(n: int) -> StateVector:
@@ -111,56 +99,3 @@ def pqc_state(spec: PqcSpec, parameters: np.ndarray | None = None) -> StateVecto
             amps = _apply_single_qubit(amps, n, q, u_gate(theta, phi, lam))
     state = StateVector(amps, (2,) * n)
     return state.normalized()
-
-
-def entanglement_profile(
-    state: StateVector, bipartition: Iterable[int], base: float = 2.0
-) -> SchmidtProfile:
-    """Schmidt profile of the cut; thin wrapper kept for discoverability."""
-    return schmidt(state, bipartition, base=base)
-
-
-# ---------------------------------------------------------------------------
-# Text export: one "index real imag" row per amplitude, repr precision.
-
-
-def state_file_text(state: StateVector) -> str:
-    lines = ["# qoc state v1", f"# dims: {' '.join(str(d) for d in state.site_dims)}"]
-    for idx, amp in enumerate(state.amplitudes):
-        lines.append(f"{idx} {float(amp.real)!r} {float(amp.imag)!r}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_state_file_text(text: str, site_dims: Sequence[int] | None = None) -> StateVector:
-    dims = tuple(int(d) for d in site_dims) if site_dims else None
-    rows: dict[int, complex] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            if dims is None and line.startswith("# dims:"):
-                dims = tuple(int(tok) for tok in line.split(":", 1)[1].split())
-            continue
-        idx_tok, re_tok, im_tok = line.split()
-        rows[int(idx_tok)] = float(re_tok) + 1j * float(im_tok)
-    size = max(rows) + 1 if rows else 0
-    if dims is None:
-        n = max(size - 1, 1).bit_length()
-        if 2**n != size:
-            raise ValueError("state file lacks a dims header and is not qubit-sized")
-        dims = (2,) * n
-    amps = np.zeros(int(np.prod(dims)), dtype=complex)
-    for idx, val in rows.items():
-        amps[idx] = val
-    return StateVector(amps, dims)
-
-
-def write_state_file(state: StateVector, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(state_file_text(state))
-
-
-def read_state_file(path, site_dims: Sequence[int] | None = None) -> StateVector:
-    with open(path) as fh:
-        return parse_state_file_text(fh.read(), site_dims)

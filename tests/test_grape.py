@@ -133,6 +133,13 @@ class TestRunGrape:
                 bounds=(-1e4, 1e4),
             )
 
+    def test_nan_target_rejected(self):
+        # GrapeProblem's norm check cannot catch NaN: abs(nan - 1) > tol is False.
+        amps = ghz(4).amplitudes.copy()
+        amps[-1] = math.nan
+        with pytest.raises(ValueError, match="finite"):
+            StateVector(amps, (2,) * 4)
+
     @pytest.mark.parametrize("bounds", [(-math.inf, math.inf), (-1e4, math.inf), (math.nan, 1e4)])
     def test_non_finite_bounds_rejected(self, bounds):
         with pytest.raises(ValueError, match="finite"):

@@ -56,6 +56,14 @@ class TestBuildNmr:
         with pytest.raises(ValueError):
             build_nmr(two_spin_sample(), active_spins={0, 5})
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_shift_rejected(self, bad):
+        sample = sample_registry().get("iodotrifluoroethylene")
+        with pytest.raises(ValueError, match="finite"):
+            sample.with_shifts([0.0, bad, 0.0, 0.0])
+        with pytest.raises(ValueError, match="finite"):
+            two_spin_sample(shifts=(0.0, bad))
+
     def test_drift_diagonal(self):
         reg = sample_registry()
         model = build_nmr(reg.get("iodotrifluoroethylene"))
@@ -99,6 +107,16 @@ class TestBuildSc:
     def test_truncation_guard(self):
         with pytest.raises(ValueError):
             ScSample(name="bad", qubits=(("Q1", 0.0, 0.0),), truncation=1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameters_rejected(self, bad):
+        sample = sample_registry().get("sc-chain-12")
+        with pytest.raises(ValueError, match="finite"):
+            sample.with_idle_frequencies([0.0] * 5 + [bad] + [0.0] * 6)
+        with pytest.raises(ValueError, match="finite"):
+            ScSample(name="bad", qubits=(("Q1", 0.0, bad),))
+        with pytest.raises(ValueError, match="finite"):
+            ScSample(name="bad", qubits=(("Q1", 0.0, -200.0),), coupling_mhz=bad)
 
     def test_mask_length_guard(self):
         sample = sample_registry().get("sc-chain-12")
@@ -195,7 +213,6 @@ class TestRegistry:
         sample = sample_registry().get("sc-chain-12")
         assert sample.idle_ghz(0) == 4.978
         assert sample.anharmonicity_mhz(0) == -248.0
-        assert sample.t1_us[0] == 40.1
 
     def test_two_qubit_sample_values(self):
         sample = sample_registry().get("diethyl-fluoromalonate-2q")
@@ -248,3 +265,20 @@ class TestRegistry:
         reg = load_samples_file(extra)
         assert reg.get("toy-pair").coupling("A", "B") == 100.0
         assert reg.get("crotonic-acid").size == 7  # built-ins still present
+
+    def test_relaxation_keys_ignored(self, tmp_path):
+        extra = tmp_path / "extra.yaml"
+        extra.write_text(
+            "nmr_samples:\n"
+            "  toy-one:\n"
+            "    formula: AB\n"
+            "    spins:\n"
+            "      - {label: A, shift_hz: 5.0, t1_s: 2.0, t2_s: 1.0}\n"
+            "sc_samples:\n"
+            "  toy-chain:\n"
+            "    qubits:\n"
+            "      - {label: Q1, idle_ghz: 5.0, anharmonicity_mhz: -250.0, t1_us: 40.0, t2_us: 30.0}\n"
+        )
+        reg = load_samples_file(extra)
+        assert reg.get("toy-one") == NmrSample(name="toy-one", spins=(("A", 5.0),), couplings={})
+        assert reg.get("toy-chain") == ScSample(name="toy-chain", qubits=(("Q1", 5.0, -250.0),))

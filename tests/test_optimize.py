@@ -3,13 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from qoc import optimize
 from qoc.errors import OptimizationError
-from qoc.optimize import (
-    OptimizerConfig,
-    minimize,
-    projected_gradient_descent,
-    projected_gradient_step,
-)
+from qoc.optimize import OptimizerConfig, minimize
 
 
 def quadratic_shifted(x):
@@ -36,7 +32,7 @@ class TestMinimize:
         assert x[0] == 1.0
 
     def test_rosenbrock_with_gradient_certificate(self):
-        cfg = OptimizerConfig(tolerance=1e-30, max_iterations=400, gradient_tolerance=1e-9)
+        cfg = OptimizerConfig(tolerance=1e-30, max_iterations=400)
         x, report = minimize(rosenbrock, np.array([-1.2, 1.0]), cfg)
         assert np.abs(x - 1.0).max() < 1e-6
         _, g = rosenbrock(x)
@@ -98,43 +94,35 @@ class TestMinimize:
             minimize(quadratic_shifted, np.array([2.0]), cfg)
 
 
-class TestProjectedGradient:
-    def test_zero_gradient_stays(self):
-        x = np.array([0.3, -0.4])
-        out = projected_gradient_step(x, np.zeros(2), 0.1, (-1, 1))
-        assert np.array_equal(out, x)
+class TestRestart:
+    # From -1.9 the restart probe's first step, 0.1 * 5.8, leaves the box
+    # unless it is projected back.
+    @pytest.mark.parametrize("x0", [0.0, -1.9])
+    def test_wrong_sign_gradient_ends_in_line_search_failure(self, monkeypatch, x0):
+        # The gradient points uphill, so the quasi-Newton line search fails and
+        # the one projected-gradient restart finds no decrease either.
+        runs = []
+        probes = []
 
-    def test_basic_step(self):
-        out = projected_gradient_step(np.array([0.0]), np.array([1.0]), 0.1, (-1, 1))
-        assert abs(out[0] + 0.1) < 1e-15
+        def uphill(x):
+            runs.append(x.copy())
+            return float(np.sum((x - 1.0) ** 2)), -2.0 * (x - 1.0)
 
-    def test_clipped_step(self):
-        out = projected_gradient_step(np.array([-0.95]), np.array([1.0]), 0.1, (-1, 1))
-        assert out[0] == -1.0
+        def counted_probe(*args, **kwargs):
+            out = probe(*args, **kwargs)
+            probes.append(out[1])
+            return out
 
-    def test_positive_rate_required(self):
-        with pytest.raises(ValueError):
-            projected_gradient_step(np.zeros(1), np.zeros(1), 0.0, None)
-
-    def test_descent_fallback_quadratic(self):
-        cfg = OptimizerConfig(
-            tolerance=1e-10, max_iterations=2000, learning_rate=0.2, method="gradient-descent"
-        )
-        x, report = minimize(quadratic_shifted, np.zeros(3), cfg)
-        assert report.termination == "tolerance"
-        assert np.abs(x - 1.0).max() < 1e-4
-        trace = np.asarray(report.cost_trace)
-        assert np.all(np.diff(trace) < 0.0)
-
-    def test_descent_respects_bounds(self):
-        cfg = OptimizerConfig(
-            tolerance=1e-12, max_iterations=500, learning_rate=0.3,
-            bounds=(1.0, 2.0), method="gradient-descent",
-        )
-        x, _ = projected_gradient_descent(
-            lambda v: (float(v @ v), 2.0 * v), np.array([1.7]), cfg
-        )
-        assert abs(x[0] - 1.0) < 1e-6
+        probe = optimize._descent_probe
+        monkeypatch.setattr(optimize, "_descent_probe", counted_probe)
+        cfg = OptimizerConfig(tolerance=1e-8, max_iterations=50, bounds=(-2.0, 2.0))
+        x, report = minimize(uphill, np.full(3, x0), cfg)
+        assert report.termination == "line-search-failure"
+        assert not report.converged
+        assert probes == [False]
+        assert np.all(x >= -2.0) and np.all(x <= 2.0)
+        assert all(np.all(r >= -2.0) and np.all(r <= 2.0) for r in runs)
+        assert report.evaluations == len(runs)
 
 
 class TestConfigValidation:
@@ -146,22 +134,17 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             OptimizerConfig(bounds=(2.0, 1.0))
 
-    def test_method_known(self):
-        with pytest.raises(ValueError):
-            OptimizerConfig(method="adam")
-
 
 class TestReport:
-    @pytest.mark.parametrize("method", ["lbfgsb", "gradient-descent"])
     @pytest.mark.parametrize("x0", [[-1.2, 1.0], [1.0, 1.0]])
-    def test_evaluations_count_callable_runs(self, method, x0):
+    def test_evaluations_count_callable_runs(self, x0):
         runs = []
 
         def counted(x):
             runs.append(1)
             return rosenbrock(x)
 
-        config = OptimizerConfig(tolerance=1e-8, max_iterations=60, method=method)
+        config = OptimizerConfig(tolerance=1e-8, max_iterations=60)
         _, report = minimize(counted, np.array(x0), config)
         assert report.evaluations == len(runs) >= 1
 

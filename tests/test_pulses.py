@@ -37,15 +37,11 @@ from qoc.pulses import (
     ground_leakage_value_and_gradient,
     impurity_value_and_gradient,
     infidelity_value_and_gradient,
-    parse_pulse_file_text,
     propagate,
-    pulse_file_text,
     random_initial_pulses,
-    read_pulse_file,
     segment_unitaries,
     state_infidelity,
     subsystem_impurity,
-    write_pulse_file,
 )
 
 from conftest import ghz_amplitudes, w3_amplitudes
@@ -138,7 +134,8 @@ class TestPropagate:
         seq = toy_sequence(rng, model, 6, 0.03, SIGN_FORWARD)
         psi0 = random_state(model.site_dims, rng)
         _, ws = propagate(model, seq, psi0)
-        assert ws.consistency_residual(psi0) < 1e-10
+        redone, _ = propagate(model, seq, psi0)
+        assert np.linalg.norm(redone.amplitudes - ws.final_amplitudes) < 1e-10
 
     def test_dimension_mismatch(self, rng):
         model = toy_model(rng)
@@ -726,27 +723,7 @@ class TestFiniteDifferences:
 
 
 class TestPulseFiles:
-    def test_round_trip_bit_exact(self, rng):
-        grid = PulseGrid(dt=5e-6, segments=7)
-        seq = random_initial_pulses(
-            grid, ("x:H", "y:H", "x:F"), (-2e4, 2e4), rng, SIGN_REVERSED, platform="nmr"
-        )
-        text = pulse_file_text(seq)
-        back = parse_pulse_file_text(text)
-        assert np.array_equal(back.amplitudes, seq.amplitudes)
-        assert back.channels == seq.channels
-        assert back.sign == seq.sign
-        assert back.grid == seq.grid
-        assert back.bounds == seq.bounds
-        assert back.platform == "nmr"
-
-    def test_file_round_trip(self, tmp_path, rng):
-        grid = PulseGrid(dt=0.05, segments=3)
-        seq = random_initial_pulses(grid, ("x:Q1", "y:Q1"), (-0.3, 0.3), rng, SIGN_FORWARD)
-        path = tmp_path / "seq.pulse"
-        write_pulse_file(seq, path)
-        back = read_pulse_file(path)
-        assert np.array_equal(back.amplitudes, seq.amplitudes)
+    """Construction checks on pulse grids, sequences and random starts."""
 
     def test_initial_guess_inside_fraction_of_box(self, rng):
         grid = PulseGrid(dt=1.0, segments=50)
@@ -770,14 +747,6 @@ class TestPulseFiles:
             PulseSequence(grid, np.array([[0.5], [bad]]), ("a",), SIGN_FORWARD)
         with pytest.raises(ValueError, match="finite"):
             PulseSequence(grid, np.array([[0.5], [bad]]), ("a",), SIGN_FORWARD, bounds=(-1, 1))
-
-    def test_nan_in_pulse_file_rejected(self, rng):
-        grid = PulseGrid(dt=0.05, segments=2)
-        seq = random_initial_pulses(grid, ("a",), (-1.0, 1.0), rng, SIGN_FORWARD)
-        lines = pulse_file_text(seq).splitlines()
-        lines[-1] = "nan"
-        with pytest.raises(ValueError, match="finite"):
-            parse_pulse_file_text("\n".join(lines))
 
     @pytest.mark.parametrize("dt", [np.inf, np.nan, 0.0, -1.0])
     def test_bad_segment_duration_rejected(self, dt):
