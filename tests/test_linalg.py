@@ -192,6 +192,33 @@ class TestPartialTrace:
         with pytest.raises(ValueError):
             _bipartition_matrix(s, {2})
 
+    def test_partial_trace_rho_non_qubit(self, rng):
+        s = random_state((3, 3), rng)
+        want = brute_force_reduced(s.amplitudes, (3, 3), [1])
+        assert np.abs(reduced(s, {1}) - want).max() < 1e-12
+        purity = np.trace(want @ want).real
+        assert abs(subsystem_impurity(s, {1}) - (1.0 - purity)) < 1e-12
+
+
+class TestPurityFidelity:
+    """Purity of reduced states, read as 1 - subsystem_impurity."""
+
+    def test_pure_state(self, rng):
+        s = kron(random_state((2,), rng), random_state((2, 2), rng))
+        assert abs(subsystem_impurity(s, {0})) < 1e-12
+        assert abs(subsystem_impurity(s, {1, 2})) < 1e-12
+
+    def test_maximally_mixed_qubit(self):
+        state = StateVector(ghz_amplitudes(2), (2, 2))
+        assert abs(reduced(state, {0}) - np.eye(2) / 2).max() < 1e-12
+        assert abs(subsystem_impurity(state, {0}) - 0.5) < 1e-12
+
+    def test_two_thirds_one_third(self):
+        amps = np.array([np.sqrt(2 / 3), 0, 0, np.sqrt(1 / 3)], dtype=complex)
+        state = StateVector(amps, (2, 2))
+        assert abs(reduced(state, {1}) - np.diag([2 / 3, 1 / 3])).max() < 1e-12
+        assert abs(subsystem_impurity(state, {1}) - (1 - 5 / 9)) < 1e-12
+
 
 class TestSchmidt:
     def test_product_state(self, rng):

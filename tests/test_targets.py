@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from qoc.linalg import StateVector, _bipartition_matrix, kron, random_state
 from qoc.pulses import subsystem_impurity
 from qoc.targets import PqcSpec, ghz, pqc_state, u_gate
 
-from conftest import SX
+from conftest import SX, w3_amplitudes
 
 
 def leading_cut_values(state, n_keep):
@@ -110,3 +111,23 @@ class TestEntanglementProfile:
     def test_ghz8_half_split(self):
         assert abs(leading_cut_entropy(ghz(8), 4) - 1.0) < 1e-10
         assert abs(subsystem_impurity(ghz(8), set(range(4))) - 0.5) < 1e-12
+
+    def test_product_zero(self, rng):
+        s = kron(random_state((2,), rng), random_state((2, 2), rng))
+        assert np.all(leading_cut_values(s, 1)[1:] < 1e-10)
+        assert leading_cut_entropy(s, 1) < 1e-10
+        assert abs(subsystem_impurity(s, {0})) < 1e-12
+
+    def test_w3_entropy_eigenvalue_oracle(self):
+        s = StateVector(w3_amplitudes(), (2, 2, 2))
+        oracle = -(2 / 3) * np.log2(2 / 3) - (1 / 3) * np.log2(1 / 3)
+        assert abs(leading_cut_entropy(s, 1) - oracle) < 1e-6
+        assert abs(subsystem_impurity(s, {0}) - (1 - 5 / 9)) < 1e-12
+
+    def test_schmidt_symmetry(self):
+        s = pqc_state(PqcSpec(qubits=4, layers=5, seed=3))
+        a = np.linalg.svd(_bipartition_matrix(s, {0, 3})[0], compute_uv=False)
+        b = np.linalg.svd(_bipartition_matrix(s, {1, 2})[0], compute_uv=False)
+        assert a[1] > 1e-3
+        assert np.abs(a - b).max() < 1e-10
+        assert abs(subsystem_impurity(s, {0, 3}) - subsystem_impurity(s, {1, 2})) < 1e-12
