@@ -43,10 +43,13 @@ class GrapeProblem:
     initial: StateVector | None = None
 
     def __post_init__(self):
-        if abs(self.target.norm - 1.0) > 1e-8:
-            raise ValueError("target state must be normalized")
-        if self.target.dim != self.model.dim:
-            raise ValueError("target dimension does not match the model")
+        for role, state in (("target", self.target), ("initial", self.initial)):
+            if state is None:
+                continue
+            if abs(state.norm - 1.0) > 1e-8:
+                raise ValueError(f"{role} state must be normalized")
+            if state.dim != self.model.dim:
+                raise ValueError(f"{role} dimension does not match the model")
         if not all(math.isfinite(b) for b in self.bounds):
             raise ValueError(f"amplitude bounds must be finite, got {self.bounds}")
         solver_bounds = self.optimizer.bounds  # run_grape replaces them by self.bounds

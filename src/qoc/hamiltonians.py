@@ -4,8 +4,8 @@ Spin samples (always-on scalar couplings) give
 
     H = sum_j pi*nu_j Z_j + sum_{i<j} (pi/2) J_ij Z_i Z_j      [rad/s]
 
-with control channels pi*X_j and pi*Y_j per active spin, so control
-amplitudes are plain Hz.  The qubit chain (tunable couplers) gives
+with control channels pi*X_j and pi*Y_j per spin, so control amplitudes
+are plain Hz.  The qubit chain (tunable couplers) gives
 
     H = sum_j (w_j n_j + (eta_j/2) n_j (n_j - 1))
       + sum_j g_j (a†_j a_{j+1} + a_j a†_{j+1})                [rad/ns]
@@ -14,21 +14,21 @@ with channels (a_j + a†_j) and i(a_j - a†_j); chain amplitudes are rad/ns.
 Everything is converted to angular frequency at build time so the pulse
 engine never sees a 2*pi.
 
-Registry values mirror the built-in catalogue bit-exactly.  Chemical shifts
-are used exactly as configured: the catalogue stores laboratory-frame
-values, and rotating-frame offsets (usually all zero) are substituted by
-the caller via ``with_shifts`` / ``with_idle_frequencies`` before building.
-The models are closed systems: the catalogue's relaxation times and
-formulas are left unread.  Non-finite shifts, couplings or frequencies are
-rejected when a sample is constructed.
+``sample_registry()`` loads the packaged catalogue once, bit-exactly, with
+reference schedules at the tabulated sizes only.  Spin subsets are chosen
+by ``NmrSample.restricted``.  Catalogue shifts are laboratory-frame values;
+callers substitute rotating-frame offsets via ``with_shifts`` /
+``with_idle_frequencies`` before building.  The models are closed systems:
+relaxation times and formulas are left unread.  Non-finite shifts,
+couplings or frequencies are rejected when a sample is constructed.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cache, cached_property
 from importlib import resources
 from typing import Iterable, Mapping, Sequence
 
@@ -47,7 +47,6 @@ __all__ = [
     "frozen_subsystem_hamiltonian",
     "sample_registry",
     "SampleRegistry",
-    "load_samples_file",
     "NMR_AMPLITUDE_BOUND_HZ",
     "SC_AMPLITUDE_BOUND_RAD_PER_NS",
 ]
@@ -106,15 +105,7 @@ class NmrSample:
     def labels(self) -> tuple[str, ...]:
         return tuple(l for l, _ in self.spins)
 
-    def spin_index(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise KeyError(f"sample {self.name} has no spin {label!r}") from None
-
-    def coupling(self, a: int | str, b: int | str) -> float:
-        i = a if isinstance(a, int) else self.spin_index(a)
-        j = b if isinstance(b, int) else self.spin_index(b)
+    def coupling(self, i: int, j: int) -> float:
         return self.couplings.get((min(i, j), max(i, j)), 0.0)
 
     def with_shifts(self, shifts: Sequence[float] | float) -> "NmrSample":
@@ -126,9 +117,13 @@ class NmrSample:
         spins = tuple((l, float(s)) for (l, _), s in zip(self.spins, shifts))
         return dataclasses.replace(self, spins=spins)
 
-    def restricted(self, indices: Sequence[int], name: str | None = None) -> "NmrSample":
+    def restricted(self, indices: Iterable[int]) -> "NmrSample":
         """Sub-sample on the given spins (sorted), keeping their couplings."""
         idx = sorted(set(int(i) for i in indices))
+        if not idx:
+            raise ValueError(f"no spins chosen from sample {self.name}")
+        if idx[0] < 0 or idx[-1] >= self.size:
+            raise ValueError(f"spin indices {idx} out of range for sample {self.name}")
         remap = {old: new for new, old in enumerate(idx)}
         spins = tuple(self.spins[i] for i in idx)
         coup = {
@@ -137,7 +132,7 @@ class NmrSample:
             if i in remap and j in remap
         }
         return NmrSample(
-            name=name or f"{self.name}[{','.join(self.labels[i] for i in idx)}]",
+            name=f"{self.name}[{','.join(self.labels[i] for i in idx)}]",
             spins=spins,
             couplings=coup,
         )
@@ -224,77 +219,54 @@ class SystemModel:
         return np.stack([op.matrix for _, op in self.controls])
 
 
-def _nmr_drift_and_controls(
-    spins: Sequence[tuple[str, float]],
-    couplings: Mapping[tuple[int, int], float],
-) -> tuple[np.ndarray, list[tuple[str, np.ndarray]]]:
-    n = len(spins)
+def build_nmr(sample: NmrSample) -> SystemModel:
+    """Spin-system model on every spin of ``sample``.
+
+    The drift is diagonal in the computational basis; each spin gets an x
+    and a y rf channel.  Build a model on a subset from ``restricted``.
+    """
+    n = sample.size
     dims = (2,) * n
-    dim = 2**n
-    drift = np.zeros((dim, dim), dtype=complex)
-    for j, (_, shift) in enumerate(spins):
+    drift = np.zeros((2**n, 2**n), dtype=complex)
+    for j, (_, shift) in enumerate(sample.spins):
         if shift != 0.0:
             drift += math.pi * shift * _embed(_SZ, j, dims)
-    for (i, j), val in couplings.items():
+    for (i, j), val in sample.couplings.items():
         if val != 0.0:
             zz = _embed(_SZ, i, dims) @ _embed(_SZ, j, dims)
             drift += (math.pi / 2.0) * val * zz
     controls = []
-    for j, (label, _) in enumerate(spins):
-        controls.append((f"x:{label}", math.pi * _embed(_SX, j, dims)))
-        controls.append((f"y:{label}", math.pi * _embed(_SY, j, dims)))
-    return drift, controls
-
-
-def build_nmr(sample: NmrSample, active_spins: Iterable[int] | None = None) -> SystemModel:
-    """Spin-system model on the chosen spins (all by default).
-
-    The drift is diagonal in the computational basis; each active spin gets
-    an x and a y rf channel.
-    """
-    if active_spins is None:
-        sub = sample
-    else:
-        active = sorted(set(int(i) for i in active_spins))
-        if not active:
-            raise ValueError("active_spins must be non-empty")
-        if any(i < 0 or i >= sample.size for i in active):
-            raise ValueError(f"unknown spin index in {active} for sample {sample.name}")
-        sub = sample.restricted(active)
-    drift, controls = _nmr_drift_and_controls(sub.spins, sub.couplings)
+    for j, label in enumerate(sample.labels):
+        controls.append((f"x:{label}", HermitianOperator(math.pi * _embed(_SX, j, dims))))
+        controls.append((f"y:{label}", HermitianOperator(math.pi * _embed(_SY, j, dims))))
     return SystemModel(
         drift=HermitianOperator(drift),
-        controls=tuple((lab, HermitianOperator(m)) for lab, m in controls),
-        site_dims=(2,) * sub.size,
+        controls=tuple(controls),
+        site_dims=dims,
         platform="nmr",
     )
 
 
-def frozen_subsystem_hamiltonian(
-    sample: NmrSample,
-    frozen: Iterable[int],
-    active: Iterable[int],
-) -> SystemModel:
-    """Reduced model for the active spins while the frozen ones sit in |0...0>.
+def frozen_subsystem_hamiltonian(sample: NmrSample, frozen: Iterable[int]) -> SystemModel:
+    """Reduced model for the other spins while the frozen ones sit in |0...0>.
 
+    The active spins are the complement of ``frozen``, in sample order.
     Each frozen spin p contributes its coupling J_p,i as a +J_p,i/2 shift on
     every active spin i (Z eigenvalue +1 on |0>), which is exactly how the
     full drift acts on the invariant frozen-block-at-ground subspace.
+    Freezing every spin, or an index outside the sample, is a ValueError.
     """
     frozen_set = sorted(set(int(i) for i in frozen))
-    active_set = sorted(set(int(i) for i in active))
-    if set(frozen_set) & set(active_set):
-        raise ValueError("frozen and active spin sets overlap")
-    if not active_set:
-        raise ValueError("active spin set is empty")
-    for i in frozen_set + active_set:
-        if i < 0 or i >= sample.size:
-            raise ValueError(f"unknown spin index {i} for sample {sample.name}")
+    if frozen_set and (frozen_set[0] < 0 or frozen_set[-1] >= sample.size):
+        raise ValueError(f"frozen spins {frozen_set} out of range for sample {sample.name}")
+    active = [i for i in range(sample.size) if i not in frozen_set]
+    if not active:
+        raise ValueError(f"freezing every spin of {sample.name} leaves none active")
     shifted = [
         shift + 0.5 * sum(sample.coupling(p, i) for p in frozen_set)
         for i, (_, shift) in enumerate(sample.spins)
     ]
-    return build_nmr(sample.with_shifts(shifted), active_set)
+    return build_nmr(sample.with_shifts(shifted).restricted(active))
 
 
 def _ladder(d: int) -> np.ndarray:
@@ -308,16 +280,13 @@ def build_sc(
     sample: ScSample,
     coupling_mask: Sequence[bool] | None = None,
     sites: Sequence[int] | None = None,
-    truncation: int | None = None,
 ) -> SystemModel:
     """Chain model on a contiguous run of qubits with per-boundary couplers.
 
     With the default two-level truncation the anharmonicity term vanishes
     identically (n(n-1) = 0 on {0, 1}).
     """
-    d = int(truncation if truncation is not None else sample.truncation)
-    if d < 2:
-        raise ValueError("per-site truncation must be at least 2")
+    d = sample.truncation
     if sites is None:
         sites = list(range(sample.size))
     else:
@@ -376,11 +345,10 @@ def build_sc(
 
 def _parse_nmr(name: str, spec: Mapping) -> NmrSample:
     spins = tuple((s["label"], float(s["shift_hz"])) for s in spec["spins"])
-    labels = [s["label"] for s in spec["spins"]]
-    couplings = {}
-    for a, b, val in spec.get("couplings_hz", []):
-        i, j = labels.index(a), labels.index(b)
-        couplings[(min(i, j), max(i, j))] = float(val)
+    labels = [label for label, _ in spins]
+    # NmrSample orders each pair and rejects conflicting duplicates.
+    pairs = spec.get("couplings_hz", [])
+    couplings = {(labels.index(a), labels.index(b)): val for a, b, val in pairs}
     return NmrSample(name=name, spins=spins, couplings=couplings)
 
 
@@ -397,52 +365,34 @@ def _parse_sc(name: str, spec: Mapping) -> ScSample:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class SampleRegistry:
-    nmr: dict[str, NmrSample] = field(default_factory=dict)
-    sc: dict[str, ScSample] = field(default_factory=dict)
-    aliases: dict[str, str] = field(default_factory=dict)
-    schedules: dict = field(default_factory=dict)
+    """The built-in catalogue: spin samples, chain samples and schedules."""
 
-    def names(self) -> list[str]:
-        return sorted(list(self.nmr) + list(self.sc))
+    nmr: Mapping[str, NmrSample]
+    sc: Mapping[str, ScSample]
+    schedules: Mapping[str, Mapping]
 
     def get(self, name: str) -> NmrSample | ScSample:
-        name = self.aliases.get(name, name)
         if name in self.nmr:
             return self.nmr[name]
         if name in self.sc:
             return self.sc[name]
-        raise SampleNotFoundError(f"no sample named {name!r}; known: {self.names()}")
+        raise SampleNotFoundError(
+            f"no sample named {name!r}; known: {sorted([*self.nmr, *self.sc])}"
+        )
 
     def reference_schedule(self, platform: str, size: int) -> dict:
-        """Reference segment budgets and transfer time for a system size."""
+        """Reference segment budgets and transfer time at a tabulated size."""
         table = self.schedules.get(platform)
         if table is None:
             raise KeyError(f"no schedule table for platform {platform!r}")
         sizes = table["sizes"]
-        if size in sizes:
-            row = sizes[size]
-        else:
-            # Interpolate between the nearest tabulated sizes.
-            below = max((s for s in sizes if s < size), default=None)
-            above = min((s for s in sizes if s > size), default=None)
-            if below is None or above is None:
-                edge = below if above is None else above
-                row = sizes[edge]
-            else:
-                f = (size - below) / (above - below)
-                lo, hi = sizes[below], sizes[above]
-                n_st = max(len(lo["igrape"]), len(hi["igrape"]))
-                pad = lambda v: v + [v[-1]] * (n_st - len(v))
-                row = {
-                    "igrape": [
-                        int(round((1 - f) * a + f * b))
-                        for a, b in zip(pad(lo["igrape"]), pad(hi["igrape"]))
-                    ],
-                    "grape": int(round((1 - f) * lo["grape"] + f * hi["grape"])),
-                    "transfer": (1 - f) * lo["transfer"] + f * hi["transfer"],
-                }
+        if size not in sizes:
+            raise KeyError(
+                f"no {platform} schedule for size {size}; tabulated sizes: {sorted(sizes)}"
+            )
+        row = sizes[size]
         return {
             "dt": float(table["dt"]),
             "igrape": list(row["igrape"]),
@@ -450,37 +400,14 @@ class SampleRegistry:
             "transfer": float(row["transfer"]),
         }
 
-    def merge(self, doc: Mapping) -> None:
-        for name, spec in (doc.get("nmr_samples") or {}).items():
-            self.nmr[name] = _parse_nmr(name, spec)
-        for name, spec in (doc.get("sc_samples") or {}).items():
-            self.sc[name] = _parse_sc(name, spec)
-        self.aliases.update(doc.get("aliases") or {})
-        for platform, table in (doc.get("schedules") or {}).items():
-            self.schedules[platform] = table
 
-
-_REGISTRY: SampleRegistry | None = None
-
-
+@cache
 def sample_registry() -> SampleRegistry:
     """The built-in catalogue, loaded once per process."""
-    global _REGISTRY
-    if _REGISTRY is None:
-        text = resources.files("qoc.data").joinpath("samples.yaml").read_text()
-        reg = SampleRegistry()
-        reg.merge(yaml.safe_load(text))
-        _REGISTRY = reg
-    return _REGISTRY
-
-
-def load_samples_file(path) -> SampleRegistry:
-    """Registry extended with user samples from a YAML file (same schema)."""
-    base = sample_registry()
-    reg = SampleRegistry(
-        nmr=dict(base.nmr), sc=dict(base.sc), aliases=dict(base.aliases),
-        schedules=dict(base.schedules),
+    text = resources.files("qoc.data").joinpath("samples.yaml").read_text()
+    doc = yaml.safe_load(text)
+    return SampleRegistry(
+        nmr={name: _parse_nmr(name, spec) for name, spec in doc["nmr_samples"].items()},
+        sc={name: _parse_sc(name, spec) for name, spec in doc["sc_samples"].items()},
+        schedules=doc["schedules"],
     )
-    with open(path) as fh:
-        reg.merge(yaml.safe_load(fh))
-    return reg

@@ -16,6 +16,7 @@ The search is deterministic given the same inputs.
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
@@ -53,6 +54,8 @@ class OptimizerConfig:
     def __post_init__(self):
         if not (self.tolerance > 0.0):
             raise ValueError("tolerance must be positive")
+        if operator.index(self.max_iterations) < 1:  # TypeError if not an integer
+            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.bounds is not None:
             lo, hi = self.bounds
             if not np.all(np.asarray(lo) <= np.asarray(hi)):

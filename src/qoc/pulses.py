@@ -78,6 +78,7 @@ thread, which the library leaves callers to set: one 8-qubit chain gradient
 from __future__ import annotations
 
 import math
+import operator
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -171,6 +172,8 @@ class PulseGrid:
     def __post_init__(self):
         if not (0.0 < self.dt < math.inf):
             raise ValueError(f"segment duration must be positive and finite, got {self.dt}")
+        # TypeError for a count that is not an integer, as range(2.5) raises.
+        object.__setattr__(self, "segments", operator.index(self.segments))
         if self.segments < 1:
             raise ValueError(f"segment count must be >= 1, got {self.segments}")
 

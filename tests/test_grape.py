@@ -94,7 +94,7 @@ class TestRunGrape:
         # more entangling angle than a Bell state needs, so the pipeline must
         # reach the benchmark fidelity floor here.
         sample = sample_registry().get("diethyl-fluoromalonate-3q").with_shifts(0.0)
-        model = build_nmr(sample, active_spins={0, 2})
+        model = build_nmr(sample.restricted({0, 2}))
         problem = GrapeProblem(
             model=model,
             target=ghz(2),
@@ -131,6 +131,25 @@ class TestRunGrape:
                 grid=PulseGrid(1e-5, 5),
                 optimizer=OptimizerConfig(tolerance=1e-3),
                 bounds=(-1e4, 1e4),
+            )
+
+    @pytest.mark.parametrize(
+        "initial, match",
+        [
+            # Norm 2: the drift-only shortcut used to report fidelity 1.0.
+            (StateVector(np.array([math.sqrt(2.0), math.sqrt(2.0)]), (2,)), "normalized"),
+            (ground_state((2, 2)), "dimension"),
+        ],
+    )
+    def test_bad_initial_rejected(self, initial, match):
+        with pytest.raises(ValueError, match=match):
+            GrapeProblem(
+                model=single_channel_qubit(),
+                target=ground_state((2,)),
+                grid=PulseGrid(1e-5, 5),
+                optimizer=OptimizerConfig(tolerance=1e-3),
+                bounds=(-1e4, 1e4),
+                initial=initial,
             )
 
     def test_nan_target_rejected(self):

@@ -9,8 +9,9 @@ from qoc.hamiltonians import (
     ScSample,
     build_nmr,
     build_sc,
+    _parse_nmr,
+    _parse_sc,
     frozen_subsystem_hamiltonian,
-    load_samples_file,
     sample_registry,
 )
 from qoc.linalg import expm_hermitian, ground_state, kron, random_state
@@ -47,14 +48,20 @@ class TestBuildNmr:
     def test_active_subset(self):
         reg = sample_registry()
         full = reg.get("diethyl-fluoromalonate-3q").with_shifts(0.0)
-        model = build_nmr(full, active_spins={1, 2})  # H, F pair
+        model = build_nmr(full.restricted({1, 2}))  # H, F pair
         want = (math.pi / 2) * 47.6 * np.diag([1, -1, -1, 1])
         assert np.abs(model.drift.matrix - want).max() < 1e-12
         assert model.channel_labels == ("x:H", "y:H", "x:F", "y:F")
 
     def test_unknown_spin_index(self):
         with pytest.raises(ValueError):
-            build_nmr(two_spin_sample(), active_spins={0, 5})
+            two_spin_sample().restricted({0, 5})
+
+    @pytest.mark.parametrize("indices", [[], [-1], [2]])
+    def test_restricted_rejects_empty_or_out_of_range(self, indices):
+        # [-1] would otherwise wrap round to the last spin.
+        with pytest.raises(ValueError):
+            two_spin_sample().restricted(indices)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_shift_rejected(self, bad):
@@ -148,20 +155,22 @@ class TestFrozenSubsystem:
     def test_empty_frozen_matches_build(self):
         reg = sample_registry()
         sample = reg.get("diethyl-fluoromalonate-3q").with_shifts(0.0)
-        a = frozen_subsystem_hamiltonian(sample, frozen=set(), active={0, 1, 2})
+        a = frozen_subsystem_hamiltonian(sample, frozen=set())
         b = build_nmr(sample)
         assert np.abs(a.drift.matrix - b.drift.matrix).max() == 0.0
 
     def test_two_spin_freeze_first(self):
         sample = two_spin_sample()
-        model = frozen_subsystem_hamiltonian(sample, frozen={0}, active={1})
+        model = frozen_subsystem_hamiltonian(sample, frozen={0})
         want = (math.pi / 2) * 47.6 * SZ
         assert np.abs(model.drift.matrix - want).max() < 1e-12
         assert model.channel_labels == ("x:B", "y:B")
 
-    def test_overlap_rejected(self):
+    @pytest.mark.parametrize("frozen", [{0, 1}, {2}, {-1}])
+    def test_bad_frozen_set_rejected(self, frozen):
+        # Freezing every spin leaves nothing to model; {2} and {-1} name no spin.
         with pytest.raises(ValueError):
-            frozen_subsystem_hamiltonian(two_spin_sample(), frozen={0}, active={0, 1})
+            frozen_subsystem_hamiltonian(two_spin_sample(), frozen=frozen)
 
     @pytest.mark.parametrize("n,frozen", [(2, {0}), (3, {2}), (3, {0, 1}), (4, {1, 3})])
     def test_freeze_identity_against_full_evolution(self, n, frozen, rng):
@@ -173,7 +182,7 @@ class TestFrozenSubsystem:
         sample = reg.get(base).with_shifts(0.0)
         active = sorted(set(range(n)) - set(frozen))
         full = build_nmr(sample)
-        reduced = frozen_subsystem_hamiltonian(sample, frozen=frozen, active=active)
+        reduced = frozen_subsystem_hamiltonian(sample, frozen=frozen)
 
         for _ in range(5):
             psi_b = random_state((2,) * len(active), rng)
@@ -206,8 +215,9 @@ class TestFrozenSubsystem:
 class TestRegistry:
     def test_crotonic_coupling_bit_exact(self):
         sample = sample_registry().get("crotonic-acid")
-        assert sample.coupling("C1", "H3") == 128.0
-        assert sample.coupling("C2", "H2") == -0.7
+        c1, c2, h2, h3 = (sample.labels.index(l) for l in ("C1", "C2", "H2", "H3"))
+        assert sample.coupling(c1, h3) == 128.0
+        assert sample.coupling(c2, h2) == -0.7
 
     def test_sc_chain_idle_frequency(self):
         sample = sample_registry().get("sc-chain-12")
@@ -216,12 +226,9 @@ class TestRegistry:
 
     def test_two_qubit_sample_values(self):
         sample = sample_registry().get("diethyl-fluoromalonate-2q")
-        assert sample.coupling("H", "F") == 47.6
+        assert sample.labels == ("H", "F")
+        assert sample.coupling(0, 1) == sample.coupling(1, 0) == 47.6
         assert sample.spins[0][1] == 400.0e6
-
-    def test_alias(self):
-        reg = sample_registry()
-        assert reg.get("diethyl-fluoromalonate").size == 3
 
     def test_unknown_sample(self):
         with pytest.raises(SampleNotFoundError):
@@ -246,39 +253,21 @@ class TestRegistry:
         assert row["dt"] == 5.0e-6
         row = reg.reference_schedule("sc", 4)
         assert row["igrape"] == [380, 320, 300]
-        # Interpolation between tabulated sizes stays sane.
-        row = reg.reference_schedule("sc", 5)
-        assert row["grape"] == 1200
-        assert row["igrape"] == [400, 340, 310, 300]
 
-    def test_user_file_merge(self, tmp_path):
-        extra = tmp_path / "extra.yaml"
-        extra.write_text(
-            "nmr_samples:\n"
-            "  toy-pair:\n"
-            "    spins:\n"
-            "      - {label: A, shift_hz: 0.0}\n"
-            "      - {label: B, shift_hz: 0.0}\n"
-            "    couplings_hz:\n"
-            "      - [A, B, 100.0]\n"
-        )
-        reg = load_samples_file(extra)
-        assert reg.get("toy-pair").coupling("A", "B") == 100.0
-        assert reg.get("crotonic-acid").size == 7  # built-ins still present
+    @pytest.mark.parametrize("size", [1, 5, 100])
+    def test_untabulated_schedule_size_rejected(self, size):
+        # Neither interpolated between rows nor clamped to the nearest edge.
+        with pytest.raises(KeyError, match="tabulated sizes"):
+            sample_registry().reference_schedule("sc", size)
 
-    def test_relaxation_keys_ignored(self, tmp_path):
-        extra = tmp_path / "extra.yaml"
-        extra.write_text(
-            "nmr_samples:\n"
-            "  toy-one:\n"
-            "    formula: AB\n"
-            "    spins:\n"
-            "      - {label: A, shift_hz: 5.0, t1_s: 2.0, t2_s: 1.0}\n"
-            "sc_samples:\n"
-            "  toy-chain:\n"
-            "    qubits:\n"
-            "      - {label: Q1, idle_ghz: 5.0, anharmonicity_mhz: -250.0, t1_us: 40.0, t2_us: 30.0}\n"
-        )
-        reg = load_samples_file(extra)
-        assert reg.get("toy-one") == NmrSample(name="toy-one", spins=(("A", 5.0),), couplings={})
-        assert reg.get("toy-chain") == ScSample(name="toy-chain", qubits=(("Q1", 5.0, -250.0),))
+    def test_relaxation_keys_ignored(self):
+        nmr = _parse_nmr("toy-one", {
+            "formula": "AB",
+            "spins": [{"label": "A", "shift_hz": 5.0, "t1_s": 2.0, "t2_s": 1.0}],
+        })
+        sc = _parse_sc("toy-chain", {
+            "qubits": [{"label": "Q1", "idle_ghz": 5.0, "anharmonicity_mhz": -250.0,
+                        "t1_us": 40.0, "t2_us": 30.0}],
+        })
+        assert nmr == NmrSample(name="toy-one", spins=(("A", 5.0),), couplings={})
+        assert sc == ScSample(name="toy-chain", qubits=(("Q1", 5.0, -250.0),))

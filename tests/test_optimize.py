@@ -130,6 +130,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             OptimizerConfig(tolerance=0.0)
 
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_max_iterations_at_least_one(self, budget):
+        # A zero or negative budget used to run one iteration and report max-iter.
+        with pytest.raises(ValueError, match="max_iterations"):
+            OptimizerConfig(max_iterations=budget)
+
+    def test_max_iterations_integer(self):
+        # 2.5 used to run three L-BFGS-B iterations and report max-iter.
+        with pytest.raises(TypeError):
+            OptimizerConfig(max_iterations=2.5)
+        assert OptimizerConfig(max_iterations=np.int64(3)).max_iterations == 3
+
     def test_bounds_ordering(self):
         with pytest.raises(ValueError):
             OptimizerConfig(bounds=(2.0, 1.0))

@@ -752,3 +752,18 @@ class TestPulseFiles:
     def test_bad_segment_duration_rejected(self, dt):
         with pytest.raises(ValueError):
             PulseGrid(dt=dt, segments=1)
+
+    @pytest.mark.parametrize("segments", [2.5, 2.0, "2"])
+    def test_non_integer_segment_count_rejected(self, segments):
+        with pytest.raises(TypeError):
+            PulseGrid(dt=1.0, segments=segments)
+
+    @pytest.mark.parametrize("segments", [0, -1])
+    def test_segment_count_at_least_one(self, segments):
+        with pytest.raises(ValueError, match="segment count"):
+            PulseGrid(dt=1.0, segments=segments)
+
+    def test_numpy_integer_segment_count_accepted(self):
+        grid = PulseGrid(dt=1.0, segments=np.int64(3))
+        assert grid == PulseGrid(dt=1.0, segments=3)
+        assert type(grid.segments) is int
