@@ -14,9 +14,11 @@ with channels (a_j + a†_j) and i(a_j - a†_j); chain amplitudes are rad/ns.
 Everything is converted to angular frequency at build time so the pulse
 engine never sees a 2*pi.
 
-``sample_registry()`` loads the packaged catalogue once, bit-exactly, with
-reference schedules at the tabulated sizes only.  Spin subsets are chosen
-by ``NmrSample.restricted``.  Catalogue shifts are laboratory-frame values;
+``sample_registry()`` loads the packaged catalogue once, bit-exactly and
+read-only, with reference schedules at the tabulated sizes only.  Spin and
+site indices must be integers (numpy integers included); a float is a
+TypeError rather than being truncated.  Spin subsets are chosen by
+``NmrSample.restricted``.  Catalogue shifts are laboratory-frame values;
 callers substitute rotating-frame offsets via ``with_shifts`` /
 ``with_idle_frequencies`` before building.  The models are closed systems:
 relaxation times and formulas are left unread.  Non-finite shifts,
@@ -27,9 +29,11 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from dataclasses import dataclass
 from functools import cache, cached_property
 from importlib import resources
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -119,7 +123,7 @@ class NmrSample:
 
     def restricted(self, indices: Iterable[int]) -> "NmrSample":
         """Sub-sample on the given spins (sorted), keeping their couplings."""
-        idx = sorted(set(int(i) for i in indices))
+        idx = sorted(set(operator.index(i) for i in indices))
         if not idx:
             raise ValueError(f"no spins chosen from sample {self.name}")
         if idx[0] < 0 or idx[-1] >= self.size:
@@ -256,7 +260,7 @@ def frozen_subsystem_hamiltonian(sample: NmrSample, frozen: Iterable[int]) -> Sy
     full drift acts on the invariant frozen-block-at-ground subspace.
     Freezing every spin, or an index outside the sample, is a ValueError.
     """
-    frozen_set = sorted(set(int(i) for i in frozen))
+    frozen_set = sorted(set(operator.index(i) for i in frozen))
     if frozen_set and (frozen_set[0] < 0 or frozen_set[-1] >= sample.size):
         raise ValueError(f"frozen spins {frozen_set} out of range for sample {sample.name}")
     active = [i for i in range(sample.size) if i not in frozen_set]
@@ -290,7 +294,9 @@ def build_sc(
     if sites is None:
         sites = list(range(sample.size))
     else:
-        sites = [int(s) for s in sites]
+        sites = [operator.index(s) for s in sites]
+        if not sites:
+            raise ValueError(f"empty site list for sample {sample.name}")
         if sites != list(range(min(sites), min(sites) + len(sites))):
             raise ValueError("chain subsystems must be contiguous site runs")
         if sites[0] < 0 or sites[-1] >= sample.size:
@@ -401,13 +407,22 @@ class SampleRegistry:
         }
 
 
+def _read_only(value):
+    """Parsed YAML with mappings as read-only views and lists as tuples."""
+    if isinstance(value, Mapping):
+        return MappingProxyType({key: _read_only(item) for key, item in value.items()})
+    if isinstance(value, list):
+        return tuple(_read_only(item) for item in value)
+    return value
+
+
 @cache
 def sample_registry() -> SampleRegistry:
-    """The built-in catalogue, loaded once per process."""
+    """The built-in catalogue, loaded once per process and shared read-only."""
     text = resources.files("qoc.data").joinpath("samples.yaml").read_text()
     doc = yaml.safe_load(text)
+    nmr = {name: _parse_nmr(name, spec) for name, spec in doc["nmr_samples"].items()}
+    sc = {name: _parse_sc(name, spec) for name, spec in doc["sc_samples"].items()}
     return SampleRegistry(
-        nmr={name: _parse_nmr(name, spec) for name, spec in doc["nmr_samples"].items()},
-        sc={name: _parse_sc(name, spec) for name, spec in doc["sc_samples"].items()},
-        schedules=doc["schedules"],
+        nmr=MappingProxyType(nmr), sc=MappingProxyType(sc), schedules=_read_only(doc["schedules"])
     )

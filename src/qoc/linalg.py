@@ -12,6 +12,7 @@ this module is safe to use from concurrent tasks.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -48,7 +49,7 @@ class StateVector:
 
     def __post_init__(self):
         amps = _as_complex(self.amplitudes).reshape(-1)
-        dims = tuple(int(d) for d in self.site_dims)
+        dims = tuple(operator.index(d) for d in self.site_dims)
         if any(d < 1 for d in dims):
             raise ValueError(f"site dimensions must be >= 1, got {dims}")
         if math.prod(dims) != amps.size:
@@ -102,7 +103,7 @@ class HermitianOperator:
 
 def ground_state(site_dims: Sequence[int]) -> StateVector:
     """|0...0> on the given sites."""
-    dims = tuple(int(d) for d in site_dims)
+    dims = tuple(operator.index(d) for d in site_dims)
     amps = np.zeros(math.prod(dims), dtype=np.complex128)
     amps[0] = 1.0
     return StateVector(amps, dims)
@@ -110,7 +111,7 @@ def ground_state(site_dims: Sequence[int]) -> StateVector:
 
 def random_state(site_dims: Sequence[int], rng: np.random.Generator) -> StateVector:
     """Haar-ish random normalized state (Gaussian amplitudes)."""
-    dims = tuple(int(d) for d in site_dims)
+    dims = tuple(operator.index(d) for d in site_dims)
     n = math.prod(dims)
     amps = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return StateVector(amps, dims).normalized()
@@ -154,7 +155,7 @@ def _bipartition_matrix(state: StateVector, keep: Iterable[int]) -> tuple[np.nda
     Kept sites come first, each group in ascending order.
     """
     n = len(state.site_dims)
-    keep_sorted = sorted(set(int(k) for k in keep))
+    keep_sorted = sorted(set(operator.index(k) for k in keep))
     if any(k < 0 or k >= n for k in keep_sorted):
         raise ValueError(f"site indices {keep_sorted} out of range for {n} sites")
     rest = [i for i in range(n) if i not in keep_sorted]

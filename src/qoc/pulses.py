@@ -49,30 +49,31 @@ Memory
 Both routes keep (K+1, d) forward states.  The dense route also keeps one
 (K, d, d) stack, the segment unitaries that its backward sweep reuses; the
 action route keeps no (K, d, d) array, and its backward sweep assembles
-the segment Hamiltonians again, chunk by chunk in reverse.  Segment
-Hamiltonians and their exponentials are built in chunks of segments.  On
-the action route one chunk is in flight, within CHUNK_BYTES, beside a
-transposed copy of the control stack.  On the dense route the W chunks in
-flight share that budget: each (n, d, d) temporary stays within
-CHUNK_BYTES / W, or holds _MIN_CHUNK segments where that is more.  The
-gradient contraction forms H_a |fw_k> for one chunk of segments at a time,
-an (n, A, d) array within CHUNK_BYTES.  Either way the transients of a call
-do not grow with K.
+the segment Hamiltonians again, chunk by chunk in reverse.  Every chunked
+loop below cuts its segments into equal chunks.  On the action route one
+chunk is in flight, within CHUNK_BYTES, beside a transposed copy of the
+control stack.  On the dense route the W chunks in flight share that
+budget: each (n, d, d) temporary stays within CHUNK_BYTES / W, or holds
+_MIN_CHUNK segments where that is more.  The gradient contraction forms
+H_a |fw_k> for one chunk of segments at a time, an (n, A, d) array within
+CHUNK_BYTES.  The transients of a call do not grow with K, and none
+outlive it.
 
 Parallelism
 -----------
 Once the amplitudes are fixed the segment exponentials are independent, so
 on the dense route ``segment_unitaries`` fills its chunks on W threads, W
 being the number of CPUs in the process's affinity mask (restrict a process
-with ``taskset`` to run several side by side).  The calling thread fills
-chunks 0, W, 2W, ... and a lazily created pool of W - 1 threads fills the
-rest; the einsum, eigh and matmul calls release the GIL.  Every chunk
-applies the same per-matrix arithmetic, so U is bit-identical for any W.
-With W = 1, or a single chunk, no thread starts.  A forked child drops the
-parent's pool and creates its own on first use.  The action route's sweeps
-are chains of dependent matvecs and start no thread.  They want one BLAS
-thread, which the library leaves callers to set: one 8-qubit chain gradient
-(d = 256, K = 1460) took 35.4 s under OpenBLAS's default two, 4.35 s under one.
+with ``taskset`` to run several side by side).  The threads belong to a pool
+that the call starts and joins before it returns or raises; the einsum,
+eigh and matmul calls release the GIL.  Every chunk applies the same
+per-matrix arithmetic, so U is bit-identical for any W.  With W = 1, or a
+single chunk, no thread starts.  The module keeps no state between calls,
+so a forked child needs no hook, and each concurrent caller starts up to W
+threads of its own.  The action route's sweeps are chains of dependent
+matvecs and start no thread.  They want one BLAS thread, which the library
+leaves callers to set: one 8-qubit chain gradient (d = 256, K = 1460) took
+35.4 s under OpenBLAS's default two, 4.35 s under one.
 """
 
 from __future__ import annotations
@@ -80,9 +81,9 @@ from __future__ import annotations
 import math
 import operator
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from types import MappingProxyType
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -112,7 +113,7 @@ __all__ = [
 
 SIGN_FORWARD = "forward"
 SIGN_REVERSED = "reversed"
-_SIGN_FACTOR = {SIGN_FORWARD: -1.0, SIGN_REVERSED: +1.0}
+_SIGN_FACTOR = MappingProxyType({SIGN_FORWARD: -1.0, SIGN_REVERSED: +1.0})
 
 # Byte budget of the (n, d, d) complex temporaries that segment_unitaries has
 # in flight at once, one per worker.  A few such budgets stay far below the
@@ -130,36 +131,14 @@ _TAYLOR_TAIL = 2.0**-53
 # _TAYLOR_REACH[m] is the largest step norm theta whose leading tail term
 # theta^(m+1) / (m+1)! is at most _TAYLOR_TAIL.  Steps have theta <= 1,
 # which degree 18 reaches.
-_TAYLOR_REACH = np.array(
-    [math.exp((math.log(_TAYLOR_TAIL) + math.lgamma(m + 2)) / (m + 1)) for m in range(19)]
+_TAYLOR_REACH = tuple(
+    math.exp((math.log(_TAYLOR_TAIL) + math.lgamma(m + 2)) / (m + 1)) for m in range(19)
 )
 
-# Threads that fill segment_unitaries chunks, the caller included.
+# Threads that fill segment_unitaries chunks.
 _WORKERS = (
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 )
-
-_pool: ThreadPoolExecutor | None = None  # the W - 1 helpers, created on first use
-_pool_lock = threading.Lock()
-
-
-def _reset_pool_after_fork() -> None:
-    # The parent's helper threads do not exist in a forked child; work queued
-    # on its pool would never run.
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_reset_pool_after_fork)
-
-
-def _helpers() -> ThreadPoolExecutor:
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="qoc-segments")
-        return _pool
 
 
 @dataclass(frozen=True)
@@ -279,46 +258,47 @@ def _chunk_length(dim: int) -> int:
     return max(_MIN_CHUNK, CHUNK_BYTES // _WORKERS // (16 * dim * dim))
 
 
-def _chunk_bounds(segments: int, dim: int) -> list[tuple[int, int]]:
-    """(start, stop) of each chunk: a multiple of W chunks, lengths within one.
+def _chunk_bounds(segments: int, length: int, lanes: int = 1) -> list[tuple[int, int]]:
+    """(start, stop) of equal chunks of segments 0..segments-1, lengths within one.
 
-    Equal chunks let the workers finish together; never more chunks than
-    segments.
+    Each chunk holds at most ``length`` segments.  Their count is a multiple
+    of ``lanes``, so that parallel lanes finish together, but never more than
+    ``segments``.  Equal chunks leave no one- or two-row tail, whose BLAS
+    products round differently from longer ones.
     """
-    count = -(-segments // _chunk_length(dim))
-    count = min(segments, -(-count // _WORKERS) * _WORKERS)
+    if not segments:
+        return []
+    count = -(-segments // length)
+    count = min(segments, -(-count // lanes) * lanes)
     edges = [segments * i // count for i in range(count + 1)]
     return list(zip(edges[:-1], edges[1:]))
-
-
-def _fill_chunks(u, model, amps, scale, chunks) -> None:
-    for start, stop in chunks:
-        u[start:stop] = expm_hermitian(segment_hamiltonians(model, amps[start:stop]), scale)
 
 
 def segment_unitaries(model: SystemModel, pulses: PulseSequence) -> np.ndarray:
     """(K, d, d) stack of segment propagators, via batched Hermitian eigensolves.
 
     The stack is allocated once and filled chunk by chunk, so temporaries
-    are bounded by CHUNK_BYTES rather than growing with K.  The calling
-    thread fills every W-th chunk and the helper pool the others; an error
-    in any chunk is raised here once every chunk has finished.
+    are bounded by CHUNK_BYTES rather than growing with K.  With more than
+    one chunk and W > 1, a pool of up to W threads that lives for this call
+    fills the chunks.  The pool is joined before the call returns or raises,
+    so an error in any chunk is raised only once no thread writes into U.
     """
     amps = pulses.amplitudes
     scale = _SIGN_FACTOR[pulses.sign] * pulses.grid.dt
     u = np.empty((amps.shape[0], model.dim, model.dim), dtype=complex)
-    chunks = _chunk_bounds(amps.shape[0], model.dim)
+
+    def fill(chunk):
+        start, stop = chunk
+        u[start:stop] = expm_hermitian(segment_hamiltonians(model, amps[start:stop]), scale)
+
+    chunks = _chunk_bounds(amps.shape[0], _chunk_length(model.dim), _WORKERS)
     lanes = min(_WORKERS, len(chunks))
-    futures = [
-        _helpers().submit(_fill_chunks, u, model, amps, scale, chunks[j::lanes])
-        for j in range(1, lanes)
-    ]
-    try:
-        _fill_chunks(u, model, amps, scale, chunks[::lanes])
-    finally:
-        wait(futures)
-    for future in futures:
-        future.result()
+    if lanes == 1:
+        for chunk in chunks:
+            fill(chunk)
+        return u
+    with ThreadPoolExecutor(lanes, thread_name_prefix="qoc-segments") as pool:
+        list(pool.map(fill, chunks))  # raises the first chunk error
     return u
 
 
@@ -357,11 +337,11 @@ def _hamiltonian_chunks(
     controls = np.ascontiguousarray(model.control_stack.transpose(0, 2, 1))
     controls = controls.reshape(-1, d * d).view(np.float64)
     drift = model.drift.matrix.T.reshape(-1)
-    starts = range(lo, hi, length)
-    for start in reversed(starts) if reverse else starts:
-        h_t = (amplitudes[start : min(start + length, hi)] @ controls).view(complex)
+    chunks = _chunk_bounds(hi - lo, length)
+    for start, stop in reversed(chunks) if reverse else chunks:
+        h_t = (amplitudes[lo + start : lo + stop] @ controls).view(complex)
         h_t += drift
-        yield start, h_t.reshape(-1, d, d).transpose(0, 2, 1)
+        yield lo + start, h_t.reshape(-1, d, d).transpose(0, 2, 1)
 
 
 def _taylor_apply(h: np.ndarray, psi: np.ndarray, coef: complex, steps: int, degree: int):
@@ -484,11 +464,7 @@ def ground_leakage(state: StateVector, frozen: Iterable[int]) -> float:
 
 
 def _gradient_terms(ws: Workspace, adjoint: np.ndarray) -> np.ndarray:
-    """A[k, a] = <bw_k| H_a |fw_k>, one GEMM per chunk of segments within CHUNK_BYTES.
-
-    A short tail joins the chunk before it, because BLAS rounds a product of
-    one or two rows differently and A would then depend on K.
-    """
+    """A[k, a] = <bw_k| H_a |fw_k>, one GEMM per chunk of segments within CHUNK_BYTES."""
     stack = ws.model.control_stack
     fw = ws.forward[1:]  # state after segment k, k = 1..K
     bw = ws.backward_adjoint(adjoint)
@@ -499,8 +475,7 @@ def _gradient_terms(ws: Workspace, adjoint: np.ndarray) -> np.ndarray:
         return terms
     controls = stack.reshape(n_ch * d, d).T
     length = max(1, CHUNK_BYTES // (16 * n_ch * d))
-    edges = [i * length for i in range(max(1, k_seg // length))] + [k_seg]
-    for start, stop in zip(edges[:-1], edges[1:]):
+    for start, stop in _chunk_bounds(k_seg, length):
         h_fw = (fw[start:stop] @ controls).reshape(stop - start, n_ch, d)
         np.einsum("ki,kai->ka", bw[start:stop].conj(), h_fw, out=terms[start:stop])
     return terms

@@ -63,6 +63,16 @@ class TestBuildNmr:
         with pytest.raises(ValueError):
             two_spin_sample().restricted(indices)
 
+    @pytest.mark.parametrize("indices", [[1.7], [0, 1.0], ["1"]])
+    def test_restricted_rejects_non_integer_indices(self, indices):
+        # int() would truncate 1.7 to spin 1 (F) instead of rejecting it.
+        with pytest.raises(TypeError):
+            sample_registry().get("diethyl-fluoromalonate-2q").restricted(indices)
+
+    def test_restricted_accepts_numpy_integers(self):
+        sample = sample_registry().get("diethyl-fluoromalonate-2q")
+        assert sample.restricted(np.array([1])) == sample.restricted([1])
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_shift_rejected(self, bad):
         sample = sample_registry().get("iodotrifluoroethylene")
@@ -130,6 +140,21 @@ class TestBuildSc:
         with pytest.raises(ValueError):
             build_sc(sample, coupling_mask=[True], sites=range(3))
 
+    @pytest.mark.parametrize("sites", [[0.5, 1.5], [0, 1.0]])
+    def test_non_integer_sites_rejected(self, sites):
+        # int() would build sites 0-1 from [0.5, 1.5].
+        with pytest.raises(TypeError):
+            build_sc(sample_registry().get("sc-chain-12"), sites=sites)
+
+    def test_numpy_integer_sites_accepted(self):
+        sample = sample_registry().get("sc-chain-12")
+        got = build_sc(sample, sites=np.arange(2, 4))
+        assert got.channel_labels == build_sc(sample, sites=[2, 3]).channel_labels
+
+    def test_empty_sites_rejected(self):
+        with pytest.raises(ValueError, match="empty site list"):
+            build_sc(sample_registry().get("sc-chain-12"), sites=[])
+
     def test_excitation_conserved_under_drift(self, rng):
         sample = sample_registry().get("sc-chain-12").with_idle_frequencies(0.0)
         model = build_sc(sample, sites=range(3))
@@ -171,6 +196,13 @@ class TestFrozenSubsystem:
         # Freezing every spin leaves nothing to model; {2} and {-1} name no spin.
         with pytest.raises(ValueError):
             frozen_subsystem_hamiltonian(two_spin_sample(), frozen=frozen)
+
+    def test_non_integer_frozen_set_rejected(self):
+        with pytest.raises(TypeError):
+            frozen_subsystem_hamiltonian(two_spin_sample(), frozen=[0.5])
+        got = frozen_subsystem_hamiltonian(two_spin_sample(), frozen=[np.int64(0)])
+        want = frozen_subsystem_hamiltonian(two_spin_sample(), frozen=[0])
+        assert np.array_equal(got.drift.matrix, want.drift.matrix)
 
     @pytest.mark.parametrize("n,frozen", [(2, {0}), (3, {2}), (3, {0, 1}), (4, {1, 3})])
     def test_freeze_identity_against_full_evolution(self, n, frozen, rng):
@@ -259,6 +291,27 @@ class TestRegistry:
         # Neither interpolated between rows nor clamped to the nearest edge.
         with pytest.raises(KeyError, match="tabulated sizes"):
             sample_registry().reference_schedule("sc", size)
+
+    def test_catalogue_is_read_only(self):
+        reg = sample_registry()
+        before = reg.reference_schedule("nmr", 4)
+        with pytest.raises(TypeError):
+            reg.nmr["tmp"] = reg.get("crotonic-acid")
+        with pytest.raises(TypeError):
+            reg.sc["tmp"] = reg.get("sc-chain-12")
+        with pytest.raises(TypeError):
+            reg.schedules["tmp"] = {}
+        with pytest.raises(TypeError):
+            reg.schedules["nmr"]["sizes"][4]["grape"] = 1
+        with pytest.raises(TypeError):
+            reg.schedules["nmr"]["sizes"][4]["igrape"][0] = 1
+        before["igrape"].append(1)  # a fresh copy for each caller
+        again = sample_registry()
+        assert "tmp" not in again.nmr and "tmp" not in again.sc
+        assert "tmp" not in again.schedules
+        assert again.reference_schedule("nmr", 4) == {
+            "dt": 5.0e-6, "igrape": [1500, 260], "grape": 1760, "transfer": 8.8e-3
+        }
 
     def test_relaxation_keys_ignored(self):
         nmr = _parse_nmr("toy-one", {

@@ -12,7 +12,7 @@ from qoc.linalg import (
     kron,
     random_state,
 )
-from qoc.pulses import subsystem_impurity
+from qoc.pulses import ground_leakage, subsystem_impurity
 
 from conftest import SX, SY, SZ, I2, ghz_amplitudes, w3_amplitudes
 
@@ -73,6 +73,22 @@ class TestStateVector:
         amps[5] = bad
         with pytest.raises(ValueError, match="finite"):
             StateVector(amps, (2,) * 4)
+
+
+    @pytest.mark.parametrize("dims", [(2.7, 2), (2.0, 2), ("2", 2)])
+    def test_non_integer_site_dims_rejected(self, dims, rng):
+        # int() would give (2.7, 2) the dims (2, 2).
+        with pytest.raises(TypeError):
+            StateVector(np.ones(4), dims)
+        with pytest.raises(TypeError):
+            ground_state(dims)
+        with pytest.raises(TypeError):
+            random_state(dims, rng)
+
+    def test_numpy_integer_site_dims_accepted(self):
+        s = StateVector(np.ones(4), np.array([2, 2]))
+        assert s.site_dims == (2, 2) and all(type(d) is int for d in s.site_dims)
+        assert ground_state(np.array([2, 2])).site_dims == (2, 2)
 
 
 class TestHermitianOperator:
@@ -191,6 +207,14 @@ class TestPartialTrace:
             _bipartition_matrix(s, {0, 1})
         with pytest.raises(ValueError):
             _bipartition_matrix(s, {2})
+
+    def test_non_integer_sites_rejected(self):
+        # int() would cut at site 0 for 0.9.
+        s = StateVector(ghz_amplitudes(3), (2, 2, 2))
+        for cut in (_bipartition_matrix, subsystem_impurity, ground_leakage):
+            with pytest.raises(TypeError):
+                cut(s, [0.9])
+        assert subsystem_impurity(s, [np.int64(0)]) == subsystem_impurity(s, [0])
 
     def test_partial_trace_rho_non_qubit(self, rng):
         s = random_state((3, 3), rng)

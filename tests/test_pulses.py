@@ -2,6 +2,7 @@ import math
 import multiprocessing
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -179,11 +180,11 @@ class TestChunkedUnitaries:
         assert peak <= 2.5 * ws.unitaries.nbytes
 
     def test_chunk_length_floor_with_many_workers(self, monkeypatch):
-        # Sizing only: a segment_unitaries call here would start 63 threads.
+        # Sizing only: a segment_unitaries call here would start 64 threads.
         monkeypatch.setattr(pulses, "_WORKERS", 64)
         assert 1 < _chunk_length(32) < 200  # the boundary test above needs this
         assert _chunk_length(256) == pulses._MIN_CHUNK
-        bounds = pulses._chunk_bounds(1760, 32)
+        bounds = pulses._chunk_bounds(1760, _chunk_length(32), 64)
         assert len(bounds) % 64 == 0
         assert {stop - start for start, stop in bounds} == {3, 4}
         assert bounds[0][0] == 0 and bounds[-1][1] == 1760
@@ -252,7 +253,7 @@ class TestActionRoute:
     @pytest.mark.parametrize("theta", [1e-4, 0.1, 1.0, 4.0])
     def test_matches_dense_route(self, theta, route, rng):
         model = toy_model(rng, n_sites=5)
-        n = self.chunk_lengths(model, 1000)[0]
+        n = pulses.CHUNK_BYTES // (16 * model.dim**2)
         assert 1 < n < 1000
         psi0 = random_state(model.site_dims, rng)
         target = random_state(model.site_dims, rng)
@@ -265,7 +266,8 @@ class TestActionRoute:
         }
         # The backward sweep's chunks start at segment 1, so n + 2 splits it.
         for segments in (1, n - 1, n, n + 1, n + 2):
-            assert self.chunk_lengths(model, segments)[0] == min(segments, n)
+            lengths = self.chunk_lengths(model, segments)
+            assert len(lengths) == -(-segments // n) and max(lengths) - min(lengths) <= 1
             for sign, value_and_grads in costs.items():
                 seq = self.sequence(rng, model, segments, theta, sign)
                 dense = pulses._dense_route(model, seq, psi0)
@@ -384,20 +386,39 @@ class TestChunkedContraction:
 
 @pytest.fixture
 def workers(monkeypatch):
-    """Set the worker count W; each setting gets its own helper pool."""
-    shared = pulses._pool
+    """Set the worker count W."""
+    return lambda count: monkeypatch.setattr(pulses, "_WORKERS", count)
 
-    def shut_test_pool():
-        if pulses._pool is not None and pulses._pool is not shared:
-            pulses._pool.shutdown()
 
-    def set_workers(count):
-        shut_test_pool()
-        monkeypatch.setattr(pulses, "_WORKERS", count)
-        monkeypatch.setattr(pulses, "_pool", None)
+class ChunkLog:
+    """Wrap ``pulses.expm_hermitian``, which each chunk of the dense fill calls once.
 
-    yield set_workers
-    shut_test_pool()
+    Records the threads that fill chunks.  The ``fail_at``-th chunk to start
+    raises; every other chunk first sleeps ``delay`` seconds.  ``busy``
+    counts chunks that have started and not yet finished.
+    """
+
+    def __init__(self, monkeypatch, fail_at=None, delay=0.0):
+        self.threads, self.started, self.busy = set(), 0, 0
+        lock = threading.Lock()
+        real = pulses.expm_hermitian
+
+        def expm(h, scale):
+            with lock:
+                index = self.started
+                self.started += 1
+                self.busy += 1
+                self.threads.add(threading.get_ident())
+            try:
+                if index == fail_at:
+                    raise DecompositionError("injected", 1.0)
+                time.sleep(delay)
+                return real(h, scale)
+            finally:
+                with lock:
+                    self.busy -= 1
+
+        monkeypatch.setattr(pulses, "expm_hermitian", expm)
 
 
 def _fill_in_child(model, seq, expected):
@@ -420,61 +441,71 @@ class TestParallelChunks:
         for seq, u in zip(cases, parallel):
             assert np.array_equal(u, segment_unitaries(model, seq))
 
-    def test_chunks_are_a_multiple_of_workers_and_equal(self, workers):
-        workers(2)
-        bounds = pulses._chunk_bounds(1760, 16)
+    def test_chunks_are_a_multiple_of_workers_and_equal(self):
+        bounds = pulses._chunk_bounds(1760, 128, 2)
         assert len(bounds) == 14
         assert {stop - start for start, stop in bounds} == {125, 126}
         assert bounds[0][0] == 0 and bounds[-1][1] == 1760
         assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
 
+    @pytest.mark.parametrize(
+        "segments, length, lanes, lengths",
+        [
+            (0, 64, 1, []),
+            (0, 64, 3, []),
+            (1, 64, 1, [1]),
+            (64, 64, 1, [64]),
+            (65, 64, 1, [32, 33]),
+            (1760, 512, 1, [440] * 4),
+            (1000, 64, 1, [62, 63] * 8),
+            (5, 1, 1, [1] * 5),
+            (2, 64, 3, [1, 1]),
+            (7, 64, 3, [2, 2, 3]),
+        ],
+    )
+    def test_chunk_bounds(self, segments, length, lanes, lengths):
+        bounds = pulses._chunk_bounds(segments, length, lanes)
+        assert [stop - start for start, stop in bounds] == lengths
+        assert [start for start, _ in bounds] == [sum(lengths[:i]) for i in range(len(lengths))]
+
     @pytest.mark.parametrize("count, segments", [(1, 1760), (2, 1)])
-    def test_single_lane_starts_no_thread(self, count, segments, workers, rng):
+    def test_single_lane_starts_no_thread(self, count, segments, workers, monkeypatch, rng):
         model = toy_model(rng, n_sites=4)
         workers(count)
-        before = threading.active_count()
+        log = ChunkLog(monkeypatch)
         segment_unitaries(model, toy_sequence(rng, model, segments, 0.3, SIGN_FORWARD))
-        assert threading.active_count() == before
-        assert pulses._pool is None
+        assert log.threads == {threading.get_ident()}
 
     def test_helper_error_reaches_caller(self, workers, monkeypatch, rng):
+        # The second chunk fails at once while the other lane sleeps in its
+        # chunks; the error must wait until no thread writes into U.
         model = toy_model(rng, n_sites=4)
         seq = toy_sequence(rng, model, 1760, 0.3, SIGN_FORWARD)
         workers(2)
-        caller = threading.get_ident()
-        real = pulses.expm_hermitian
-
-        def failing_on_helpers(h, scale):
-            if threading.get_ident() != caller:
-                raise DecompositionError("injected", 1.0)
-            return real(h, scale)
-
-        monkeypatch.setattr(pulses, "expm_hermitian", failing_on_helpers)
+        log = ChunkLog(monkeypatch, fail_at=1, delay=0.05)
         with pytest.raises(DecompositionError, match="injected"):
             segment_unitaries(model, seq)
+        assert log.busy == 0
 
-    def test_caller_error_raised_after_helpers_finish(self, workers, monkeypatch, rng):
+    @pytest.mark.parametrize("fails", [False, True])
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_no_thread_outlives_a_call(self, count, fails, workers, monkeypatch, rng):
         model = toy_model(rng, n_sites=4)
         seq = toy_sequence(rng, model, 1760, 0.3, SIGN_FORWARD)
-        workers(2)
-        caller = threading.get_ident()
-        real = pulses.expm_hermitian
-        helper_chunks = []
-
-        def failing_on_caller(h, scale):
-            if threading.get_ident() == caller:
-                raise DecompositionError("injected", 1.0)
-            helper_chunks.append(h.shape[0])
-            return real(h, scale)
-
-        monkeypatch.setattr(pulses, "expm_hermitian", failing_on_caller)
-        with pytest.raises(DecompositionError, match="injected"):
+        workers(count)
+        log = ChunkLog(monkeypatch, fail_at=3 if fails else None)
+        before = threading.active_count()
+        if fails:
+            with pytest.raises(DecompositionError, match="injected"):
+                segment_unitaries(model, seq)
+        else:
             segment_unitaries(model, seq)
-        assert len(helper_chunks) == len(pulses._chunk_bounds(1760, model.dim)) // 2
+        assert threading.active_count() == before
+        assert log.threads - {threading.get_ident()}  # the chunks did run on a pool
 
-    def test_concurrent_callers_share_one_pool(self, workers, rng):
+    def test_concurrent_callers_get_the_serial_result(self, workers, rng):
         # More threads than cores and frequent switches: every caller must
-        # get the serial result, and the helper threads never exceed W - 1.
+        # get the serial result, and no caller leaves a thread behind.
         model = toy_model(rng, n_sites=4)
         seq = toy_sequence(rng, model, 700, 0.3, SIGN_FORWARD)
         workers(1)
@@ -497,15 +528,13 @@ class TestParallelChunks:
             sys.setswitchinterval(interval)
         assert not any(caller.is_alive() for caller in callers)
         assert len(results) == 4 and all(np.array_equal(u, expected) for u in results)
-        started = set(threading.enumerate()) - existing - set(callers)
-        assert 0 < len(started) <= 2
+        assert set(threading.enumerate()) - existing - set(callers) == set()
 
-    def test_forked_child_gets_a_working_pool(self, workers, rng):
+    def test_forked_child_fills_the_stack(self, workers, rng):
         model = toy_model(rng, n_sites=4)
         seq = toy_sequence(rng, model, 1760, 0.3, SIGN_FORWARD)
         workers(2)
-        expected = segment_unitaries(model, seq)  # the parent's pool now has a thread
-        assert pulses._pool is not None
+        expected = segment_unitaries(model, seq)  # starts and joins a pool first
         child = multiprocessing.get_context("fork").Process(
             target=_fill_in_child, args=(model, seq, expected)
         )
