@@ -23,6 +23,11 @@ callers substitute rotating-frame offsets via ``with_shifts`` /
 ``with_idle_frequencies`` before building.  The models are closed systems:
 relaxation times and formulas are left unread.  Non-finite shifts,
 couplings or frequencies are rejected when a sample is constructed.
+
+A ``SystemModel`` stores each operator once, read-only and checked finite
+and Hermitian at construction: the (d, d) ``drift`` and the (A, d, d)
+``control_stack``, whose channel a is ``channel_labels[a]``.  The builders
+form each term as one Kronecker chain over the sites.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ import dataclasses
 import math
 import operator
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from importlib import resources
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -40,7 +45,7 @@ import numpy as np
 import yaml
 
 from .errors import SampleNotFoundError
-from .linalg import HermitianOperator
+from .linalg import _check_hermitian
 
 __all__ = [
     "NmrSample",
@@ -65,11 +70,11 @@ _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 _SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
-def _embed(op: np.ndarray, position: int, dims: Sequence[int]) -> np.ndarray:
-    """Single-site operator -> full-space operator (identity elsewhere)."""
+def _embed(factors: Mapping[int, np.ndarray], dims: Sequence[int]) -> np.ndarray:
+    """Full-space operator: ``factors[i]`` on site i, identity on every other site."""
     out = np.eye(1, dtype=complex)
     for i, d in enumerate(dims):
-        out = np.kron(out, op if i == position else np.eye(d, dtype=complex))
+        out = np.kron(out, factors[i] if i in factors else np.eye(d, dtype=complex))
     return out
 
 
@@ -98,8 +103,12 @@ class NmrSample:
         spins = tuple((str(l), float(s)) for l, s in self.spins)
         if not all(math.isfinite(s) for _, s in spins):
             raise ValueError(f"non-finite chemical shift in {self.name}")
-        object.__setattr__(self, "couplings", canon)
+        object.__setattr__(self, "couplings", MappingProxyType(canon))
         object.__setattr__(self, "spins", spins)
+
+    def __reduce__(self):
+        # A read-only mapping does not pickle; construction rebuilds it.
+        return NmrSample, (self.name, self.spins, dict(self.couplings))
 
     @property
     def size(self) -> int:
@@ -152,6 +161,7 @@ class ScSample:
     truncation: int = 2
 
     def __post_init__(self):
+        object.__setattr__(self, "truncation", operator.index(self.truncation))
         if self.truncation < 2:
             raise ValueError("per-site truncation must be at least 2")
         qubits = tuple((str(l), float(w), float(e)) for l, w, e in self.qubits)
@@ -187,40 +197,49 @@ class ScSample:
 
 @dataclass(frozen=True)
 class SystemModel:
-    """Drift plus labelled control operators on an explicit site layout."""
+    """Drift (d, d) and control stack (A, d, d) in ``channel_labels`` order.
 
-    drift: HermitianOperator
-    controls: tuple[tuple[str, HermitianOperator], ...]
+    d = prod(site_dims).  Each operator must be finite and Hermitian.  Arrays
+    that are already complex128 are kept, not copied, and made read-only.
+    """
+
+    drift: np.ndarray
+    control_stack: np.ndarray
+    channel_labels: tuple[str, ...]
     site_dims: tuple[int, ...]
     platform: str  # "nmr" | "sc"
     coupling_mask: tuple[bool, ...] | None = None
 
     def __post_init__(self):
+        drift = np.asarray(self.drift, dtype=np.complex128)
+        stack = np.asarray(self.control_stack, dtype=np.complex128)
+        labels = tuple(self.channel_labels)
+        _check_hermitian(drift, "drift")
         dim = math.prod(self.site_dims)
-        if self.drift.dim != dim:
-            raise ValueError("drift dimension does not match site_dims")
-        for label, op in self.controls:
-            if op.dim != dim:
-                raise ValueError(f"control {label!r} dimension mismatch")
+        if drift.shape[0] != dim or stack.shape != (len(labels), dim, dim):
+            raise ValueError(
+                f"drift {drift.shape} and control stack {stack.shape} do not fit "
+                f"{len(labels)} channel labels on sites {self.site_dims}"
+            )
+        for label, op in zip(labels, stack):
+            _check_hermitian(op, f"control {label!r}")
+        drift.flags.writeable = False
+        stack.flags.writeable = False
+        object.__setattr__(self, "drift", drift)
+        object.__setattr__(self, "control_stack", stack)
+        object.__setattr__(self, "channel_labels", labels)
+
+    def __reduce__(self):
+        # Copies and unpickled models go through construction, so they are read-only too.
+        return SystemModel, tuple(getattr(self, f.name) for f in dataclasses.fields(self))
 
     @property
     def dim(self) -> int:
-        return self.drift.dim
+        return self.drift.shape[0]
 
     @property
     def num_channels(self) -> int:
-        return len(self.controls)
-
-    @property
-    def channel_labels(self) -> tuple[str, ...]:
-        return tuple(label for label, _ in self.controls)
-
-    @cached_property
-    def control_stack(self) -> np.ndarray:
-        """(A, d, d) array of control operators, in channel order."""
-        if not self.controls:
-            return np.zeros((0, self.dim, self.dim), dtype=complex)
-        return np.stack([op.matrix for _, op in self.controls])
+        return len(self.channel_labels)
 
 
 def build_nmr(sample: NmrSample) -> SystemModel:
@@ -234,20 +253,17 @@ def build_nmr(sample: NmrSample) -> SystemModel:
     drift = np.zeros((2**n, 2**n), dtype=complex)
     for j, (_, shift) in enumerate(sample.spins):
         if shift != 0.0:
-            drift += math.pi * shift * _embed(_SZ, j, dims)
+            drift += math.pi * shift * _embed({j: _SZ}, dims)
     for (i, j), val in sample.couplings.items():
         if val != 0.0:
-            zz = _embed(_SZ, i, dims) @ _embed(_SZ, j, dims)
-            drift += (math.pi / 2.0) * val * zz
-    controls = []
-    for j, label in enumerate(sample.labels):
-        controls.append((f"x:{label}", HermitianOperator(math.pi * _embed(_SX, j, dims))))
-        controls.append((f"y:{label}", HermitianOperator(math.pi * _embed(_SY, j, dims))))
+            drift += (math.pi / 2.0) * val * _embed({i: _SZ, j: _SZ}, dims)
+    stack = np.empty((2 * n, 2**n, 2**n), dtype=complex)
+    for j in range(n):
+        stack[2 * j] = math.pi * _embed({j: _SX}, dims)
+        stack[2 * j + 1] = math.pi * _embed({j: _SY}, dims)
+    labels = [f"{axis}:{label}" for label in sample.labels for axis in "xy"]
     return SystemModel(
-        drift=HermitianOperator(drift),
-        controls=tuple(controls),
-        site_dims=dims,
-        platform="nmr",
+        drift=drift, control_stack=stack, channel_labels=labels, site_dims=dims, platform="nmr"
     )
 
 
@@ -320,25 +336,26 @@ def build_sc(
         w = 2.0 * math.pi * sample.idle_ghz(q)  # GHz -> rad/ns
         eta = 2.0 * math.pi * 1.0e-3 * sample.anharmonicity_mhz(q)
         if w != 0.0:
-            drift += w * _embed(num, pos, dims)
+            drift += w * _embed({pos: num}, dims)
         if eta != 0.0 and d > 2:
-            drift += 0.5 * eta * _embed(anh, pos, dims)
+            drift += 0.5 * eta * _embed({pos: anh}, dims)
     for b, on in enumerate(coupling_mask):
         if on and g != 0.0:
-            hop = _embed(a.conj().T, b, dims) @ _embed(a, b + 1, dims)
+            hop = _embed({b: a.conj().T, b + 1: a}, dims)
             drift += g * (hop + hop.conj().T)
 
-    controls = []
     x_op = a + a.conj().T
     y_op = 1j * (a - a.conj().T)
-    for pos, q in enumerate(sites):
-        label = sample.labels[q]
-        controls.append((f"x:{label}", HermitianOperator(_embed(x_op, pos, dims))))
-        controls.append((f"y:{label}", HermitianOperator(_embed(y_op, pos, dims))))
+    stack = np.empty((2 * n, dim, dim), dtype=complex)
+    for pos in range(n):
+        stack[2 * pos] = _embed({pos: x_op}, dims)
+        stack[2 * pos + 1] = _embed({pos: y_op}, dims)
+    labels = [f"{axis}:{sample.labels[q]}" for q in sites for axis in "xy"]
 
     return SystemModel(
-        drift=HermitianOperator(drift),
-        controls=tuple(controls),
+        drift=drift,
+        control_stack=stack,
+        channel_labels=labels,
         site_dims=dims,
         platform="sc",
         coupling_mask=coupling_mask,
@@ -367,7 +384,7 @@ def _parse_sc(name: str, spec: Mapping) -> ScSample:
         name=name,
         qubits=qubits,
         coupling_mhz=float(spec.get("coupling_mhz", 20.0)),
-        truncation=int(spec.get("truncation", 2)),
+        truncation=spec.get("truncation", 2),
     )
 
 

@@ -1,19 +1,21 @@
-"""State vectors, Hermitian operators and their exponentials.
+"""State vectors, the Hermiticity check and exponentials of Hermitian matrices.
 
 States live on a tensor product of finite-dimensional sites; site 0 is the
-leftmost (most significant) factor, matching ``numpy.kron`` ordering.  Both
-value types reject non-finite entries at construction.  A state's amplitudes
-reshaped across a cut of its sites (``_bipartition_matrix``) underlie the
-reduced-state costs in ``pulses``.  All values are immutable after
-construction and every operation here is a pure function, so everything in
-this module is safe to use from concurrent tasks.
+leftmost (most significant) factor, matching ``numpy.kron`` ordering.  The
+one value type, ``StateVector``, rejects non-finite amplitudes and owns a
+read-only copy of them, so it is immutable.  Operators are plain arrays that
+``_check_hermitian`` finds square, finite and Hermitian.  A state's
+amplitudes reshaped across a cut of its sites (``_bipartition_matrix``)
+underlie the reduced-state costs in ``pulses``.  Every operation here is a
+pure function, so everything in this module is safe to use from concurrent
+tasks.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -22,7 +24,6 @@ from .errors import DecompositionError
 
 __all__ = [
     "StateVector",
-    "HermitianOperator",
     "ground_state",
     "random_state",
     "kron",
@@ -32,23 +33,20 @@ __all__ = [
 HERMITICITY_TOL = 1e-12
 
 
-def _as_complex(a) -> np.ndarray:
-    return np.asarray(a, dtype=np.complex128)
-
-
 @dataclass(frozen=True)
 class StateVector:
     """Complex amplitudes over a tensor-product Hilbert space.
 
     ``site_dims`` records the per-site dimensions; their product must equal
-    the amplitude count.  Amplitudes must be finite.
+    the amplitude count.  Amplitudes must be finite; the state keeps a
+    read-only copy of them.
     """
 
     amplitudes: np.ndarray
     site_dims: tuple[int, ...]
 
     def __post_init__(self):
-        amps = _as_complex(self.amplitudes).reshape(-1)
+        amps = np.array(self.amplitudes, dtype=np.complex128).reshape(-1)
         dims = tuple(operator.index(d) for d in self.site_dims)
         if any(d < 1 for d in dims):
             raise ValueError(f"site dimensions must be >= 1, got {dims}")
@@ -58,6 +56,7 @@ class StateVector:
             )
         if not np.all(np.isfinite(amps)):
             raise ValueError("amplitudes must be finite")
+        amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "site_dims", dims)
 
@@ -81,24 +80,16 @@ class StateVector:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
-@dataclass(frozen=True)
-class HermitianOperator:
-    """Finite square complex matrix equal to its conjugate transpose (within 1e-12)."""
-
-    matrix: np.ndarray
-    dim: int = field(init=False)
-
-    def __post_init__(self):
-        m = _as_complex(self.matrix)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("matrix entries must be finite")
-        dev = float(np.abs(m - m.conj().T).max())
-        if dev > HERMITICITY_TOL:
-            raise ValueError(f"matrix is not Hermitian (max |A - A†| = {dev:.3e})")
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "dim", m.shape[0])
+def _check_hermitian(matrix: np.ndarray, what: str) -> None:
+    """Raise ValueError unless ``matrix`` is square, finite and Hermitian within 1e-12."""
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise ValueError(f"{what}: expected a square matrix, got shape {matrix.shape}")
+    # NaN would pass the Hermiticity test below: nan > tol is False.
+    if not np.all(np.isfinite(matrix)):
+        raise ValueError(f"{what}: matrix entries must be finite")
+    dev = float(np.abs(matrix - matrix.conj().T).max())
+    if dev > HERMITICITY_TOL:
+        raise ValueError(f"{what}: matrix is not Hermitian (max |A - A†| = {dev:.3e})")
 
 
 def ground_state(site_dims: Sequence[int]) -> StateVector:
@@ -117,29 +108,19 @@ def random_state(site_dims: Sequence[int], rng: np.random.Generator) -> StateVec
     return StateVector(amps, dims).normalized()
 
 
-def kron(a, b):
-    """Kronecker product preserving kind: states give states, operators operators."""
-    if isinstance(a, StateVector) and isinstance(b, StateVector):
-        return StateVector(
-            np.kron(a.amplitudes, b.amplitudes), a.site_dims + b.site_dims
-        )
-    if isinstance(a, HermitianOperator) and isinstance(b, HermitianOperator):
-        return HermitianOperator(np.kron(a.matrix, b.matrix))
-    if isinstance(a, (StateVector, HermitianOperator)) or isinstance(
-        b, (StateVector, HermitianOperator)
-    ):
-        raise TypeError(f"kron operands must be the same kind, got {type(a)}, {type(b)}")
-    return np.kron(np.asarray(a), np.asarray(b))
+def kron(a: StateVector, b: StateVector) -> StateVector:
+    """Product state a (x) b, with a's sites first."""
+    return StateVector(np.kron(a.amplitudes, b.amplitudes), a.site_dims + b.site_dims)
 
 
-def expm_hermitian(h, scale: float) -> np.ndarray:
+def expm_hermitian(h: np.ndarray, scale: float) -> np.ndarray:
     """exp(i * scale * H) via the eigendecomposition of Hermitian H.
 
     ``h`` is one matrix or a ``(..., d, d)`` stack, exponentiated matrix by
     matrix.  The eigen route keeps the result unitary to roundoff; ``scale``
     carries the sign convention (e.g. -dt for forward time evolution).
     """
-    m = h.matrix if isinstance(h, HermitianOperator) else _as_complex(h)
+    m = np.asarray(h, dtype=np.complex128)
     try:
         w, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:

@@ -246,7 +246,7 @@ def segment_hamiltonians(model: SystemModel, amplitudes: np.ndarray) -> np.ndarr
     """(K, d, d) stack of per-segment total Hamiltonians."""
     amps = np.asarray(amplitudes, dtype=np.float64)
     stack = model.control_stack
-    h = np.broadcast_to(model.drift.matrix, (amps.shape[0],) + model.drift.matrix.shape).copy()
+    h = np.broadcast_to(model.drift, (amps.shape[0],) + model.drift.shape).copy()
     if stack.shape[0]:
         h += np.einsum("ka,aij->kij", amps, stack)
     return h
@@ -310,7 +310,7 @@ def _taylor_plan(model: SystemModel, pulses: PulseSequence) -> tuple[np.ndarray,
     """Steps s_k and degrees m_k of each segment's Taylor series (see Routes)."""
     control_norms = np.array([_one_norm(op) for op in model.control_stack])
     theta = pulses.grid.dt * (
-        _one_norm(model.drift.matrix) + np.abs(pulses.amplitudes) @ control_norms
+        _one_norm(model.drift) + np.abs(pulses.amplitudes) @ control_norms
     )
     steps = np.maximum(1.0, np.ceil(theta))
     return steps, np.searchsorted(_TAYLOR_REACH, theta / steps)
@@ -336,7 +336,7 @@ def _hamiltonian_chunks(
     length = max(1, CHUNK_BYTES // (16 * d * d))
     controls = np.ascontiguousarray(model.control_stack.transpose(0, 2, 1))
     controls = controls.reshape(-1, d * d).view(np.float64)
-    drift = model.drift.matrix.T.reshape(-1)
+    drift = model.drift.T.reshape(-1)
     chunks = _chunk_bounds(hi - lo, length)
     for start, stop in reversed(chunks) if reverse else chunks:
         h_t = (amplitudes[lo + start : lo + stop] @ controls).view(complex)

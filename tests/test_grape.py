@@ -11,7 +11,7 @@ from qoc.hamiltonians import (
     build_nmr,
     sample_registry,
 )
-from qoc.linalg import HermitianOperator, StateVector, ground_state
+from qoc.linalg import StateVector, ground_state
 from qoc.optimize import OptimizerConfig
 from qoc.pulses import PulseGrid, propagate, state_infidelity
 from qoc.targets import ghz
@@ -20,9 +20,13 @@ from conftest import SX
 
 
 def single_channel_qubit():
-    drift = HermitianOperator(np.zeros((2, 2)))
-    controls = (("x", HermitianOperator(math.pi * SX)),)
-    return SystemModel(drift=drift, controls=controls, site_dims=(2,), platform="nmr")
+    return SystemModel(
+        drift=np.zeros((2, 2)),
+        control_stack=np.array([math.pi * SX]),
+        channel_labels=("x",),
+        site_dims=(2,),
+        platform="nmr",
+    )
 
 
 class TestRunGrape:

@@ -1,4 +1,8 @@
+import copy
+import dataclasses
 import math
+import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ from qoc.errors import SampleNotFoundError
 from qoc.hamiltonians import (
     NmrSample,
     ScSample,
+    SystemModel,
     build_nmr,
     build_sc,
     _parse_nmr,
@@ -27,30 +32,98 @@ def two_spin_sample(j=47.6, shifts=(0.0, 0.0)):
     )
 
 
+class TestSystemModel:
+    @staticmethod
+    def model(drift=SZ, stack=(SX, SY), labels=("x", "y"), site_dims=(2,)):
+        return SystemModel(drift, np.array(stack), labels, site_dims, platform="nmr")
+
+    def test_accepts_pauli_operators(self):
+        model = self.model()
+        assert (model.dim, model.num_channels, model.channel_labels) == (2, 2, ("x", "y"))
+        assert model.drift.dtype == model.control_stack.dtype == np.complex128
+
+    def test_rejects_non_square_drift(self):
+        with pytest.raises(ValueError, match="drift: expected a square matrix"):
+            self.model(drift=np.zeros((2, 3)))
+
+    def test_shapes_must_match_site_dims(self):
+        with pytest.raises(ValueError, match="do not fit"):
+            self.model(site_dims=(2, 2))
+        with pytest.raises(ValueError, match="do not fit"):
+            self.model(drift=np.kron(SZ, SZ))
+        with pytest.raises(ValueError, match="do not fit"):
+            self.model(drift=np.kron(SZ, SZ), site_dims=(2, 2))
+
+    @pytest.mark.parametrize("labels", [("x",), ("x", "y", "z")])
+    def test_label_count_must_match_stack(self, labels):
+        with pytest.raises(ValueError, match=f"{len(labels)} channel labels"):
+            self.model(labels=labels)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        # NaN slips past the Hermiticity test: nan > tol is False.
+        m = np.diag([1.0, bad]).astype(complex)
+        with pytest.raises(ValueError, match="drift: matrix entries must be finite"):
+            self.model(drift=m)
+        with pytest.raises(ValueError, match="control 'y': matrix entries must be finite"):
+            self.model(stack=(SX, m))
+
+    def test_rejects_non_hermitian(self):
+        m = np.array([[0, 1], [0, 0]], dtype=complex)
+        with pytest.raises(ValueError, match="drift: matrix is not Hermitian"):
+            self.model(drift=m)
+        with pytest.raises(ValueError, match="control 'y': matrix is not Hermitian"):
+            self.model(stack=(SX, m))
+
+    def test_operators_are_read_only(self):
+        built = build_nmr(two_spin_sample())
+        for model in (built, pickle.loads(pickle.dumps(built)), copy.deepcopy(built)):
+            with pytest.raises(ValueError, match="read-only"):
+                model.drift[0, 1] = 5.0
+            with pytest.raises(ValueError, match="read-only"):
+                model.control_stack[0, 0, 0] = 1e3
+            assert np.array_equal(model.drift, built.drift)
+            assert np.array_equal(model.control_stack, built.control_stack)
+            assert model.channel_labels == built.channel_labels
+
+    def test_built_model_holds_one_copy_of_each_operator(self):
+        sample = sample_registry().get("sc-chain-12")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            model = build_sc(sample, sites=range(6))
+            stack = model.control_stack  # reading it must not build a second copy
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < 1.1 * (model.drift.nbytes + stack.nbytes)
+        assert set(vars(model)) == {f.name for f in dataclasses.fields(model)}
+
+
 class TestBuildNmr:
     def test_two_spin_zz_drift(self):
         model = build_nmr(two_spin_sample())
         want = (math.pi / 2) * 47.6 * np.diag([1, -1, -1, 1])
-        assert np.abs(model.drift.matrix - want).max() < 1e-12
+        assert np.abs(model.drift - want).max() < 1e-12
 
     def test_single_spin_zero_shift(self):
         sample = NmrSample(name="one", spins=(("A", 0.0),), couplings={})
         model = build_nmr(sample)
-        assert np.abs(model.drift.matrix).max() == 0.0
+        assert np.abs(model.drift).max() == 0.0
 
     def test_single_spin_controls(self):
         sample = NmrSample(name="one", spins=(("A", 0.0),), couplings={})
         model = build_nmr(sample)
         assert model.channel_labels == ("x:A", "y:A")
-        assert np.abs(model.controls[0][1].matrix - math.pi * SX).max() < 1e-15
-        assert np.abs(model.controls[1][1].matrix - math.pi * SY).max() < 1e-15
+        assert np.abs(model.control_stack[0] - math.pi * SX).max() < 1e-15
+        assert np.abs(model.control_stack[1] - math.pi * SY).max() < 1e-15
 
     def test_active_subset(self):
         reg = sample_registry()
         full = reg.get("diethyl-fluoromalonate-3q").with_shifts(0.0)
         model = build_nmr(full.restricted({1, 2}))  # H, F pair
         want = (math.pi / 2) * 47.6 * np.diag([1, -1, -1, 1])
-        assert np.abs(model.drift.matrix - want).max() < 1e-12
+        assert np.abs(model.drift - want).max() < 1e-12
         assert model.channel_labels == ("x:H", "y:H", "x:F", "y:F")
 
     def test_unknown_spin_index(self):
@@ -84,7 +157,7 @@ class TestBuildNmr:
     def test_drift_diagonal(self):
         reg = sample_registry()
         model = build_nmr(reg.get("iodotrifluoroethylene"))
-        off = model.drift.matrix - np.diag(np.diag(model.drift.matrix))
+        off = model.drift - np.diag(np.diag(model.drift))
         assert np.abs(off).max() == 0.0
 
 
@@ -97,7 +170,7 @@ class TestBuildSc:
         g = 2 * math.pi * 1e-3
         want = np.zeros((4, 4), dtype=complex)
         want[1, 2] = want[2, 1] = g  # |01><10| + h.c.
-        assert np.abs(model.drift.matrix - want).max() < 1e-15
+        assert np.abs(model.drift - want).max() < 1e-15
 
     def test_masked_off_couplings_block_local(self):
         reg = sample_registry()
@@ -105,13 +178,13 @@ class TestBuildSc:
         model = build_sc(sample, coupling_mask=[False, False], sites=range(3))
         # With all couplers off the drift is a sum of single-site number terms,
         # hence diagonal.
-        off = model.drift.matrix - np.diag(np.diag(model.drift.matrix))
+        off = model.drift - np.diag(np.diag(model.drift))
         assert np.abs(off).max() == 0.0
 
     def test_two_level_anharmonicity_vanishes(self):
         sample = ScSample(name="pair", qubits=(("Q1", 0.0, -300.0),), coupling_mhz=0.0)
         model = build_sc(sample)
-        assert np.abs(model.drift.matrix).max() == 0.0
+        assert np.abs(model.drift).max() == 0.0
 
     def test_three_level_anharmonicity_present(self):
         sample = ScSample(
@@ -119,11 +192,20 @@ class TestBuildSc:
         )
         model = build_sc(sample)
         eta = 2 * math.pi * 1e-3 * (-300.0)
-        assert abs(model.drift.matrix[2, 2] - eta) < 1e-12
+        assert abs(model.drift[2, 2] - eta) < 1e-12
 
     def test_truncation_guard(self):
         with pytest.raises(ValueError):
             ScSample(name="bad", qubits=(("Q1", 0.0, 0.0),), truncation=1)
+
+    def test_non_integer_truncation_rejected(self):
+        # 2.5 used to pass construction and fail inside the ladder operator.
+        with pytest.raises(TypeError):
+            ScSample(name="bad", qubits=(("Q1", 0.0, 0.0),), truncation=2.5)
+        spec = {"qubits": [{"label": "Q1", "idle_ghz": 5.0, "anharmonicity_mhz": -250.0}]}
+        with pytest.raises(TypeError):
+            _parse_sc("bad", {**spec, "truncation": 2.5})
+        assert _parse_sc("ok", {**spec, "truncation": 3}).truncation == 3
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_parameters_rejected(self, bad):
@@ -165,7 +247,7 @@ class TestBuildSc:
             left = np.eye(2**pos)
             right = np.eye(2 ** (2 - pos))
             num_total += np.kron(np.kron(left, n_op), right)
-        comm = model.drift.matrix @ num_total - num_total @ model.drift.matrix
+        comm = model.drift @ num_total - num_total @ model.drift
         assert np.abs(comm).max() < 1e-12
 
         psi = random_state(dims, rng)
@@ -182,13 +264,13 @@ class TestFrozenSubsystem:
         sample = reg.get("diethyl-fluoromalonate-3q").with_shifts(0.0)
         a = frozen_subsystem_hamiltonian(sample, frozen=set())
         b = build_nmr(sample)
-        assert np.abs(a.drift.matrix - b.drift.matrix).max() == 0.0
+        assert np.abs(a.drift - b.drift).max() == 0.0
 
     def test_two_spin_freeze_first(self):
         sample = two_spin_sample()
         model = frozen_subsystem_hamiltonian(sample, frozen={0})
         want = (math.pi / 2) * 47.6 * SZ
-        assert np.abs(model.drift.matrix - want).max() < 1e-12
+        assert np.abs(model.drift - want).max() < 1e-12
         assert model.channel_labels == ("x:B", "y:B")
 
     @pytest.mark.parametrize("frozen", [{0, 1}, {2}, {-1}])
@@ -202,7 +284,7 @@ class TestFrozenSubsystem:
             frozen_subsystem_hamiltonian(two_spin_sample(), frozen=[0.5])
         got = frozen_subsystem_hamiltonian(two_spin_sample(), frozen=[np.int64(0)])
         want = frozen_subsystem_hamiltonian(two_spin_sample(), frozen=[0])
-        assert np.array_equal(got.drift.matrix, want.drift.matrix)
+        assert np.array_equal(got.drift, want.drift)
 
     @pytest.mark.parametrize("n,frozen", [(2, {0}), (3, {2}), (3, {0, 1}), (4, {1, 3})])
     def test_freeze_identity_against_full_evolution(self, n, frozen, rng):
@@ -270,10 +352,10 @@ class TestRegistry:
         reg = sample_registry()
         for name in ("diethyl-fluoromalonate-2q", "iodotrifluoroethylene"):
             model = build_nmr(reg.get(name))
-            m = model.drift.matrix
+            m = model.drift
             assert np.abs(m - m.conj().T).max() < 1e-12
         model = build_sc(reg.get("sc-chain-12"), sites=range(4))
-        m = model.drift.matrix
+        m = model.drift
         assert np.abs(m - m.conj().T).max() < 1e-12
 
     def test_reference_schedules(self):
@@ -312,6 +394,16 @@ class TestRegistry:
         assert again.reference_schedule("nmr", 4) == {
             "dt": 5.0e-6, "igrape": [1500, 260], "grape": 1760, "transfer": 8.8e-3
         }
+
+    def test_sample_couplings_read_only_and_picklable(self):
+        sample = sample_registry().get("diethyl-fluoromalonate-2q")
+        with pytest.raises(TypeError):
+            sample.couplings[(0, 1)] = 0.0
+        assert sample_registry().get("diethyl-fluoromalonate-2q").coupling(0, 1) == 47.6
+        again = pickle.loads(pickle.dumps(sample))
+        assert again == sample
+        with pytest.raises(TypeError):
+            again.couplings[(0, 1)] = 0.0
 
     def test_relaxation_keys_ignored(self):
         nmr = _parse_nmr("toy-one", {

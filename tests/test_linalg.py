@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from qoc.linalg import (
-    HermitianOperator,
     StateVector,
     _bipartition_matrix,
     expm_hermitian,
@@ -14,7 +13,7 @@ from qoc.linalg import (
 )
 from qoc.pulses import ground_leakage, subsystem_impurity
 
-from conftest import SX, SY, SZ, I2, ghz_amplitudes, w3_amplitudes
+from conftest import SX, SZ, ghz_amplitudes, w3_amplitudes
 
 
 def brute_force_reduced(amps, site_dims, keep):
@@ -85,38 +84,21 @@ class TestStateVector:
         with pytest.raises(TypeError):
             random_state(dims, rng)
 
+    def test_owns_a_read_only_copy(self):
+        amps = np.array([1.0, 0.0], dtype=complex)  # complex128: asarray would alias it
+        s = StateVector(amps, (2,))
+        amps[0] = 2.0
+        assert s.norm == 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            s.amplitudes[0] = 2.0
+
     def test_numpy_integer_site_dims_accepted(self):
         s = StateVector(np.ones(4), np.array([2, 2]))
         assert s.site_dims == (2, 2) and all(type(d) is int for d in s.site_dims)
         assert ground_state(np.array([2, 2])).site_dims == (2, 2)
 
 
-class TestHermitianOperator:
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            HermitianOperator(np.array([[0, 1], [0, 0]], dtype=complex))
-
-    def test_accepts_pauli(self):
-        for p in (SX, SY, SZ):
-            assert HermitianOperator(p).dim == 2
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_rejects_non_finite_entries(self, bad):
-        # NaN slips past the Hermiticity test: nan > tol is False.
-        m = np.diag([1.0, bad]).astype(complex)
-        with pytest.raises(ValueError, match="finite"):
-            HermitianOperator(m)
-
-
 class TestKron:
-    def test_identity(self):
-        out = kron(HermitianOperator(I2), HermitianOperator(I2))
-        assert np.array_equal(out.matrix, np.eye(4))
-
-    def test_zz_diagonal(self):
-        out = kron(HermitianOperator(SZ), HermitianOperator(SZ))
-        assert np.allclose(out.matrix, np.diag([1, -1, -1, 1]))
-
     def test_state_kron_elementwise_oracle(self):
         zero = StateVector(np.array([1, 0], dtype=complex), (2,))
         plus = StateVector(np.array([1, 1], dtype=complex) / np.sqrt(2), (2,))
@@ -126,10 +108,6 @@ class TestKron:
         )
         assert np.allclose(out.amplitudes, expected, atol=1e-15)
         assert out.site_dims == (2, 2)
-
-    def test_mixed_kinds_rejected(self):
-        with pytest.raises(TypeError):
-            kron(StateVector(np.array([1, 0]), (2,)), HermitianOperator(I2))
 
 
 class TestExpmHermitian:

@@ -19,14 +19,7 @@ from qoc.hamiltonians import (
     build_sc,
     sample_registry,
 )
-from qoc.linalg import (
-    HermitianOperator,
-    StateVector,
-    expm_hermitian,
-    ground_state,
-    kron,
-    random_state,
-)
+from qoc.linalg import StateVector, expm_hermitian, ground_state, kron, random_state
 from qoc.pulses import (
     _chunk_length,
     SIGN_FORWARD,
@@ -56,11 +49,10 @@ def unit_norm_hermitian(rng, d):
 
 def toy_model(rng, n_sites=2, n_channels=3):
     d = 2**n_sites
-    drift = HermitianOperator(unit_norm_hermitian(rng, d))
-    controls = tuple(
-        (f"c{j}", HermitianOperator(unit_norm_hermitian(rng, d))) for j in range(n_channels)
-    )
-    return SystemModel(drift=drift, controls=controls, site_dims=(2,) * n_sites, platform="nmr")
+    drift = unit_norm_hermitian(rng, d)
+    stack = np.array([unit_norm_hermitian(rng, d) for _ in range(n_channels)])
+    labels = tuple(f"c{j}" for j in range(n_channels))
+    return SystemModel(drift, stack, labels, site_dims=(2,) * n_sites, platform="nmr")
 
 
 def toy_sequence(rng, model, segments, dt, sign, scale=2.0):
@@ -157,9 +149,7 @@ class TestChunkedUnitaries:
             u = segment_unitaries(model, seq)
             assert u.shape == (segments, model.dim, model.dim)
             for k, row in enumerate(seq.amplitudes):
-                h = model.drift.matrix + sum(
-                    amp * op.matrix for amp, (_, op) in zip(row, model.controls)
-                )
+                h = model.drift + sum(amp * op for amp, op in zip(row, model.control_stack))
                 assert np.abs(u[k] - expm_hermitian(h, scale)).max() <= 1e-13
 
     def test_gradient_peak_memory_bounded_by_one_unitary_stack(self, rng):
@@ -169,7 +159,6 @@ class TestChunkedUnitaries:
         seq = toy_sequence(rng, model, 512, 0.1, SIGN_FORWARD)
         psi0 = random_state(model.site_dims, rng)
         target = random_state(model.site_dims, rng)
-        model.control_stack  # cached on first use; not part of the call
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
@@ -227,8 +216,8 @@ class TestActionRoute:
         steps, degrees = pulses._taylor_plan(model, seq)
         for row, s, m in zip(seq.amplitudes, steps, degrees):
             theta = seq.grid.dt * (
-                one_norm(model.drift.matrix)
-                + sum(abs(u) * one_norm(op.matrix) for u, (_, op) in zip(row, model.controls))
+                one_norm(model.drift)
+                + sum(abs(u) * one_norm(op) for u, op in zip(row, model.control_stack))
             )
             assert s == max(1, math.ceil(theta))
             tail = lambda m: (theta / s) ** (m + 1) / math.factorial(m + 1)
@@ -319,7 +308,6 @@ class TestActionRoute:
         seq = self.sequence(rng, model, segments, 0.5, SIGN_FORWARD)
         psi0 = random_state(model.site_dims, rng)
         target = random_state(model.site_dims, rng)
-        model.control_stack  # cached on first use; not part of the call
         route("action")
         tracemalloc.start()
         try:
@@ -358,8 +346,9 @@ class TestChunkedContraction:
         # Zero drift and amplitudes make the sweeps exact and free of matvecs.
         toy = toy_model(rng, n_sites=6, n_channels=12)
         model = SystemModel(
-            drift=HermitianOperator(np.zeros((toy.dim, toy.dim))),
-            controls=toy.controls,
+            drift=np.zeros((toy.dim, toy.dim)),
+            control_stack=toy.control_stack,
+            channel_labels=toy.channel_labels,
             site_dims=toy.site_dims,
             platform="nmr",
         )
@@ -372,7 +361,6 @@ class TestChunkedContraction:
         )
         psi0 = random_state(model.site_dims, rng)
         target = random_state(model.site_dims, rng)
-        model.control_stack  # cached on first use; not part of the call
         route("action")
         tracemalloc.start()
         try:
