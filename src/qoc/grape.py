@@ -61,7 +61,6 @@ class GrapeProblem:
 class GrapeResult:
     pulses: PulseSequence
     report: OptimizationReport
-    fidelity: float
     final_cost: float
     converged: bool
     seed: int
@@ -71,8 +70,8 @@ class GrapeResult:
         return self.report.iterations
 
     @property
-    def wall_time(self) -> float:
-        return self.report.wall_time
+    def fidelity(self) -> float:
+        return 1.0 - self.final_cost
 
 
 def run_grape(problem: GrapeProblem) -> GrapeResult:
@@ -103,7 +102,6 @@ def run_grape(problem: GrapeProblem) -> GrapeResult:
         return GrapeResult(
             pulses=zero_seq,
             report=report,
-            fidelity=1.0 - zero_cost,
             final_cost=zero_cost,
             converged=True,
             seed=problem.seed,
@@ -127,7 +125,6 @@ def run_grape(problem: GrapeProblem) -> GrapeResult:
     # play-out of the returned pulses actually achieves.
     final_state, _ = propagate(model, pulses, initial)
     final_cost = state_infidelity(final_state, problem.target)
-    fidelity = 1.0 - final_cost
     converged = final_cost < tolerance
     if not converged:
         logger.info(
@@ -137,7 +134,6 @@ def run_grape(problem: GrapeProblem) -> GrapeResult:
     return GrapeResult(
         pulses=pulses,
         report=report,
-        fidelity=fidelity,
         final_cost=final_cost,
         converged=converged,
         seed=problem.seed,

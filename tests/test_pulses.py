@@ -136,6 +136,15 @@ class TestPropagate:
         with pytest.raises(ValueError):
             propagate(model, seq, ground_state((2,)))
 
+    def test_channel_labels_must_match_the_model(self):
+        model = build_nmr(sample_registry().get("diethyl-fluoromalonate-2q"))
+        assert model.channel_labels == ("x:H", "y:H", "x:F", "y:F")
+        seq = PulseSequence(
+            PulseGrid(1e-5, 3), np.zeros((3, 4)), ("y:F", "x:F", "y:H", "x:H"), SIGN_FORWARD
+        )
+        with pytest.raises(ValueError, match="channels"):
+            propagate(model, seq, ground_state(model.site_dims))
+
 
 class TestChunkedUnitaries:
     @pytest.mark.parametrize("sign", [SIGN_FORWARD, SIGN_REVERSED])
@@ -185,7 +194,7 @@ def route(monkeypatch):
     """Send propagate down one route: route("action") or route("dense")."""
 
     def force(name):
-        monkeypatch.setattr(pulses, "_takes_action_route", lambda model, seq: name == "action")
+        monkeypatch.setattr(pulses, "_action_is_cheaper", lambda model, plan: name == "action")
 
     return force
 
@@ -259,9 +268,11 @@ class TestActionRoute:
             assert len(lengths) == -(-segments // n) and max(lengths) - min(lengths) <= 1
             for sign, value_and_grads in costs.items():
                 seq = self.sequence(rng, model, segments, theta, sign)
-                dense = pulses._dense_route(model, seq, psi0)
-                action = pulses._action_route(model, seq, psi0)
-                assert action.unitaries is None
+                route("dense")
+                _, dense = propagate(model, seq, psi0)
+                route("action")
+                _, action = propagate(model, seq, psi0)
+                assert action.unitaries is None and dense.plan is None
                 assert np.abs(action.forward - dense.forward).max() <= 1e-12
                 vec = random_state(model.site_dims, rng).amplitudes
                 bw = action.backward_adjoint(vec)
@@ -275,6 +286,20 @@ class TestActionRoute:
                     assert ws_d.unitaries is not None and ws_a.unitaries is None
                     assert abs(cost_a - cost_d) <= 1e-12
                     assert rel_err(grad_a, grad_d) <= 1e-12
+
+    @pytest.mark.parametrize("n_sites, action", [(2, False), (5, True)])
+    def test_plan_computed_once_per_gradient(self, n_sites, action, monkeypatch, rng):
+        # At dt ||H_k|| ~ 1e-4 each segment needs one step of degree 3, so
+        # the rule goes dense at d = 4 and by action at d = 32.
+        calls = []
+        plan = pulses._taylor_plan
+        monkeypatch.setattr(pulses, "_taylor_plan", lambda *args: calls.append(1) or plan(*args))
+        model = toy_model(rng, n_sites=n_sites)
+        seq = self.sequence(rng, model, 12, 1e-4, SIGN_FORWARD)
+        psi0, target = (random_state(model.site_dims, rng) for _ in range(2))
+        _, _, ws = infidelity_value_and_gradient(model, seq, psi0, target)
+        assert (ws.unitaries is None) == action
+        assert len(calls) == 1
 
     def test_rule_picks_dense_for_nmr_and_small_d_and_action_for_sc6(self, rng):
         registry = sample_registry()
@@ -756,6 +781,16 @@ class TestPulseFiles:
         grid = PulseGrid(dt=1.0, segments=1)
         with pytest.raises(ValueError):
             PulseSequence(grid, np.array([[5.0]]), ("a",), SIGN_FORWARD, bounds=(-1, 1))
+
+    def test_amplitudes_are_a_read_only_copy(self):
+        a = np.zeros((2, 1))
+        seq = PulseSequence(PulseGrid(1e-3, 2), a, ("x",), SIGN_FORWARD, (-1.0, 1.0))
+        later = seq.with_amplitudes(a)
+        a[0, 0] = 5.0
+        assert seq.amplitudes[0, 0] == later.amplitudes[0, 0] == 0.0
+        for each in (seq, later, seq.reversed_play_order()):
+            with pytest.raises(ValueError, match="read-only"):
+                each.amplitudes[0, 0] = 5.0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_amplitudes_rejected(self, bad):
