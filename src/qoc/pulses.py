@@ -26,25 +26,34 @@ Routes
 call from its inputs; both give the same states to roundoff.  One loop,
 ``_sweep``, walks the segments forward or backward on either route.
 
+Both routes truncate Taylor series under one rule.  The bound
+theta_k = dt (||H_drift||_1 + sum_a |u_a(k)| ||H_a||_1) >= dt ||H_k||_2
+scales each segment to a norm theta that degree m reaches, meaning that the
+leading tail term theta^(m+1) / (m+1)! is at most 2^-53.
+
 - Dense: ``segment_unitaries`` builds the (K, d, d) stack of segment
-  propagators by batched Hermitian eigensolves, and each step multiplies
-  the state by U_k, or by U_k† going backward.
+  propagators by batched Taylor scaling and squaring: one degree m per
+  call, the polynomial of 2^-j_k (+-i dt H_k) by matrix products, then j_k
+  squarings, j_k the least that brings theta_k 2^-j_k within reach of m.
+  Each step multiplies the state by U_k, or by U_k† going backward.
 - Action: each chunk of segment Hamiltonians is assembled with one GEMM
   and exp(+-i dt H_k) is applied to the state directly by a truncated
   Taylor series (Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011) 488);
-  no propagator is formed.  The bound
-  theta_k = dt (||H_drift||_1 + sum_a |u_a(k)| ||H_a||_1) >= dt ||H_k||_2
-  sets s_k = max(1, ceil(theta_k)) steps of norm at most 1, each truncated
-  at the least degree m_k whose leading tail term
-  (theta_k / s_k)^(m_k+1) / (m_k+1)! is at most 2^-53.
+  no propagator is formed.  theta_k sets s_k = max(1, ceil(theta_k)) steps
+  of norm at most 1, each truncated at the least degree m_k that reaches
+  theta_k / s_k.
 
 ``propagate`` computes this plan of steps and degrees once per call, and
 takes the action route when 2 sum_k s_k m_k < K d, that is, when the
 matvecs of the forward and backward sweeps (d^2 work each) cost less than
-the dense route's d^3 work per segment.  Small d, or a large dt ||H_k||,
-goes dense: the 4-spin NMR sample (d = 16) needs 50 to 70 matvecs per
-segment and sweep.  The qubit chain at full-box amplitudes goes by action
-from d = 32 on.  The action route runs on the calling thread only.
+the dense route's d^3 work per segment.  That price was measured with one
+Hermitian eigensolve per segment and is not yet re-fitted to the Taylor
+fill, which takes 2 d x d products per segment at dt ||H_k|| ~ 1e-4, 8 to
+9 on the 4-spin NMR sample and 20 to 21 at laboratory-frame shifts.
+Small d, or a large dt ||H_k||, goes dense: the 4-spin NMR sample
+(d = 16) needs 50 to 70 matvecs per segment and sweep.  The qubit chain at
+full-box amplitudes goes by action from d = 32 on.  The action route runs
+on the calling thread only.
 
 Memory
 ------
@@ -57,9 +66,11 @@ segments into equal chunks.  On the action route one chunk is in flight,
 within CHUNK_BYTES, beside a transposed copy of the control stack.  On the
 dense route the W chunks in flight share that budget: each (n, d, d)
 temporary stays within CHUNK_BYTES / W, or holds _MIN_CHUNK segments where
-that is more.  The gradient contraction forms H_a |fw_k> for one chunk of
-segments at a time, an (n, A, d) array within CHUNK_BYTES.  The transients
-of a call do not grow with K, and none outlive it.
+that is more.  A chunk has up to b + 3 of them in flight: the powers
+X .. X^b of its polynomial (b <= 4), the sum, a product and a scaled term.
+The gradient contraction forms H_a |fw_k> for one chunk of segments at a
+time, an (n, A, d) array within CHUNK_BYTES.  The transients of a call do
+not grow with K, and none outlive it.
 
 Parallelism
 -----------
@@ -68,14 +79,16 @@ on the dense route ``segment_unitaries`` fills its chunks on W threads, W
 being the number of CPUs in the process's affinity mask (restrict a process
 with ``taskset`` to run several side by side).  The threads belong to a pool
 that the call starts and joins before it returns or raises; the einsum,
-eigh and matmul calls release the GIL.  Every chunk applies the same
-per-matrix arithmetic, so U is bit-identical for any W.  With W = 1, or a
-single chunk, no thread starts.  The module keeps no state between calls,
-so a forked child needs no hook, and each concurrent caller starts up to W
-threads of its own.  The action route's sweeps are chains of dependent
-matvecs and start no thread.  They want one BLAS thread, which the library
-leaves callers to set: one 8-qubit chain gradient (d = 256, K = 1460) took
-35.4 s under OpenBLAS's default two, 4.35 s under one.
+matmul and elementwise calls release the GIL.  The degree is chosen once
+per call and the squarings once per segment, so every matrix gets the
+same arithmetic whatever chunk holds it, and U is bit-identical for any
+W.  With W = 1, or a single chunk, no thread starts.  The module keeps no
+state between calls, so a forked child needs no hook, and each concurrent
+caller starts up to W threads of its own.  The action route's sweeps are
+chains of dependent matvecs and start no thread.  They want one BLAS
+thread, which the library leaves callers to set: one 8-qubit chain
+gradient (d = 256, K = 1460) took 35.4 s under OpenBLAS's default two,
+4.35 s under one.
 """
 
 from __future__ import annotations
@@ -93,7 +106,7 @@ from scipy.linalg.blas import zgemv
 
 from .errors import ContractError
 from .hamiltonians import SystemModel
-from .linalg import StateVector, _bipartition_matrix, expm_hermitian
+from .linalg import StateVector, _bipartition_matrix
 
 __all__ = [
     "SIGN_FORWARD",
@@ -119,23 +132,31 @@ _SIGN_FACTOR = MappingProxyType({SIGN_FORWARD: -1.0, SIGN_REVERSED: +1.0})
 
 # Byte budget of the (n, d, d) complex temporaries that segment_unitaries has
 # in flight at once, one per worker.  A few such budgets stay far below the
-# U stack they fill and near cache size; 4 and 8 MiB budgets ran slower at
-# d = 64 on one thread.
+# U stack they fill and near cache size.  Median Taylor fill, full-box pulses,
+# one BLAS thread, 2 x86-64 cores with AVX-512, budgets 0.25 / 0.5 / 1 / 2 /
+# 4 / 8 MiB: 4-spin NMR (d = 16, K = 1760) 72 / 68 / 74 / 78 / 110 / 96 ms
+# with W = 1 and 88 / 78 / 69 / 80 / 93 / 82 ms with W = 2; 6-qubit chain
+# (d = 64, K = 1400) 947 / 905 / 926 / 1047 / 1316 / 1184 ms with W = 1.
 CHUNK_BYTES = 1 << 20
 
 # Fewest segments in a dense-route chunk.  The budget split W ways would
 # leave one matrix per chunk at d >= 32 on a machine with 64 CPUs.
 _MIN_CHUNK = 4
 
-# Leading Taylor tail term allowed per action-route step: float64 roundoff.
+# Leading Taylor tail term allowed per action-route step or scaled dense
+# segment: float64 roundoff.
 _TAYLOR_TAIL = 2.0**-53
 
 # _TAYLOR_REACH[m] is the largest step norm theta whose leading tail term
-# theta^(m+1) / (m+1)! is at most _TAYLOR_TAIL.  Steps have theta <= 1,
-# which degree 18 reaches.
+# theta^(m+1) / (m+1)! is at most _TAYLOR_TAIL.  Action-route steps have
+# theta <= 1, which degree 18 reaches.
 _TAYLOR_REACH = tuple(
     math.exp((math.log(_TAYLOR_TAIL) + math.lgamma(m + 2)) / (m + 1)) for m in range(19)
 )
+
+# Degrees of the dense route's Taylor polynomials: the highest that
+# Paterson-Stockmeyer reaches with 0, 1, ..., 6 matrix products.
+_PS_DEGREES = (1, 2, 4, 6, 9, 12, 16)
 
 # Threads that fill segment_unitaries chunks.
 _WORKERS = (
@@ -271,7 +292,18 @@ def _chunk_bounds(segments: int, length: int, lanes: int = 1) -> list[tuple[int,
 
 
 def segment_unitaries(model: SystemModel, pulses: PulseSequence) -> np.ndarray:
-    """(K, d, d) stack of segment propagators, via batched Hermitian eigensolves.
+    """(K, d, d) stack of segment propagators, by Taylor scaling and squaring.
+
+    U_k = exp(X_k) with X_k = +-i dt H_k is the degree-m Taylor polynomial of
+    2^-j_k X_k, squared j_k times (Al-Mohy & Higham, SIAM J. Matrix Anal.
+    Appl. 31 (2009) 970).  j_k is the least count with theta_k 2^-j_k within
+    the reach of degree m, theta_k being the segment's norm bound of Routes,
+    so the truncated tail is at most 2^-53 per scaled segment; m is chosen
+    once per call, for the fewest matrix products over all segments.  Each
+    squaring can double the error of the matrix it squares, so U_k is
+    accurate and unitary to about 2^j_k u, u the unit roundoff, which is of
+    order theta_k u: a few u at theta_k ~ 1, and about 1e-11 at the
+    laboratory-frame scale theta_k ~ 1e4, which takes 14 squarings.
 
     The stack is allocated once and filled chunk by chunk, so temporaries
     are bounded by CHUNK_BYTES rather than growing with K.  With more than
@@ -281,11 +313,13 @@ def segment_unitaries(model: SystemModel, pulses: PulseSequence) -> np.ndarray:
     """
     amps = pulses.amplitudes
     scale = _SIGN_FACTOR[pulses.sign] * pulses.grid.dt
+    degree, squarings = _scaling_plan(_norm_bounds(model, pulses))
     u = np.empty((amps.shape[0], model.dim, model.dim), dtype=complex)
 
     def fill(chunk):
         start, stop = chunk
-        u[start:stop] = expm_hermitian(segment_hamiltonians(model, amps[start:stop]), scale)
+        h = segment_hamiltonians(model, amps[start:stop])
+        u[start:stop] = _expm_taylor(h, scale, squarings[start:stop], degree)
 
     chunks = _chunk_bounds(amps.shape[0], _chunk_length(model.dim), _WORKERS)
     lanes = min(_WORKERS, len(chunks))
@@ -298,16 +332,77 @@ def segment_unitaries(model: SystemModel, pulses: PulseSequence) -> np.ndarray:
     return u
 
 
+def _ps_block(degree: int) -> int:
+    """Paterson-Stockmeyer block b = ceil(sqrt(m)); it divides each of _PS_DEGREES."""
+    return math.isqrt(degree - 1) + 1
+
+
+def _scaling_plan(theta: np.ndarray) -> tuple[int, np.ndarray]:
+    """Degree m, and squarings j_k = max(0, ceil(log2(theta_k / reach_m))).
+
+    m is the degree among _PS_DEGREES with the fewest matrix products over
+    all segments: K times b - 1 + m / b - 1 for the polynomial, plus
+    sum_k j_k squarings.  A tie goes to the higher degree, which squares less.
+    """
+    best = None
+    for degree in _PS_DEGREES:
+        mantissa, exponent = np.frexp(theta / _TAYLOR_REACH[degree])
+        squarings = np.maximum(0, exponent - (mantissa == 0.5))
+        block = _ps_block(degree)
+        cost = len(theta) * (block + degree // block - 2) + int(squarings.sum())
+        if best is None or cost <= best[0]:
+            best = cost, degree, squarings
+    return best[1], best[2]
+
+
+def _expm_taylor(h: np.ndarray, scale: float, squarings: np.ndarray, degree: int) -> np.ndarray:
+    """exp(i scale H_k) for a (n, d, d) chunk, given each segment's squarings.
+
+    Evaluates sum_{i<=m} X^i / i! at X = i scale 2^-j_k H_k in Paterson-
+    Stockmeyer form (SIAM J. Comput. 2 (1973) 60): with X^2 .. X^b formed,
+    Horner's rule in X^b runs over blocks B_r = sum_{i<b} X^i / (rb+i)!,
+    from the top block 1/m! I down.  Then the k-th result is squared j_k
+    times.  ``h`` is overwritten.  Each matrix gets the same arithmetic
+    whatever chunk it is in.
+    """
+    n, d, _ = h.shape
+    block = _ps_block(degree)
+    coef = [1.0 / math.factorial(i) for i in range(degree + 1)]
+    h *= (1j * scale * np.ldexp(1.0, -squarings))[:, None, None]
+    powers = [h]  # X, X^2 .. X^b
+    for _ in range(block - 1):
+        powers.append(powers[-1] @ h)
+    top = degree // block - 1
+    p = coef[degree] * powers[-1]
+    for r in range(top, -1, -1):
+        if r < top:
+            p = p @ powers[-1]
+        for i in range(1, block):
+            p += coef[r * block + i] * powers[i - 1]
+        p.reshape(n, d * d)[:, :: d + 1] += coef[r * block]
+    for done in range(int(squarings.max(initial=0))):
+        more = squarings > done
+        if more.all():
+            p = p @ p
+        else:
+            part = p[more]
+            p[more] = part @ part
+    return p
+
+
 def _one_norm(matrix: np.ndarray) -> float:
     return float(np.abs(matrix).sum(axis=0).max())
 
 
+def _norm_bounds(model: SystemModel, pulses: PulseSequence) -> np.ndarray:
+    """theta_k = dt (||H_drift||_1 + sum_a |u_a(k)| ||H_a||_1) >= dt ||H_k||, per segment."""
+    control_norms = np.array([_one_norm(op) for op in model.control_stack])
+    return pulses.grid.dt * (_one_norm(model.drift) + np.abs(pulses.amplitudes) @ control_norms)
+
+
 def _taylor_plan(model: SystemModel, pulses: PulseSequence) -> tuple[np.ndarray, np.ndarray]:
     """Steps s_k and degrees m_k of each segment's Taylor series (see Routes)."""
-    control_norms = np.array([_one_norm(op) for op in model.control_stack])
-    theta = pulses.grid.dt * (
-        _one_norm(model.drift) + np.abs(pulses.amplitudes) @ control_norms
-    )
+    theta = _norm_bounds(model, pulses)
     steps = np.maximum(1.0, np.ceil(theta))
     return steps, np.searchsorted(_TAYLOR_REACH, theta / steps)
 

@@ -21,6 +21,7 @@ from qoc.hamiltonians import (
 )
 from qoc.linalg import StateVector, expm_hermitian, ground_state, kron, random_state
 from qoc.pulses import (
+    _SIGN_FACTOR,
     _chunk_length,
     SIGN_FORWARD,
     SIGN_REVERSED,
@@ -160,6 +161,53 @@ class TestChunkedUnitaries:
             for k, row in enumerate(seq.amplitudes):
                 h = model.drift + sum(amp * op for amp, op in zip(row, model.control_stack))
                 assert np.abs(u[k] - expm_hermitian(h, scale)).max() <= 1e-13
+
+    def test_scaling_plan_least_squarings_and_fewest_products(self, rng):
+        products = {1: 0, 2: 1, 4: 2, 6: 3, 9: 4, 12: 5, 16: 6}  # Paterson-Stockmeyer
+        assert tuple(products) == pulses._PS_DEGREES
+        reach = pulses._TAYLOR_REACH
+
+        def least_squarings(theta, degree):
+            return [max(0, math.ceil(math.log2(t / reach[degree]))) if t else 0 for t in theta]
+
+        for theta in (np.zeros(3), np.logspace(-6, 5, 300), rng.uniform(0.5, 5.0, 1760)):
+            degree, squarings = pulses._scaling_plan(theta)
+            assert squarings.tolist() == least_squarings(theta, degree)
+            cost = {m: len(theta) * products[m] + sum(least_squarings(theta, m)) for m in products}
+            assert cost[degree] == min(cost.values())
+            assert degree == max(m for m in cost if cost[m] == cost[degree])
+
+    @staticmethod
+    def assert_accurate_and_unitary(model, seq):
+        # Scaling and squaring loses about one bit per squaring, so the bound
+        # grows with the segment's norm bound theta_k.
+        u = segment_unitaries(model, seq)
+        scale = _SIGN_FACTOR[seq.sign] * seq.grid.dt
+        want = expm_hermitian(pulses.segment_hamiltonians(model, seq.amplitudes), scale)
+        bound = 1e-13 * np.maximum(1.0, pulses._norm_bounds(model, seq))
+        eye = np.eye(model.dim)
+        assert np.all(np.abs(u - want).max(axis=(1, 2)) <= bound)
+        assert np.all(np.abs(u.conj().transpose(0, 2, 1) @ u - eye).max(axis=(1, 2)) <= bound)
+
+    @pytest.mark.parametrize("sign", [SIGN_FORWARD, SIGN_REVERSED])
+    @pytest.mark.parametrize("theta", [1e-4, 0.5, 4.0, 30.0, 1e4])
+    def test_each_unitary_matches_eigen_oracle_and_is_unitary(self, theta, sign, rng):
+        model = toy_model(rng, n_sites=4)
+        seq = TestActionRoute.sequence(rng, model, 40, theta, sign)
+        self.assert_accurate_and_unitary(model, seq)
+
+    def test_laboratory_frame_sample_accurate_and_unitary(self):
+        # Shifts of 100-400 MHz at dt = 5 us: theta_k ~ 1.2e4, 14 squarings.
+        registry = sample_registry()
+        model = build_nmr(registry.get("diethyl-fluoromalonate-2q"))
+        schedule = registry.reference_schedule("nmr", 2)
+        bound = (-NMR_AMPLITUDE_BOUND_HZ, NMR_AMPLITUDE_BOUND_HZ)
+        seq = random_initial_pulses(
+            PulseGrid(schedule["dt"], schedule["grape"]), model.channel_labels, bound, 0,
+            SIGN_FORWARD, fraction=1.0,
+        )
+        assert pulses._norm_bounds(model, seq).min() > 1e4
+        self.assert_accurate_and_unitary(model, seq)
 
     def test_gradient_peak_memory_bounded_by_one_unitary_stack(self, rng):
         # One U stack is kept for the backward sweep; everything else a
@@ -404,7 +452,7 @@ def workers(monkeypatch):
 
 
 class ChunkLog:
-    """Wrap ``pulses.expm_hermitian``, which each chunk of the dense fill calls once.
+    """Wrap ``pulses._expm_taylor``, which each chunk of the dense fill calls once.
 
     Records the threads that fill chunks.  The ``fail_at``-th chunk to start
     raises; every other chunk first sleeps ``delay`` seconds.  ``busy``
@@ -414,9 +462,9 @@ class ChunkLog:
     def __init__(self, monkeypatch, fail_at=None, delay=0.0):
         self.threads, self.started, self.busy = set(), 0, 0
         lock = threading.Lock()
-        real = pulses.expm_hermitian
+        real = pulses._expm_taylor
 
-        def expm(h, scale):
+        def expm(*args):
             with lock:
                 index = self.started
                 self.started += 1
@@ -426,12 +474,12 @@ class ChunkLog:
                 if index == fail_at:
                     raise DecompositionError("injected", 1.0)
                 time.sleep(delay)
-                return real(h, scale)
+                return real(*args)
             finally:
                 with lock:
                     self.busy -= 1
 
-        monkeypatch.setattr(pulses, "expm_hermitian", expm)
+        monkeypatch.setattr(pulses, "_expm_taylor", expm)
 
 
 def _fill_in_child(model, seq, expected):
@@ -453,6 +501,25 @@ class TestParallelChunks:
         workers(1)
         for seq, u in zip(cases, parallel):
             assert np.array_equal(u, segment_unitaries(model, seq))
+
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_bit_identical_when_segment_norms_jump(self, count, workers, rng):
+        # Zero amplitudes, then full-box ones: chunks of W = 1 and W = count
+        # cut the jump at different places, so a degree or squaring count
+        # chosen per chunk would round differently.
+        model = toy_model(rng, n_sites=4, n_channels=4)
+        amps = rng.uniform(-2.0, 2.0, (1760, model.num_channels))
+        amps[:880] = 0.0
+        dt = 0.05 / one_norm(model.drift)
+        seq = PulseSequence(PulseGrid(dt, 1760), amps, model.channel_labels, SIGN_FORWARD)
+        theta = pulses._norm_bounds(model, seq)
+        halves = [pulses._scaling_plan(theta[:880]), pulses._scaling_plan(theta[880:])]
+        assert halves[0][0] != halves[1][0]  # each half alone takes another degree
+        assert len(set(pulses._scaling_plan(theta)[1][880:])) > 1
+        workers(count)
+        parallel = segment_unitaries(model, seq)
+        workers(1)
+        assert np.array_equal(parallel, segment_unitaries(model, seq))
 
     def test_chunks_are_a_multiple_of_workers_and_equal(self):
         bounds = pulses._chunk_bounds(1760, 128, 2)
@@ -675,6 +742,13 @@ class TestGradients:
             err, err2 = self.fd_check(rng, kind)
             ratios.append(err2 / err)
         assert np.median(ratios) < 0.65
+
+    @pytest.mark.parametrize("seed", [1, 4, 8])
+    @pytest.mark.parametrize("kind", ["transfer", "impurity", "ground"])
+    def test_first_order_convergence_seeded(self, kind, seed):
+        # Propagators that lose digits in U - I at dt ||H|| = 1e-4 gave
+        # median ratios up to 0.96 at these seeds.
+        self.test_first_order_convergence(kind, np.random.default_rng(seed))
 
     def test_transfer_fixed_point(self, rng):
         model = toy_model(rng)
