@@ -25,8 +25,6 @@ from .errors import DecompositionError
 __all__ = [
     "StateVector",
     "ground_state",
-    "random_state",
-    "kron",
     "expm_hermitian",
 ]
 
@@ -98,19 +96,6 @@ def ground_state(site_dims: Sequence[int]) -> StateVector:
     amps = np.zeros(math.prod(dims), dtype=np.complex128)
     amps[0] = 1.0
     return StateVector(amps, dims)
-
-
-def random_state(site_dims: Sequence[int], rng: np.random.Generator) -> StateVector:
-    """Haar-ish random normalized state (Gaussian amplitudes)."""
-    dims = tuple(operator.index(d) for d in site_dims)
-    n = math.prod(dims)
-    amps = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return StateVector(amps, dims).normalized()
-
-
-def kron(a: StateVector, b: StateVector) -> StateVector:
-    """Product state a (x) b, with a's sites first."""
-    return StateVector(np.kron(a.amplitudes, b.amplitudes), a.site_dims + b.site_dims)
 
 
 def expm_hermitian(h: np.ndarray, scale: float) -> np.ndarray:

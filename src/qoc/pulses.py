@@ -26,22 +26,23 @@ Routes
 call from its inputs; both give the same states to roundoff.  One loop,
 ``_sweep``, walks the segments forward or backward on either route.
 
-Both routes truncate Taylor series under one rule.  The bound
+Both routes assemble H_k by one real GEMM per chunk of segments
+(``_hamiltonian_chunks``) and truncate Taylor series under one rule.  The bound
 theta_k = dt (||H_drift||_1 + sum_a |u_a(k)| ||H_a||_1) >= dt ||H_k||_2
 scales each segment to a norm theta that degree m reaches, meaning that the
 leading tail term theta^(m+1) / (m+1)! is at most 2^-53.
 
-- Dense: ``segment_unitaries`` builds the (K, d, d) stack of segment
-  propagators by batched Taylor scaling and squaring: one degree m per
-  call, the polynomial of 2^-j_k (+-i dt H_k) by matrix products, then j_k
-  squarings, j_k the least that brings theta_k 2^-j_k within reach of m.
-  Each step multiplies the state by U_k, or by U_k† going backward.
-- Action: each chunk of segment Hamiltonians is assembled with one GEMM
-  and exp(+-i dt H_k) is applied to the state directly by a truncated
-  Taylor series (Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011) 488);
-  no propagator is formed.  theta_k sets s_k = max(1, ceil(theta_k)) steps
-  of norm at most 1, each truncated at the least degree m_k that reaches
-  theta_k / s_k.
+- Dense: ``segment_unitaries`` assembles all K segments as one chunk and
+  overwrites them with their propagators by batched Taylor scaling and
+  squaring: one degree m per call, the polynomial of 2^-j_k (+-i dt H_k) by
+  matrix products, then j_k squarings, j_k the least that brings
+  theta_k 2^-j_k within reach of m.  Each step multiplies the state by U_k,
+  or by U_k† going backward.
+- Action: the sweep assembles one chunk of segments at a time and applies
+  exp(+-i dt H_k) to the state directly by a truncated Taylor series
+  (Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011) 488); no propagator is
+  formed.  theta_k sets s_k = max(1, ceil(theta_k)) steps of norm at most
+  1, each truncated at the least degree m_k that reaches theta_k / s_k.
 
 ``propagate`` computes this plan of steps and degrees once per call, and
 takes the action route when 2 sum_k s_k m_k < K d, that is, when the
@@ -58,37 +59,37 @@ on the calling thread only.
 Memory
 ------
 Both routes keep (K+1, d) forward states, and what the backward sweep
-needs: the dense route the (K, d, d) stack of segment unitaries, the
-action route its plan, two length-K arrays.  The action route keeps no
-(K, d, d) array; its backward sweep assembles the segment Hamiltonians
-again, chunk by chunk in reverse.  Every chunked loop below cuts its
-segments into equal chunks.  On the action route one chunk is in flight,
-within CHUNK_BYTES, beside a transposed copy of the control stack.  On the
-dense route the W chunks in flight share that budget: each (n, d, d)
-temporary stays within CHUNK_BYTES / W, or holds _MIN_CHUNK segments where
-that is more.  A chunk has up to b + 3 of them in flight: the powers
-X .. X^b of its polynomial (b <= 4), the sum, a product and a scaled term.
-The gradient contraction forms H_a |fw_k> for one chunk of segments at a
-time, an (n, A, d) array within CHUNK_BYTES.  The transients of a call do
-not grow with K, and none outlive it.
+needs: the dense route the (K, d, d) stack of segment unitaries, the action
+route its plan, two length-K arrays.  The action route keeps no (K, d, d)
+array; its backward sweep assembles the segment Hamiltonians again, chunk
+by chunk in reverse.  Every chunked loop below cuts its segments into equal
+chunks.  On the action route one chunk is in flight, within CHUNK_BYTES,
+beside a transposed copy of the control stack.  On the dense route, where U
+first holds the H_k, the W chunks in flight share that budget: each
+(n, d, d) temporary stays within CHUNK_BYTES / W, or holds _MIN_CHUNK
+segments where that is more.  A chunk has up to b + 2 of them in flight:
+the powers X^2 .. X^b of its polynomial (b <= 4), the sum, a product and a
+scaled term.  The gradient contraction forms H_a |fw_k> for one chunk of segments
+at a time, an (n, A, d) array within CHUNK_BYTES.  The transients of a call
+do not grow with K, and none outlive it.
 
 Parallelism
 -----------
 Once the amplitudes are fixed the segment exponentials are independent, so
 on the dense route ``segment_unitaries`` fills its chunks on W threads, W
 being the number of CPUs in the process's affinity mask (restrict a process
-with ``taskset`` to run several side by side).  The threads belong to a pool
-that the call starts and joins before it returns or raises; the einsum,
-matmul and elementwise calls release the GIL.  The degree is chosen once
-per call and the squarings once per segment, so every matrix gets the
-same arithmetic whatever chunk holds it, and U is bit-identical for any
-W.  With W = 1, or a single chunk, no thread starts.  The module keeps no
-state between calls, so a forked child needs no hook, and each concurrent
-caller starts up to W threads of its own.  The action route's sweeps are
-chains of dependent matvecs and start no thread.  They want one BLAS
-thread, which the library leaves callers to set: one 8-qubit chain
-gradient (d = 256, K = 1460) took 35.4 s under OpenBLAS's default two,
-4.35 s under one.
+with ``taskset`` to run several side by side).  The threads belong to a
+pool that the call starts and joins before it returns or raises; the matmul
+and elementwise calls release the GIL.  All K segments are assembled in one
+GEMM before the pool starts, the degree is chosen once per call and the
+squarings once per segment, so every matrix gets the same arithmetic
+whatever chunk holds it, and U is bit-identical for any W.  With W = 1, or
+a single chunk, no thread starts.  The module keeps no state between calls,
+so a forked child needs no hook, and each concurrent caller starts up to W
+threads of its own.  The action route's sweeps are chains of dependent
+matvecs and start no thread.  They want one BLAS thread, which the library
+leaves callers to set: one 8-qubit chain gradient (d = 256, K = 1460) took
+35.4 s under OpenBLAS's default two, 4.35 s under one.
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from types import MappingProxyType
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.linalg.blas import zgemv
@@ -122,7 +123,6 @@ __all__ = [
     "infidelity_value_and_gradient",
     "impurity_value_and_gradient",
     "ground_leakage_value_and_gradient",
-    "finite_difference_gradient",
     "random_initial_pulses",
 ]
 
@@ -260,13 +260,28 @@ class Workspace:
 
 
 def segment_hamiltonians(model: SystemModel, amplitudes: np.ndarray) -> np.ndarray:
-    """(K, d, d) stack of per-segment total Hamiltonians."""
+    """(K, d, d) stack of per-segment total Hamiltonians, each Fortran-ordered."""
     amps = np.asarray(amplitudes, dtype=np.float64)
-    stack = model.control_stack
-    h = np.broadcast_to(model.drift, (amps.shape[0],) + model.drift.shape).copy()
-    if stack.shape[0]:
-        h += np.einsum("ka,aij->kij", amps, stack)
-    return h
+    return next(_hamiltonian_chunks(model, amps, [(0, amps.shape[0])]))[1]
+
+
+def _hamiltonian_chunks(model: SystemModel, amplitudes: np.ndarray, chunks):
+    """Yield (start, H_start ... H_stop-1) for each (start, stop) in ``chunks``.
+
+    A chunk costs one real GEMM over the transposed control stack, copied
+    once per call and viewed as interleaved float64 (re, im) pairs, so the
+    real amplitudes are not promoted to complex.  Assembling H_k^T into a
+    fresh C-ordered buffer makes each yielded H_k Fortran-ordered, as zgemv
+    takes it without a copy.
+    """
+    d = model.dim
+    controls = np.ascontiguousarray(model.control_stack.transpose(0, 2, 1))
+    controls = controls.reshape(-1, d * d).view(np.float64)
+    drift = model.drift.T.reshape(-1)
+    for start, stop in chunks:
+        h_t = (amplitudes[start:stop] @ controls).view(complex)
+        h_t += drift
+        yield start, h_t.reshape(-1, d, d).transpose(0, 2, 1)
 
 
 def _chunk_length(dim: int) -> int:
@@ -305,31 +320,32 @@ def segment_unitaries(model: SystemModel, pulses: PulseSequence) -> np.ndarray:
     order theta_k u: a few u at theta_k ~ 1, and about 1e-11 at the
     laboratory-frame scale theta_k ~ 1e4, which takes 14 squarings.
 
-    The stack is allocated once and filled chunk by chunk, so temporaries
-    are bounded by CHUNK_BYTES rather than growing with K.  With more than
-    one chunk and W > 1, a pool of up to W threads that lives for this call
-    fills the chunks.  The pool is joined before the call returns or raises,
-    so an error in any chunk is raised only once no thread writes into U.
+    ``segment_hamiltonians`` assembles all K segments on the calling thread.
+    Its buffer holds each H_k^T C-ordered, and the chunks overwrite it in
+    place by exp(i scale H_k^T) = U_k^T, so the stack is returned transposed.
+    Temporaries stay within CHUNK_BYTES rather than growing with K.  With
+    more than one chunk and W > 1, a pool of up to W threads that lives for
+    this call fills the chunks.  The pool is joined before the call returns
+    or raises, so an error in any chunk is raised only once no thread writes
+    into U.
     """
-    amps = pulses.amplitudes
     scale = _SIGN_FACTOR[pulses.sign] * pulses.grid.dt
     degree, squarings = _scaling_plan(_norm_bounds(model, pulses))
-    u = np.empty((amps.shape[0], model.dim, model.dim), dtype=complex)
+    u_t = segment_hamiltonians(model, pulses.amplitudes).transpose(0, 2, 1)
 
     def fill(chunk):
         start, stop = chunk
-        h = segment_hamiltonians(model, amps[start:stop])
-        u[start:stop] = _expm_taylor(h, scale, squarings[start:stop], degree)
+        u_t[start:stop] = _expm_taylor(u_t[start:stop], scale, squarings[start:stop], degree)
 
-    chunks = _chunk_bounds(amps.shape[0], _chunk_length(model.dim), _WORKERS)
+    chunks = _chunk_bounds(len(u_t), _chunk_length(model.dim), _WORKERS)
     lanes = min(_WORKERS, len(chunks))
     if lanes == 1:
         for chunk in chunks:
             fill(chunk)
-        return u
-    with ThreadPoolExecutor(lanes, thread_name_prefix="qoc-segments") as pool:
-        list(pool.map(fill, chunks))  # raises the first chunk error
-    return u
+    else:
+        with ThreadPoolExecutor(lanes, thread_name_prefix="qoc-segments") as pool:
+            list(pool.map(fill, chunks))  # raises the first chunk error
+    return u_t.transpose(0, 2, 1)
 
 
 def _ps_block(degree: int) -> int:
@@ -413,28 +429,6 @@ def _action_is_cheaper(model: SystemModel, plan: tuple[np.ndarray, np.ndarray]) 
     return 2.0 * float(steps @ degrees) < len(steps) * model.dim
 
 
-def _hamiltonian_chunks(
-    model: SystemModel, amplitudes: np.ndarray, lo: int, hi: int, reverse: bool
-):
-    """Yield (start, H_start ... H_stop-1) over segments lo..hi-1, chunk by chunk.
-
-    A chunk stays within CHUNK_BYTES and costs one real GEMM over the
-    transposed control stack viewed as interleaved float64 (re, im) pairs,
-    so the real amplitudes are not promoted to complex.  Assembling H_k^T
-    makes each yielded H_k Fortran-ordered, as zgemv takes it without a copy.
-    """
-    d = model.dim
-    length = max(1, CHUNK_BYTES // (16 * d * d))
-    controls = np.ascontiguousarray(model.control_stack.transpose(0, 2, 1))
-    controls = controls.reshape(-1, d * d).view(np.float64)
-    drift = model.drift.T.reshape(-1)
-    chunks = _chunk_bounds(hi - lo, length)
-    for start, stop in reversed(chunks) if reverse else chunks:
-        h_t = (amplitudes[lo + start : lo + stop] @ controls).view(complex)
-        h_t += drift
-        yield lo + start, h_t.reshape(-1, d, d).transpose(0, 2, 1)
-
-
 def _taylor_apply(h: np.ndarray, psi: np.ndarray, coef: complex, steps: int, degree: int):
     """exp(steps * coef * h) psi, as ``steps`` Taylor series truncated at ``degree``.
 
@@ -477,8 +471,10 @@ def _sweep(
     else:
         steps, degrees = (p.tolist() for p in plan)
         coef = (-1.0 if backward else 1.0) * 1j * _SIGN_FACTOR[pulses.sign] * pulses.grid.dt
-        chunks = _hamiltonian_chunks(model, pulses.amplitudes, first, k_seg, backward)
-        segments = ((start + i, h[i]) for start, h in chunks for i in walk(range(len(h))))
+        length = max(1, CHUNK_BYTES // (16 * model.dim**2))
+        chunks = [(first + a, first + b) for a, b in _chunk_bounds(k_seg - first, length)]
+        h_chunks = _hamiltonian_chunks(model, pulses.amplitudes, walk(chunks))
+        segments = ((start + i, h[i]) for start, h in h_chunks for i in walk(range(len(h))))
     for k, op in segments:
         if plan is None:
             # U_k† psi without a transposed copy of U_k.
@@ -614,24 +610,6 @@ def ground_leakage_value_and_gradient(
     The adjoint vector is (|0..0><0..0|_frozen (x) 1) |phi>.
     """
     return _value_and_gradient(_ground_leakage, SIGN_REVERSED, model, pulses, initial, frozen)
-
-
-def finite_difference_gradient(
-    cost: Callable[[np.ndarray], float], amplitudes: np.ndarray, step: float
-) -> np.ndarray:
-    """Central differences of a cost over a K x A amplitude matrix."""
-    if not (step > 0.0):
-        raise ValueError("step must be positive")
-    amps = np.asarray(amplitudes, dtype=np.float64)
-    grad = np.zeros_like(amps)
-    for k in range(amps.shape[0]):
-        for a in range(amps.shape[1]):
-            up = amps.copy()
-            up[k, a] += step
-            dn = amps.copy()
-            dn[k, a] -= step
-            grad[k, a] = (cost(up) - cost(dn)) / (2.0 * step)
-    return grad
 
 
 def random_initial_pulses(

@@ -1,5 +1,10 @@
+import math
+import operator
+
 import numpy as np
 import pytest
+
+from qoc.linalg import StateVector
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -23,3 +28,32 @@ def w3_amplitudes() -> np.ndarray:
     for idx in (0b001, 0b010, 0b100):
         amps[idx] = 1 / np.sqrt(3)
     return amps
+
+
+def random_state(site_dims, rng: np.random.Generator) -> StateVector:
+    """Haar-ish random normalized state (Gaussian amplitudes)."""
+    dims = tuple(operator.index(d) for d in site_dims)
+    n = math.prod(dims)
+    amps = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return StateVector(amps, dims).normalized()
+
+
+def kron(a: StateVector, b: StateVector) -> StateVector:
+    """Product state a (x) b, with a's sites first."""
+    return StateVector(np.kron(a.amplitudes, b.amplitudes), a.site_dims + b.site_dims)
+
+
+def finite_difference_gradient(cost, amplitudes: np.ndarray, step: float) -> np.ndarray:
+    """Central differences of a cost over a K x A amplitude matrix."""
+    if not (step > 0.0):
+        raise ValueError("step must be positive")
+    amps = np.asarray(amplitudes, dtype=np.float64)
+    grad = np.zeros_like(amps)
+    for k in range(amps.shape[0]):
+        for a in range(amps.shape[1]):
+            up = amps.copy()
+            up[k, a] += step
+            dn = amps.copy()
+            dn[k, a] -= step
+            grad[k, a] = (cost(up) - cost(dn)) / (2.0 * step)
+    return grad

@@ -19,9 +19,9 @@ from qoc.hamiltonians import (
     frozen_subsystem_hamiltonian,
     sample_registry,
 )
-from qoc.linalg import expm_hermitian, ground_state, kron, random_state
+from qoc.linalg import expm_hermitian, ground_state
 
-from conftest import SX, SY, SZ
+from conftest import SX, SY, SZ, kron, random_state
 
 
 def two_spin_sample(j=47.6, shifts=(0.0, 0.0)):

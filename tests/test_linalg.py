@@ -8,12 +8,10 @@ from qoc.linalg import (
     _bipartition_matrix,
     expm_hermitian,
     ground_state,
-    kron,
-    random_state,
 )
 from qoc.pulses import ground_leakage, subsystem_impurity
 
-from conftest import SX, SZ, ghz_amplitudes, w3_amplitudes
+from conftest import SX, SZ, ghz_amplitudes, kron, random_state, w3_amplitudes
 
 
 def brute_force_reduced(amps, site_dims, keep):

@@ -19,7 +19,7 @@ from qoc.hamiltonians import (
     build_sc,
     sample_registry,
 )
-from qoc.linalg import StateVector, expm_hermitian, ground_state, kron, random_state
+from qoc.linalg import StateVector, expm_hermitian, ground_state
 from qoc.pulses import (
     _SIGN_FACTOR,
     _chunk_length,
@@ -27,7 +27,6 @@ from qoc.pulses import (
     SIGN_REVERSED,
     PulseGrid,
     PulseSequence,
-    finite_difference_gradient,
     ground_leakage,
     ground_leakage_value_and_gradient,
     impurity_value_and_gradient,
@@ -39,7 +38,7 @@ from qoc.pulses import (
     subsystem_impurity,
 )
 
-from conftest import ghz_amplitudes, w3_amplitudes
+from conftest import finite_difference_gradient, ghz_amplitudes, kron, random_state, w3_amplitudes
 
 
 def unit_norm_hermitian(rng, d):
@@ -145,6 +144,22 @@ class TestPropagate:
         )
         with pytest.raises(ValueError, match="channels"):
             propagate(model, seq, ground_state(model.site_dims))
+
+
+class TestSegmentHamiltonians:
+    @pytest.mark.parametrize("channels", [0, 3])
+    @pytest.mark.parametrize("segments", [1, 2, 257])
+    def test_matches_operator_sum_and_is_fortran_ordered(self, segments, channels, rng):
+        toy = toy_model(rng, n_sites=3)
+        stack = toy.control_stack[:channels]
+        model = SystemModel(toy.drift, stack, toy.channel_labels[:channels], toy.site_dims, "nmr")
+        amps = rng.uniform(-2.0, 2.0, (segments, channels))
+        h = pulses.segment_hamiltonians(model, amps)
+        assert h.shape == (segments, model.dim, model.dim)
+        for row, h_k in zip(amps, h):
+            want = model.drift + sum(u * op for u, op in zip(row, stack))
+            assert h_k.flags.f_contiguous  # zgemv takes it without a copy
+            assert np.abs(h_k - want).max() <= 4 * np.finfo(float).eps * np.linalg.norm(want, 2)
 
 
 class TestChunkedUnitaries:
@@ -263,8 +278,22 @@ class TestActionRoute:
 
     @staticmethod
     def chunk_lengths(model, segments):
+        """Lengths of the chunks of H_k that a forward sweep by action assembles."""
+        lengths = []
+        assemble = pulses._hamiltonian_chunks
+
+        def spy(*args):
+            for start, h in assemble(*args):
+                lengths.append(len(h))
+                yield start, h
+
         amps = np.zeros((segments, model.num_channels))
-        return [len(h) for _, h in pulses._hamiltonian_chunks(model, amps, 0, segments, False)]
+        seq = PulseSequence(PulseGrid(1e-9, segments), amps, model.channel_labels, SIGN_FORWARD)
+        plan = pulses._taylor_plan(model, seq)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pulses, "_hamiltonian_chunks", spy)
+            pulses._sweep(model, seq, None, plan, np.zeros(model.dim), backward=False)
+        return lengths
 
     def test_plan_takes_unit_steps_and_least_degree(self, rng):
         model = toy_model(rng, n_sites=3)
@@ -555,6 +584,24 @@ class TestParallelChunks:
         log = ChunkLog(monkeypatch)
         segment_unitaries(model, toy_sequence(rng, model, segments, 0.3, SIGN_FORWARD))
         assert log.threads == {threading.get_ident()}
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_assembled_once_on_the_calling_thread(self, count, workers, monkeypatch, rng):
+        # One GEMM over all K segments, whatever W is; the benchmark's layer
+        # timer also needs every call on the caller's thread.
+        model = toy_model(rng, n_sites=4)
+        seq = toy_sequence(rng, model, 1760, 0.3, SIGN_FORWARD)
+        workers(count)
+        threads = []
+        assemble = pulses.segment_hamiltonians
+
+        def log(*args):
+            threads.append(threading.get_ident())
+            return assemble(*args)
+
+        monkeypatch.setattr(pulses, "segment_hamiltonians", log)
+        segment_unitaries(model, seq)
+        assert threads == [threading.get_ident()]
 
     def test_helper_error_reaches_caller(self, workers, monkeypatch, rng):
         # The second chunk fails at once while the other lane sleeps in its

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from qoc.linalg import StateVector, _bipartition_matrix, kron, random_state
+from qoc.linalg import StateVector, _bipartition_matrix
 from qoc.pulses import subsystem_impurity
 from qoc.targets import PqcSpec, ghz, pqc_state, u_gate
 
-from conftest import SX, w3_amplitudes
+from conftest import SX, kron, random_state, w3_amplitudes
 
 
 def leading_cut_values(state, n_keep):
