@@ -20,14 +20,22 @@ serves all three ``*_value_and_gradient`` functions: it checks the sign,
 calls ``propagate``, contracts A[k, a] = <bw_k| H_a |fw_k> and returns
 factor dt Im(weight A).
 
+Every pass over the operators reads them only on the model's nonzero
+pattern, the union of the nonzeros of the drift and of every control
+(``_pattern``, computed once per assembly or contraction call).  A dense
+model has all d^2 entries on it; the qubit chain's single-qubit drives and
+couplings leave 544 of 4096 at 6 qubits and 2944 of 65536 at 8.
+
 Routes
 ------
 ``propagate`` applies the K segments by one of two routes, chosen once per
 call from its inputs; both give the same states to roundoff.  One loop,
 ``_sweep``, walks the segments forward or backward on either route.
 
-Both routes assemble H_k by one real GEMM per chunk of segments
-(``_hamiltonian_chunks``) and truncate Taylor series under one rule.  The bound
+Both routes assemble H_k by ``_hamiltonian_chunks``, at O(A nnz) per
+segment for the nnz pattern entries: one real GEMM per block of segments
+computes H_k on the pattern, and the rest of each H_k stays zero.  They
+truncate Taylor series under one rule.  The bound
 theta_k = dt (||H_drift||_1 + sum_a |u_a(k)| ||H_a||_1) >= dt ||H_k||_2
 scales each segment to a norm theta that degree m reaches, meaning that the
 leading tail term theta^(m+1) / (m+1)! is at most 2^-53.
@@ -36,8 +44,8 @@ leading tail term theta^(m+1) / (m+1)! is at most 2^-53.
   overwrites them with their propagators by batched Taylor scaling and
   squaring: one degree m per call, the polynomial of 2^-j_k (+-i dt H_k) by
   matrix products, then j_k squarings, j_k the least that brings
-  theta_k 2^-j_k within reach of m.  Each step multiplies the state by U_k,
-  or by U_k† going backward.
+  theta_k 2^-j_k within reach of m.  Each step is one product of U_k with
+  the state; going backward, of U_k^T with the state's conjugate.
 - Action: the sweep assembles one chunk of segments at a time and applies
   exp(+-i dt H_k) to the state directly by a truncated Taylor series
   (Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011) 488); no propagator is
@@ -63,15 +71,19 @@ needs: the dense route the (K, d, d) stack of segment unitaries, the action
 route its plan, two length-K arrays.  The action route keeps no (K, d, d)
 array; its backward sweep assembles the segment Hamiltonians again, chunk
 by chunk in reverse.  Every chunked loop below cuts its segments into equal
-chunks.  On the action route one chunk is in flight, within CHUNK_BYTES,
-beside a transposed copy of the control stack.  On the dense route, where U
-first holds the H_k, the W chunks in flight share that budget: each
-(n, d, d) temporary stays within CHUNK_BYTES / W, or holds _MIN_CHUNK
-segments where that is more.  A chunk has up to b + 2 of them in flight:
-the powers X^2 .. X^b of its polynomial (b <= 4), the sum, a product and a
-scaled term.  The gradient contraction forms H_a |fw_k> for one chunk of segments
-at a time, an (n, A, d) array within CHUNK_BYTES.  The transients of a call
-do not grow with K, and none outlive it.
+chunks.  No pass copies the (A, d, d) control stack: each gathers the
+controls' (A, nnz) values on the pattern, and assembly computes an (n, nnz)
+block of values within CHUNK_BYTES at a time.  On the action route one
+chunk of H_k is in flight, within CHUNK_BYTES, in a buffer zeroed once per
+sweep and reused by every chunk, so a chunk is valid until the next one.
+On the dense route, where U first holds the H_k, the W chunks in flight
+share that budget: each (n, d, d) temporary stays within CHUNK_BYTES / W,
+or holds _MIN_CHUNK segments where that is more.  A chunk has up to b + 2
+of them in flight: the powers X^2 .. X^b of its polynomial (b <= 4), the
+sum, a product and a scaled term.  The gradient contraction forms the
+products conj(bw_k[i]) fw_k[j] on the pattern for one chunk of segments at
+a time, an (n, nnz) array within CHUNK_BYTES.  The transients of a call do
+not grow with K, and none outlive it.
 
 Parallelism
 -----------
@@ -80,16 +92,18 @@ on the dense route ``segment_unitaries`` fills its chunks on W threads, W
 being the number of CPUs in the process's affinity mask (restrict a process
 with ``taskset`` to run several side by side).  The threads belong to a
 pool that the call starts and joins before it returns or raises; the matmul
-and elementwise calls release the GIL.  All K segments are assembled in one
-GEMM before the pool starts, the degree is chosen once per call and the
+and elementwise calls release the GIL.  All K segments are assembled on
+the calling thread before the pool starts, in blocks whose bounds depend on
+the pattern and K only, the degree is chosen once per call and the
 squarings once per segment, so every matrix gets the same arithmetic
 whatever chunk holds it, and U is bit-identical for any W.  With W = 1, or
 a single chunk, no thread starts.  The module keeps no state between calls,
 so a forked child needs no hook, and each concurrent caller starts up to W
 threads of its own.  The action route's sweeps are chains of dependent
 matvecs and start no thread.  They want one BLAS thread, which the library
-leaves callers to set: one 8-qubit chain gradient (d = 256, K = 1460) took
-35.4 s under OpenBLAS's default two, 4.35 s under one.
+leaves callers to set: on 2 cores one 6-qubit chain gradient (d = 64,
+K = 1400) took 0.32 s under OpenBLAS's default two and 0.12 s under one,
+most of the difference in the contraction's small GEMMs.
 """
 
 from __future__ import annotations
@@ -265,22 +279,50 @@ def segment_hamiltonians(model: SystemModel, amplitudes: np.ndarray) -> np.ndarr
     return next(_hamiltonian_chunks(model, amps, [(0, amps.shape[0])]))[1]
 
 
+def _pattern(model: SystemModel) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols) of the entries where the drift or any control is nonzero.
+
+    Every H_k is zero off this pattern.  The entries run in the C order of
+    H^T, and the mask is built one operator at a time, with no A d^2 temporary.
+    """
+    mask = model.drift.T != 0
+    for op in model.control_stack:
+        mask |= op.T != 0
+    cols, rows = np.nonzero(mask)
+    return rows, cols
+
+
 def _hamiltonian_chunks(model: SystemModel, amplitudes: np.ndarray, chunks):
     """Yield (start, H_start ... H_stop-1) for each (start, stop) in ``chunks``.
 
-    A chunk costs one real GEMM over the transposed control stack, copied
-    once per call and viewed as interleaved float64 (re, im) pairs, so the
-    real amplitudes are not promoted to complex.  Assembling H_k^T into a
-    fresh C-ordered buffer makes each yielded H_k Fortran-ordered, as zgemv
-    takes it without a copy.
+    Only the nnz entries on the model's ``_pattern`` are computed.  The
+    controls' values there, gathered once per call as an (A, nnz) array and
+    viewed as interleaved float64 (re, im) pairs so that the real amplitudes
+    are not promoted to complex, go into one real GEMM per block of segments,
+    plus the drift's values: O(A nnz) per segment.  Each block's (n, nnz)
+    values stay within CHUNK_BYTES.  They are scattered into a buffer, zeroed
+    once per call, that holds H_k^T in C order, so each yielded H_k is
+    Fortran-ordered, as zgemv takes it without a copy.  The entries off the
+    pattern never change, so every chunk reuses that buffer: a yielded chunk
+    is valid until the next one is asked for.
     """
     d = model.dim
-    controls = np.ascontiguousarray(model.control_stack.transpose(0, 2, 1))
-    controls = controls.reshape(-1, d * d).view(np.float64)
-    drift = model.drift.T.reshape(-1)
+    rows, cols = _pattern(model)
+    controls = np.ascontiguousarray(model.control_stack[:, rows, cols]).view(np.float64)
+    drift = model.drift[rows, cols]
+    chunks = list(chunks)
+    longest = max((stop - start for start, stop in chunks), default=0)
+    buf = np.zeros((longest, d * d), dtype=complex)
+    block = min(longest, max(1, CHUNK_BYTES // (16 * max(1, len(rows)))))
+    # Flat indices of a block's values in its rows of buf; a shorter block
+    # takes a prefix.
+    scatter = (np.arange(block)[:, None] * (d * d) + (cols * d + rows)).reshape(-1)
     for start, stop in chunks:
-        h_t = (amplitudes[start:stop] @ controls).view(complex)
-        h_t += drift
+        h_t = buf[: stop - start]
+        for a, b in _chunk_bounds(stop - start, block):
+            values = (amplitudes[start + a : start + b] @ controls).view(complex)
+            values += drift
+            h_t[a:b].reshape(-1)[scatter[: values.size]] = values.reshape(-1)
         yield start, h_t.reshape(-1, d, d).transpose(0, 2, 1)
 
 
@@ -455,33 +497,38 @@ def _sweep(
 
     Forward: out[0] = vec and out[k+1] = U_k out[k], (K+1, d).
     Backward: out[K-1] = vec and out[k-1] = U_k† out[k], (K, d).
-    Without a plan each step multiplies by the stored U_k; with one it
-    applies the plan's Taylor series to the H_k that ``_hamiltonian_chunks``
-    yields.
+    Without a plan each step is one product with the stored U_k; backward,
+    the sweep runs on the conjugates, conj(U_k† psi) = U_k^T conj(psi), so
+    that it reads U_k^T, the C-ordered buffer behind the stack, and
+    conjugates ``out`` once at the end.  With a plan each step applies the
+    plan's Taylor series to the H_k that ``_hamiltonian_chunks`` yields.
     """
     k_seg = pulses.grid.segments
     out = np.empty((k_seg if backward else k_seg + 1, model.dim), dtype=complex)
-    psi = np.asarray(vec, dtype=complex)
-    out[-1 if backward else 0] = psi
+    out[-1 if backward else 0] = vec
     # The backward sweep stops before segment 0: out[0] needs no inverse of it.
     first = int(backward)
     walk = reversed if backward else iter
+    step = -1 if backward else 1
     if plan is None:
-        segments = ((k, unitaries[k]) for k in walk(range(first, k_seg)))
-    else:
-        steps, degrees = (p.tolist() for p in plan)
-        coef = (-1.0 if backward else 1.0) * 1j * _SIGN_FACTOR[pulses.sign] * pulses.grid.dt
-        length = max(1, CHUNK_BYTES // (16 * model.dim**2))
-        chunks = [(first + a, first + b) for a, b in _chunk_bounds(k_seg - first, length)]
-        h_chunks = _hamiltonian_chunks(model, pulses.amplitudes, walk(chunks))
-        segments = ((start + i, h[i]) for start, h in h_chunks for i in walk(range(len(h))))
-    for k, op in segments:
-        if plan is None:
-            # U_k† psi without a transposed copy of U_k.
-            psi = (psi.conj() @ op).conj() if backward else op @ psi
-        else:
-            psi = _taylor_apply(op, psi, coef / steps[k], int(steps[k]), degrees[k])
-        out[k - 1 if backward else k + 1] = psi
+        ops = unitaries.transpose(0, 2, 1) if backward else unitaries
+        if backward:
+            np.conjugate(out[-1], out=out[-1])
+        for k in walk(range(first, k_seg)):
+            np.matmul(ops[k], out[k], out=out[k + step])
+        if backward:
+            np.conjugate(out, out=out)
+        return out
+    steps, degrees = (p.tolist() for p in plan)
+    coef = (-1.0 if backward else 1.0) * 1j * _SIGN_FACTOR[pulses.sign] * pulses.grid.dt
+    length = max(1, CHUNK_BYTES // (16 * model.dim**2))
+    chunks = [(first + a, first + b) for a, b in _chunk_bounds(k_seg - first, length)]
+    psi = out[-1 if backward else 0]
+    for start, h in _hamiltonian_chunks(model, pulses.amplitudes, walk(chunks)):
+        for i in walk(range(len(h))):
+            k = start + i
+            psi = _taylor_apply(h[i], psi, coef / steps[k], int(steps[k]), degrees[k])
+            out[k + step] = psi
     return out
 
 
@@ -557,20 +604,25 @@ def ground_leakage(state: StateVector, frozen: Iterable[int]) -> float:
 
 
 def _gradient_terms(ws: Workspace, adjoint: np.ndarray) -> np.ndarray:
-    """A[k, a] = <bw_k| H_a |fw_k>, one GEMM per chunk of segments within CHUNK_BYTES."""
-    stack = ws.model.control_stack
+    """A[k, a] = <bw_k| H_a |fw_k>, summed over the model's ``_pattern`` only.
+
+    With (i, j) running over the nnz pattern entries, A[k, a] is the sum of
+    conj(bw_k[i]) fw_k[j] (H_a)_ij: the products of the gathered states form
+    an (n, nnz) array per chunk of segments, within CHUNK_BYTES, and one
+    (n, nnz) @ (nnz, A) GEMM against the controls' gathered values contracts it.
+    """
+    model = ws.model
+    rows, cols = _pattern(model)
+    controls = model.control_stack[:, rows, cols].T
     fw = ws.forward[1:]  # state after segment k, k = 1..K
     bw = ws.backward_adjoint(adjoint)
-    n_ch, d, _ = stack.shape
-    k_seg = fw.shape[0]
-    terms = np.zeros((k_seg, n_ch), dtype=complex)
-    if not n_ch:
-        return terms
-    controls = stack.reshape(n_ch * d, d).T
-    length = max(1, CHUNK_BYTES // (16 * n_ch * d))
-    for start, stop in _chunk_bounds(k_seg, length):
-        h_fw = (fw[start:stop] @ controls).reshape(stop - start, n_ch, d)
-        np.einsum("ki,kai->ka", bw[start:stop].conj(), h_fw, out=terms[start:stop])
+    terms = np.empty((len(fw), model.num_channels), dtype=complex)
+    length = max(1, CHUNK_BYTES // (16 * max(1, len(rows))))
+    for start, stop in _chunk_bounds(len(fw), length):
+        pairs = bw[start:stop, rows]
+        np.conjugate(pairs, out=pairs)
+        pairs *= fw[start:stop, cols]
+        np.matmul(pairs, controls, out=terms[start:stop])
     return terms
 
 

@@ -161,6 +161,70 @@ class TestSegmentHamiltonians:
             assert h_k.flags.f_contiguous  # zgemv takes it without a copy
             assert np.abs(h_k - want).max() <= 4 * np.finfo(float).eps * np.linalg.norm(want, 2)
 
+    @staticmethod
+    def full_gemm(model, amps):
+        """Every entry assembled: one real GEMM of the amplitudes against the
+        whole transposed control stack viewed as (re, im) pairs, plus the drift."""
+        d = model.dim
+        controls = np.ascontiguousarray(model.control_stack.transpose(0, 2, 1))
+        h_t = (amps @ controls.reshape(-1, d * d).view(np.float64)).view(complex)
+        h_t += model.drift.T.reshape(-1)
+        return h_t.reshape(-1, d, d).transpose(0, 2, 1)
+
+    @staticmethod
+    def pattern_model(rng, case):
+        """A 5-site model whose operators' nonzeros are laid out as ``case`` says."""
+        toy = toy_model(rng, n_sites=5)
+        drift, stack, labels = toy.drift, toy.control_stack, toy.channel_labels
+        if case == "no controls":
+            stack, labels = stack[:0], ()
+        elif case == "all zero":
+            drift, stack = np.zeros_like(drift), np.zeros_like(stack)
+        elif case == "disjoint":
+            # A diagonal drift, and controls that are zero on the diagonal
+            # and sparse off it.
+            drift = np.diag(np.diag(drift))
+            keep = np.triu(rng.random(drift.shape) < 0.1, 1)
+            stack = stack * (keep | keep.T)
+        return SystemModel(drift, stack, labels, toy.site_dims, "nmr")
+
+    @pytest.mark.parametrize("segments", [1, 257])
+    @pytest.mark.parametrize("case", ["no controls", "all zero", "dense", "disjoint"])
+    def test_equals_the_full_gemm_on_any_pattern(self, case, segments, rng):
+        model = self.pattern_model(rng, case)
+        d = model.dim
+        rows, cols = pulses._pattern(model)
+        nnz = {"all zero": 0, "dense": d * d}.get(case, len(rows))
+        assert len(rows) == nnz
+        if case == "disjoint":
+            on_diagonal = rows == cols
+            assert 0 < on_diagonal.sum() < nnz
+            assert not model.control_stack[:, rows[on_diagonal], cols[on_diagonal]].any()
+            assert not model.drift[rows[~on_diagonal], cols[~on_diagonal]].any()
+        # More segments than one block of values holds on the dense pattern.
+        assert pulses.CHUNK_BYTES // (16 * d * d) < 257
+        amps = rng.uniform(-2.0, 2.0, (segments, model.num_channels))
+        amps[::3] = 0.0
+        h = pulses.segment_hamiltonians(model, amps)
+        assert np.array_equal(h, self.full_gemm(model, amps))
+        assert all(h_k.flags.f_contiguous for h_k in h)
+
+    def test_zero_pattern_takes_no_matvec(self, route, rng):
+        model = self.pattern_model(rng, "all zero")
+        seq = toy_sequence(rng, model, 9, 0.3, SIGN_FORWARD)
+        assert not pulses._taylor_plan(model, seq)[1].any()  # every degree m_k = 0
+        route("action")
+        psi0 = random_state(model.site_dims, rng)
+        _, ws = propagate(model, seq, psi0)
+        assert ws.unitaries is None
+        assert np.array_equal(ws.forward, np.broadcast_to(psi0.amplitudes, ws.forward.shape))
+
+    def test_calls_return_arrays_that_share_no_memory(self, rng):
+        model = toy_model(rng, n_sites=3)
+        amps = rng.uniform(-2.0, 2.0, (5, model.num_channels))
+        first = pulses.segment_hamiltonians(model, amps)
+        assert not np.shares_memory(first, pulses.segment_hamiltonians(model, amps))
+
 
 class TestChunkedUnitaries:
     @pytest.mark.parametrize("sign", [SIGN_FORWARD, SIGN_REVERSED])
@@ -421,11 +485,41 @@ class TestActionRoute:
         assert ws.unitaries is None
         assert peak <= 0.25 * segments * model.dim**2 * 16
 
+    def test_gradient_makes_no_copy_of_the_control_stack(self, route, rng):
+        # 8 chain qubits: the control stack is 16 MiB, and the sweeps and the
+        # contraction read it only on its nonzero pattern.
+        registry = sample_registry()
+        sample = registry.get("sc-chain-12").with_idle_frequencies(0.0)
+        model = build_sc(sample, sites=range(8))
+        bound = (-SC_AMPLITUDE_BOUND_RAD_PER_NS, SC_AMPLITUDE_BOUND_RAD_PER_NS)
+        dt = registry.reference_schedule("sc", 8)["dt"]
+        seq = random_initial_pulses(
+            PulseGrid(dt, 200), model.channel_labels, bound, 0, SIGN_FORWARD, fraction=1.0
+        )
+        psi0 = ground_state(model.site_dims)
+        target = random_state(model.site_dims, rng)
+        route("action")
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            _, _, ws = infidelity_value_and_gradient(model, seq, psi0, target)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ws.unitaries is None
+        assert peak <= 0.5 * model.control_stack.nbytes
+
 
 class TestChunkedContraction:
     @staticmethod
     def chunk_length(model):
-        return pulses.CHUNK_BYTES // (16 * model.num_channels * model.dim)
+        return pulses.CHUNK_BYTES // (16 * len(pulses._pattern(model)[0]))
+
+    @staticmethod
+    def pattern_terms(model, fw, bw):
+        """A[k, a] = sum over the pattern of conj(bw_k[i]) (H_a)_ij fw_k[j], all segments at once."""
+        rows, cols = pulses._pattern(model)
+        return (bw[:, rows].conj() * fw[:, cols]) @ model.control_stack[:, rows, cols].T
 
     @pytest.mark.parametrize("sign", [SIGN_FORWARD, SIGN_REVERSED])
     def test_matches_unchunked_contraction(self, sign, route, rng):
@@ -433,15 +527,40 @@ class TestChunkedContraction:
         model = toy_model(rng, n_sites=5, n_channels=24)
         n = self.chunk_length(model)
         assert 3 < n < 200
-        stack = model.control_stack
         for segments in (1, 2, 3, n - 1, n, n + 1, 2 * n + 1):
             seq = toy_sequence(rng, model, segments, 0.05, sign)
             _, ws = propagate(model, seq, random_state(model.site_dims, rng))
             adjoint = random_state(model.site_dims, rng).amplitudes
-            fw, bw = ws.forward[1:], ws.backward_adjoint(adjoint)
-            h_fw = (fw @ stack.reshape(-1, model.dim).T).reshape(segments, -1, model.dim)
-            want = np.einsum("ki,kai->ka", bw.conj(), h_fw)
+            want = self.pattern_terms(model, ws.forward[1:], ws.backward_adjoint(adjoint))
             np.testing.assert_array_equal(pulses._gradient_terms(ws, adjoint), want)
+
+    @pytest.mark.parametrize("sign", [SIGN_FORWARD, SIGN_REVERSED])
+    @pytest.mark.parametrize("chain", [False, True])
+    def test_matches_dense_contraction(self, chain, sign, route, rng):
+        # The pattern sum reorders the dense one, so it agrees to roundoff:
+        # within 1e-14 ||bw_k|| ||H_a||_2 ||fw_k|| per term.
+        route("dense")
+        if chain:
+            registry = sample_registry()
+            model = build_sc(registry.get("sc-chain-12").with_idle_frequencies(0.0), sites=range(6))
+            bound = (-SC_AMPLITUDE_BOUND_RAD_PER_NS, SC_AMPLITUDE_BOUND_RAD_PER_NS)
+            dt = registry.reference_schedule("sc", 6)["dt"]
+            seq = random_initial_pulses(
+                PulseGrid(dt, 200), model.channel_labels, bound, rng, sign, fraction=1.0
+            )
+            assert len(pulses._pattern(model)[0]) < model.dim**2 / 4
+        else:
+            model = toy_model(rng, n_sites=5, n_channels=24)
+            seq = toy_sequence(rng, model, 200, 0.05, sign)
+        _, ws = propagate(model, seq, random_state(model.site_dims, rng))
+        adjoint = random_state(model.site_dims, rng).amplitudes
+        fw, bw = ws.forward[1:], ws.backward_adjoint(adjoint)
+        stack = model.control_stack
+        h_fw = (fw @ stack.reshape(-1, model.dim).T).reshape(len(fw), -1, model.dim)
+        want = np.einsum("ki,kai->ka", bw.conj(), h_fw)
+        norms = np.linalg.norm(bw, axis=1) * np.linalg.norm(fw, axis=1)
+        bound = 1e-14 * norms[:, None] * np.linalg.norm(stack, 2, axis=(1, 2))
+        assert np.all(np.abs(pulses._gradient_terms(ws, adjoint) - want) <= bound)
 
     def test_peak_memory_far_below_all_segments_at_once(self, route, rng):
         # H_a fw_k for every segment would be a (K, A, d) array of 24 MiB.
