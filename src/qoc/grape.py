@@ -48,8 +48,11 @@ class GrapeProblem:
                 continue
             if abs(state.norm - 1.0) > 1e-8:
                 raise ValueError(f"{role} state must be normalized")
-            if state.dim != self.model.dim:
-                raise ValueError(f"{role} dimension does not match the model")
+            if state.site_dims != self.model.site_dims:
+                raise ValueError(
+                    f"{role} site dimensions {state.site_dims} do not match "
+                    f"the model's {self.model.site_dims}"
+                )
         if not all(math.isfinite(b) for b in self.bounds):
             raise ValueError(f"amplitude bounds must be finite, got {self.bounds}")
         solver_bounds = self.optimizer.bounds  # run_grape replaces them by self.bounds

@@ -60,7 +60,7 @@ __all__ = [
     "SC_AMPLITUDE_BOUND_RAD_PER_NS",
 ]
 
-# Default box bounds for control amplitudes (overridable in configs):
+# Default box bounds for control amplitudes; callers pass bounds per problem:
 # +-20 kHz for spin rf channels, +-2*pi*50 MHz for chain drive channels.
 NMR_AMPLITUDE_BOUND_HZ = 2.0e4
 SC_AMPLITUDE_BOUND_RAD_PER_NS = 2.0 * math.pi * 50.0e-3

@@ -70,33 +70,33 @@ Both routes keep (K+1, d) forward states, and what the backward sweep
 needs: the dense route the (K, d, d) stack of segment unitaries, the action
 route its plan, two length-K arrays.  The action route keeps no (K, d, d)
 array; its backward sweep assembles the segment Hamiltonians again, chunk
-by chunk in reverse.  Every chunked loop below cuts its segments into equal
-chunks.  No pass copies the (A, d, d) control stack: each gathers the
-controls' (A, nnz) values on the pattern, and assembly computes an (n, nnz)
-block of values within CHUNK_BYTES at a time.  On the action route one
-chunk of H_k is in flight, within CHUNK_BYTES, in a buffer zeroed once per
-sweep and reused by every chunk, so a chunk is valid until the next one.
-On the dense route, where U first holds the H_k, the W chunks in flight
-share that budget: each (n, d, d) temporary stays within CHUNK_BYTES / W,
-or holds _MIN_CHUNK segments where that is more.  A chunk has up to b + 2
-of them in flight: the powers X^2 .. X^b of its polynomial (b <= 4), the
-sum, a product and a scaled term.  The gradient contraction forms the
-products conj(bw_k[i]) fw_k[j] on the pattern for one chunk of segments at
-a time, an (n, nnz) array within CHUNK_BYTES.  The transients of a call do
-not grow with K, and none outlive it.
+by chunk in reverse.  Every chunked loop below cuts its segments by one
+rule, ``_chunk_bounds``: equal chunks, each holding one array in flight
+within CHUNK_BYTES, whatever W is.  No pass copies the (A, d, d) control
+stack: each gathers the controls' (A, nnz) values on the pattern, and
+assembly computes an (n, nnz) block of values at a time.  On the action
+route one chunk of H_k is in flight, in a buffer zeroed once per sweep and
+reused by every chunk, so a chunk is valid until the next one.  On the
+dense route, where U first holds the H_k, each busy thread has up to b + 2
+(n, d, d) temporaries in flight: the powers X^2 .. X^b of its chunk's
+polynomial (b <= 4), the sum, a product and a scaled term.  The gradient
+contraction forms the products conj(bw_k[i]) fw_k[j] on the pattern for one
+chunk of segments at a time, an (n, nnz) array.  The transients of a call
+do not grow with K, and none outlive it.
 
 Parallelism
 -----------
 Once the amplitudes are fixed the segment exponentials are independent, so
-on the dense route ``segment_unitaries`` fills its chunks on W threads, W
-being the number of CPUs in the process's affinity mask (restrict a process
-with ``taskset`` to run several side by side).  The threads belong to a
-pool that the call starts and joins before it returns or raises; the matmul
-and elementwise calls release the GIL.  All K segments are assembled on
-the calling thread before the pool starts, in blocks whose bounds depend on
-the pattern and K only, the degree is chosen once per call and the
-squarings once per segment, so every matrix gets the same arithmetic
-whatever chunk holds it, and U is bit-identical for any W.  With W = 1, or
+on the dense route ``segment_unitaries`` fills its chunks on up to W
+threads, W being the number of CPUs in the process's affinity mask
+(restrict a process with ``taskset`` to run several side by side).  W sets
+only how many threads run, not how the segments are cut.  The threads
+belong to a pool that the call starts and joins before it returns or
+raises; the matmul and elementwise calls release the GIL.  All K segments
+are assembled on the calling thread before the pool starts, in blocks
+whose bounds depend on the pattern and K only, the degree is chosen once
+per call and the squarings once per segment, so every matrix gets the same
+arithmetic whatever chunk holds it, and U is bit-identical for any W.  With W = 1, or
 a single chunk, no thread starts.  The module keeps no state between calls,
 so a forked child needs no hook, and each concurrent caller starts up to W
 threads of its own.  The action route's sweeps are chains of dependent
@@ -144,18 +144,15 @@ SIGN_FORWARD = "forward"
 SIGN_REVERSED = "reversed"
 _SIGN_FACTOR = MappingProxyType({SIGN_FORWARD: -1.0, SIGN_REVERSED: +1.0})
 
-# Byte budget of the (n, d, d) complex temporaries that segment_unitaries has
-# in flight at once, one per worker.  A few such budgets stay far below the
+# Byte budget of one thread's array in flight in a chunked loop, such as one
+# (n, d, d) temporary of the dense fill: a few per thread stay far below the
 # U stack they fill and near cache size.  Median Taylor fill, full-box pulses,
-# one BLAS thread, 2 x86-64 cores with AVX-512, budgets 0.25 / 0.5 / 1 / 2 /
-# 4 / 8 MiB: 4-spin NMR (d = 16, K = 1760) 72 / 68 / 74 / 78 / 110 / 96 ms
-# with W = 1 and 88 / 78 / 69 / 80 / 93 / 82 ms with W = 2; 6-qubit chain
-# (d = 64, K = 1400) 947 / 905 / 926 / 1047 / 1316 / 1184 ms with W = 1.
-CHUNK_BYTES = 1 << 20
-
-# Fewest segments in a dense-route chunk.  The budget split W ways would
-# leave one matrix per chunk at d >= 32 on a machine with 64 CPUs.
-_MIN_CHUNK = 4
+# one BLAS thread, 2 x86-64 cores with AVX-512, by budget per chunk: 4-spin
+# NMR (d = 16, K = 1760) 72 / 68 / 74 / 78 / 110 / 96 ms at 0.25 / 0.5 / 1 /
+# 2 / 4 / 8 MiB with W = 1 and 88 / 78 / 69 / 80 / 93 / 82 ms at 0.125 .. 4
+# MiB with W = 2; 6-qubit chain (d = 64, K = 1400), W = 1, 0.25 .. 8 MiB:
+# 947 / 905 / 926 / 1047 / 1316 / 1184 ms.
+CHUNK_BYTES = 1 << 19
 
 # Leading Taylor tail term allowed per action-route step or scaled dense
 # segment: float64 roundoff.
@@ -172,7 +169,7 @@ _TAYLOR_REACH = tuple(
 # Paterson-Stockmeyer reaches with 0, 1, ..., 6 matrix products.
 _PS_DEGREES = (1, 2, 4, 6, 9, 12, 16)
 
-# Threads that fill segment_unitaries chunks.
+# Most threads that fill segment_unitaries chunks; it does not set the chunks.
 _WORKERS = (
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 )
@@ -299,51 +296,46 @@ def _hamiltonian_chunks(model: SystemModel, amplitudes: np.ndarray, chunks):
     controls' values there, gathered once per call as an (A, nnz) array and
     viewed as interleaved float64 (re, im) pairs so that the real amplitudes
     are not promoted to complex, go into one real GEMM per block of segments,
-    plus the drift's values: O(A nnz) per segment.  Each block's (n, nnz)
-    values stay within CHUNK_BYTES.  They are scattered into a buffer, zeroed
-    once per call, that holds H_k^T in C order, so each yielded H_k is
-    Fortran-ordered, as zgemv takes it without a copy.  The entries off the
-    pattern never change, so every chunk reuses that buffer: a yielded chunk
-    is valid until the next one is asked for.
+    plus the drift's values: O(A nnz) per segment, in blocks of one
+    ``_chunk_bounds`` cut for (nnz,) complex rows.  They are scattered into a
+    buffer, zeroed once per call, that holds H_k^T in C order, so each
+    yielded H_k is Fortran-ordered, as zgemv takes it without a copy.  The
+    entries off the pattern never change, so every chunk reuses that buffer:
+    a yielded chunk is valid until the next one is asked for.
     """
     d = model.dim
     rows, cols = _pattern(model)
     controls = np.ascontiguousarray(model.control_stack[:, rows, cols]).view(np.float64)
     drift = model.drift[rows, cols]
-    chunks = list(chunks)
-    longest = max((stop - start for start, stop in chunks), default=0)
+    row_bytes = 16 * max(1, len(rows))
+    chunks = [(start, stop, _chunk_bounds(stop - start, row_bytes)) for start, stop in chunks]
+    longest = max((stop - start for start, stop, _ in chunks), default=0)
     buf = np.zeros((longest, d * d), dtype=complex)
-    block = min(longest, max(1, CHUNK_BYTES // (16 * max(1, len(rows)))))
+    block = max((b - a for _, _, blocks in chunks for a, b in blocks), default=0)
     # Flat indices of a block's values in its rows of buf; a shorter block
     # takes a prefix.
     scatter = (np.arange(block)[:, None] * (d * d) + (cols * d + rows)).reshape(-1)
-    for start, stop in chunks:
+    for start, stop, blocks in chunks:
         h_t = buf[: stop - start]
-        for a, b in _chunk_bounds(stop - start, block):
+        for a, b in blocks:
             values = (amplitudes[start + a : start + b] @ controls).view(complex)
             values += drift
             h_t[a:b].reshape(-1)[scatter[: values.size]] = values.reshape(-1)
         yield start, h_t.reshape(-1, d, d).transpose(0, 2, 1)
 
 
-def _chunk_length(dim: int) -> int:
-    """Most segments per dense-route chunk: d x d complex matrices within
-    CHUNK_BYTES / W, but never fewer than _MIN_CHUNK."""
-    return max(_MIN_CHUNK, CHUNK_BYTES // _WORKERS // (16 * dim * dim))
-
-
-def _chunk_bounds(segments: int, length: int, lanes: int = 1) -> list[tuple[int, int]]:
+def _chunk_bounds(segments: int, row_bytes: int) -> list[tuple[int, int]]:
     """(start, stop) of equal chunks of segments 0..segments-1, lengths within one.
 
-    Each chunk holds at most ``length`` segments.  Their count is a multiple
-    of ``lanes``, so that parallel lanes finish together, but never more than
-    ``segments``.  Equal chunks leave no one- or two-row tail, whose BLAS
-    products round differently from longer ones.
+    The one chunk rule of this module: a chunk holds at most
+    max(1, CHUNK_BYTES // row_bytes) segments, ``row_bytes`` being the size
+    of one segment's row of the array that a thread has in flight, so that
+    array stays within CHUNK_BYTES.  Equal chunks leave no one- or two-row
+    tail, whose BLAS products round differently from longer ones.
     """
     if not segments:
         return []
-    count = -(-segments // length)
-    count = min(segments, -(-count // lanes) * lanes)
+    count = -(-segments // max(1, CHUNK_BYTES // row_bytes))
     edges = [segments * i // count for i in range(count + 1)]
     return list(zip(edges[:-1], edges[1:]))
 
@@ -365,11 +357,12 @@ def segment_unitaries(model: SystemModel, pulses: PulseSequence) -> np.ndarray:
     ``segment_hamiltonians`` assembles all K segments on the calling thread.
     Its buffer holds each H_k^T C-ordered, and the chunks overwrite it in
     place by exp(i scale H_k^T) = U_k^T, so the stack is returned transposed.
-    Temporaries stay within CHUNK_BYTES rather than growing with K.  With
-    more than one chunk and W > 1, a pool of up to W threads that lives for
-    this call fills the chunks.  The pool is joined before the call returns
-    or raises, so an error in any chunk is raised only once no thread writes
-    into U.
+    ``_chunk_bounds`` cuts the stack for (d, d) complex rows, so each chunk's
+    temporaries stay within CHUNK_BYTES rather than growing with K, and the
+    chunks are the same for any W.  With more than one chunk and W > 1, a
+    pool of min(W, chunks) threads that lives for this call fills them.  The
+    pool is joined before the call returns or raises, so an error in any
+    chunk is raised only once no thread writes into U.
     """
     scale = _SIGN_FACTOR[pulses.sign] * pulses.grid.dt
     degree, squarings = _scaling_plan(_norm_bounds(model, pulses))
@@ -379,7 +372,7 @@ def segment_unitaries(model: SystemModel, pulses: PulseSequence) -> np.ndarray:
         start, stop = chunk
         u_t[start:stop] = _expm_taylor(u_t[start:stop], scale, squarings[start:stop], degree)
 
-    chunks = _chunk_bounds(len(u_t), _chunk_length(model.dim), _WORKERS)
+    chunks = _chunk_bounds(len(u_t), 16 * model.dim**2)
     lanes = min(_WORKERS, len(chunks))
     if lanes == 1:
         for chunk in chunks:
@@ -521,8 +514,7 @@ def _sweep(
         return out
     steps, degrees = (p.tolist() for p in plan)
     coef = (-1.0 if backward else 1.0) * 1j * _SIGN_FACTOR[pulses.sign] * pulses.grid.dt
-    length = max(1, CHUNK_BYTES // (16 * model.dim**2))
-    chunks = [(first + a, first + b) for a, b in _chunk_bounds(k_seg - first, length)]
+    chunks = [(first + a, first + b) for a, b in _chunk_bounds(k_seg - first, 16 * model.dim**2)]
     psi = out[-1 if backward else 0]
     for start, h in _hamiltonian_chunks(model, pulses.amplitudes, walk(chunks)):
         for i in walk(range(len(h))):
@@ -536,8 +528,8 @@ def propagate(
     model: SystemModel, pulses: PulseSequence, initial: StateVector
 ) -> tuple[StateVector, Workspace]:
     """Apply the segments in order by the cheaper route; norm is preserved to roundoff."""
-    if initial.dim != model.dim:
-        raise ValueError(f"state dim {initial.dim} != model dim {model.dim}")
+    if initial.site_dims != model.site_dims:
+        raise ValueError(f"state sites {initial.site_dims} != model sites {model.site_dims}")
     if pulses.channels != model.channel_labels:
         raise ValueError(
             f"pulse channels {pulses.channels} != model channels {model.channel_labels}"
@@ -608,7 +600,7 @@ def _gradient_terms(ws: Workspace, adjoint: np.ndarray) -> np.ndarray:
 
     With (i, j) running over the nnz pattern entries, A[k, a] is the sum of
     conj(bw_k[i]) fw_k[j] (H_a)_ij: the products of the gathered states form
-    an (n, nnz) array per chunk of segments, within CHUNK_BYTES, and one
+    an (n, nnz) array per ``_chunk_bounds`` chunk of segments, and one
     (n, nnz) @ (nnz, A) GEMM against the controls' gathered values contracts it.
     """
     model = ws.model
@@ -617,8 +609,7 @@ def _gradient_terms(ws: Workspace, adjoint: np.ndarray) -> np.ndarray:
     fw = ws.forward[1:]  # state after segment k, k = 1..K
     bw = ws.backward_adjoint(adjoint)
     terms = np.empty((len(fw), model.num_channels), dtype=complex)
-    length = max(1, CHUNK_BYTES // (16 * max(1, len(rows))))
-    for start, stop in _chunk_bounds(len(fw), length):
+    for start, stop in _chunk_bounds(len(fw), 16 * max(1, len(rows))):
         pairs = bw[start:stop, rows]
         np.conjugate(pairs, out=pairs)
         pairs *= fw[start:stop, cols]

@@ -8,6 +8,7 @@ an exact product state; deeper circuits ramp up entanglement with depth.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,8 @@ class PqcSpec:
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "qubits", operator.index(self.qubits))
+        object.__setattr__(self, "layers", operator.index(self.layers))
         if self.qubits < 1:
             raise ValueError("qubit count must be >= 1")
         if self.layers < 1:

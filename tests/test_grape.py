@@ -156,6 +156,20 @@ class TestRunGrape:
                 initial=initial,
             )
 
+    @pytest.mark.parametrize("role", ["target", "initial"])
+    def test_state_with_another_site_split_rejected(self, role):
+        model = build_nmr(sample_registry().get("diethyl-fluoromalonate-2q"))
+        split = StateVector(ghz(2).amplitudes, (4,))
+        states = {"target": ghz(2), "initial": None, role: split}
+        with pytest.raises(ValueError, match=r"\(4,\).*\(2, 2\)"):
+            GrapeProblem(
+                model=model,
+                grid=PulseGrid(1e-5, 5),
+                optimizer=OptimizerConfig(tolerance=1e-3),
+                bounds=(-1e4, 1e4),
+                **states,
+            )
+
     def test_nan_target_rejected(self):
         # GrapeProblem's norm check cannot catch NaN: abs(nan - 1) > tol is False.
         amps = ghz(4).amplitudes.copy()

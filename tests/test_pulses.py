@@ -22,7 +22,6 @@ from qoc.hamiltonians import (
 from qoc.linalg import StateVector, expm_hermitian, ground_state
 from qoc.pulses import (
     _SIGN_FACTOR,
-    _chunk_length,
     SIGN_FORWARD,
     SIGN_REVERSED,
     PulseGrid,
@@ -64,6 +63,14 @@ def toy_sequence(rng, model, segments, dt, sign, scale=2.0):
         sign,
         bounds=(-scale, scale),
     )
+
+
+def most_per_chunk(row_bytes):
+    """Most segments that ``pulses._chunk_bounds`` keeps in one chunk of such rows."""
+    n = 1
+    while len(pulses._chunk_bounds(n + 1, row_bytes)) == 1:
+        n += 1
+    return n
 
 
 def rel_err(got, want):
@@ -136,6 +143,18 @@ class TestPropagate:
         with pytest.raises(ValueError):
             propagate(model, seq, ground_state((2,)))
 
+    def test_site_split_must_match_the_model(self):
+        # Same dimension, other split: the reduced-state costs would cut the
+        # caller's sites instead of the model's.
+        model = build_nmr(sample_registry().get("iodotrifluoroethylene"))
+        amps = np.zeros((3, model.num_channels))
+        seq = PulseSequence(PulseGrid(1e-5, 3), amps, model.channel_labels, SIGN_REVERSED)
+        split = StateVector(ghz_amplitudes(4), (4, 4))
+        with pytest.raises(ValueError, match=r"\(4, 4\).*\(2, 2, 2, 2\)"):
+            propagate(model, seq, split)
+        with pytest.raises(ValueError, match="sites"):
+            impurity_value_and_gradient(model, seq, split, [0])
+
     def test_channel_labels_must_match_the_model(self):
         model = build_nmr(sample_registry().get("diethyl-fluoromalonate-2q"))
         assert model.channel_labels == ("x:H", "y:H", "x:F", "y:F")
@@ -202,7 +221,7 @@ class TestSegmentHamiltonians:
             assert not model.control_stack[:, rows[on_diagonal], cols[on_diagonal]].any()
             assert not model.drift[rows[~on_diagonal], cols[~on_diagonal]].any()
         # More segments than one block of values holds on the dense pattern.
-        assert pulses.CHUNK_BYTES // (16 * d * d) < 257
+        assert len(pulses._chunk_bounds(257, 16 * d * d)) > 1
         amps = rng.uniform(-2.0, 2.0, (segments, model.num_channels))
         amps[::3] = 0.0
         h = pulses.segment_hamiltonians(model, amps)
@@ -230,7 +249,7 @@ class TestChunkedUnitaries:
     @pytest.mark.parametrize("sign", [SIGN_FORWARD, SIGN_REVERSED])
     def test_chunk_boundaries_match_per_segment_exponentials(self, sign, rng):
         model = toy_model(rng, n_sites=5)
-        n = _chunk_length(model.dim)
+        n = most_per_chunk(16 * model.dim**2)
         assert 1 < n < 200  # several chunks in a small test
         scale = (-1.0 if sign == SIGN_FORWARD else 1.0) * 0.3
         for segments in (1, n - 1, n, n + 1, 2 * n + 3):
@@ -303,17 +322,6 @@ class TestChunkedUnitaries:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * ws.unitaries.nbytes
-
-    def test_chunk_length_floor_with_many_workers(self, monkeypatch):
-        # Sizing only: a segment_unitaries call here would start 64 threads.
-        monkeypatch.setattr(pulses, "_WORKERS", 64)
-        assert 1 < _chunk_length(32) < 200  # the boundary test above needs this
-        assert _chunk_length(256) == pulses._MIN_CHUNK
-        bounds = pulses._chunk_bounds(1760, _chunk_length(32), 64)
-        assert len(bounds) % 64 == 0
-        assert {stop - start for start, stop in bounds} == {3, 4}
-        assert bounds[0][0] == 0 and bounds[-1][1] == 1760
-        assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
 
 
 @pytest.fixture
@@ -392,7 +400,7 @@ class TestActionRoute:
     @pytest.mark.parametrize("theta", [1e-4, 0.1, 1.0, 4.0])
     def test_matches_dense_route(self, theta, route, rng):
         model = toy_model(rng, n_sites=5)
-        n = pulses.CHUNK_BYTES // (16 * model.dim**2)
+        n = most_per_chunk(16 * model.dim**2)
         assert 1 < n < 1000
         psi0 = random_state(model.site_dims, rng)
         target = random_state(model.site_dims, rng)
@@ -513,7 +521,7 @@ class TestActionRoute:
 class TestChunkedContraction:
     @staticmethod
     def chunk_length(model):
-        return pulses.CHUNK_BYTES // (16 * len(pulses._pattern(model)[0]))
+        return most_per_chunk(16 * len(pulses._pattern(model)[0]))
 
     @staticmethod
     def pattern_terms(model, fw, bw):
@@ -602,13 +610,14 @@ def workers(monkeypatch):
 class ChunkLog:
     """Wrap ``pulses._expm_taylor``, which each chunk of the dense fill calls once.
 
-    Records the threads that fill chunks.  The ``fail_at``-th chunk to start
-    raises; every other chunk first sleeps ``delay`` seconds.  ``busy``
-    counts chunks that have started and not yet finished.
+    Records the threads that fill chunks and the chunks' lengths.  The
+    ``fail_at``-th chunk to start raises; every other chunk first sleeps
+    ``delay`` seconds.  ``busy`` counts chunks that have started and not yet
+    finished.
     """
 
     def __init__(self, monkeypatch, fail_at=None, delay=0.0):
-        self.threads, self.started, self.busy = set(), 0, 0
+        self.threads, self.lengths, self.started, self.busy = set(), [], 0, 0
         lock = threading.Lock()
         real = pulses._expm_taylor
 
@@ -618,6 +627,7 @@ class ChunkLog:
                 self.started += 1
                 self.busy += 1
                 self.threads.add(threading.get_ident())
+                self.lengths.append(len(args[0]))
             try:
                 if index == fail_at:
                     raise DecompositionError("injected", 1.0)
@@ -640,7 +650,7 @@ class TestParallelChunks:
     def test_bit_identical_for_any_worker_count(self, count, sign, workers, rng):
         model = toy_model(rng, n_sites=4, n_channels=4)
         workers(count)
-        n = _chunk_length(model.dim)
+        n = most_per_chunk(16 * model.dim**2)
         cases = [
             toy_sequence(rng, model, segments, 0.3, sign)
             for segments in (1, 2, count * n - 1, count * n, count * n + 1, 1760)
@@ -669,32 +679,42 @@ class TestParallelChunks:
         workers(1)
         assert np.array_equal(parallel, segment_unitaries(model, seq))
 
-    def test_chunks_are_a_multiple_of_workers_and_equal(self):
-        bounds = pulses._chunk_bounds(1760, 128, 2)
-        assert len(bounds) == 14
-        assert {stop - start for start, stop in bounds} == {125, 126}
-        assert bounds[0][0] == 0 and bounds[-1][1] == 1760
-        assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
-
     @pytest.mark.parametrize(
-        "segments, length, lanes, lengths",
+        "segments, row_bytes, lengths",
         [
-            (0, 64, 1, []),
-            (0, 64, 3, []),
-            (1, 64, 1, [1]),
-            (64, 64, 1, [64]),
-            (65, 64, 1, [32, 33]),
-            (1760, 512, 1, [440] * 4),
-            (1000, 64, 1, [62, 63] * 8),
-            (5, 1, 1, [1] * 5),
-            (2, 64, 3, [1, 1]),
-            (7, 64, 3, [2, 2, 3]),
+            (0, pulses.CHUNK_BYTES // 64, []),
+            (1, pulses.CHUNK_BYTES // 64, [1]),
+            (64, pulses.CHUNK_BYTES // 64, [64]),
+            (65, pulses.CHUNK_BYTES // 64, [32, 33]),
+            (1760, pulses.CHUNK_BYTES // 512, [440] * 4),
+            (1000, pulses.CHUNK_BYTES // 64, [62, 63] * 8),
+            (5, 4 * pulses.CHUNK_BYTES, [1] * 5),  # a row over budget is a chunk
         ],
     )
-    def test_chunk_bounds(self, segments, length, lanes, lengths):
-        bounds = pulses._chunk_bounds(segments, length, lanes)
+    def test_chunk_bounds(self, segments, row_bytes, lengths):
+        bounds = pulses._chunk_bounds(segments, row_bytes)
         assert [stop - start for start, stop in bounds] == lengths
         assert [start for start, _ in bounds] == [sum(lengths[:i]) for i in range(len(lengths))]
+
+    def test_dense_fill_cuts_the_same_chunks_for_any_worker_count(self, workers, monkeypatch, rng):
+        model = toy_model(rng, n_sites=4)
+        seq = toy_sequence(rng, model, 1760, 0.3, SIGN_FORWARD)
+        lengths = {}
+        for count in (1, 3):
+            workers(count)
+            log = ChunkLog(monkeypatch)
+            segment_unitaries(model, seq)
+            lengths[count] = sorted(log.lengths)
+        assert lengths[1] == lengths[3]
+        assert sum(lengths[1]) == 1760 and max(lengths[1]) <= most_per_chunk(16 * model.dim**2)
+
+    def test_chunk_sizing_ignores_worker_count(self, workers):
+        # Sizing only: a segment_unitaries call here would start 64 threads.
+        workers(64)
+        lengths = [b - a for a, b in pulses._chunk_bounds(1760, 16 * 16**2)]
+        assert len(lengths) == 14 and set(lengths) == {125, 126}
+        assert [b - a for a, b in pulses._chunk_bounds(1760, 16 * 32**2)] == [32] * 55
+        assert [b - a for a, b in pulses._chunk_bounds(3, 16 * 256**2)] == [1] * 3
 
     @pytest.mark.parametrize("count, segments", [(1, 1760), (2, 1)])
     def test_single_lane_starts_no_thread(self, count, segments, workers, monkeypatch, rng):

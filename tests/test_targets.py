@@ -56,6 +56,16 @@ class TestUGate:
 
 
 class TestPqcState:
+    @pytest.mark.parametrize("qubits, layers", [(2.5, 2), (3, 2.0)])
+    def test_non_integer_sizes_rejected(self, qubits, layers):
+        with pytest.raises(TypeError):
+            PqcSpec(qubits, layers)
+
+    def test_integer_like_sizes_become_ints(self):
+        spec = PqcSpec(np.int64(3), np.int32(2))
+        assert type(spec.qubits) is int and type(spec.layers) is int
+        assert pqc_state(spec).dim == 8
+
     def test_zero_angles_single_layer_stays_on_ground(self):
         spec = PqcSpec(qubits=3, layers=1)
         state = pqc_state(spec, parameters=np.zeros((1, 3, 3)))
