@@ -199,8 +199,9 @@ class ScSample:
 class SystemModel:
     """Drift (d, d) and control stack (A, d, d) in ``channel_labels`` order.
 
-    d = prod(site_dims).  Each operator must be finite and Hermitian.  Arrays
-    that are already complex128 are kept, not copied, and made read-only.
+    d = prod(site_dims).  Each operator must be finite and Hermitian, the
+    channel labels distinct, and the platform "nmr" or "sc".  Arrays that are
+    already complex128 are kept, not copied, and made read-only.
     """
 
     drift: np.ndarray
@@ -214,6 +215,11 @@ class SystemModel:
         drift = np.asarray(self.drift, dtype=np.complex128)
         stack = np.asarray(self.control_stack, dtype=np.complex128)
         labels = tuple(self.channel_labels)
+        if self.platform not in ("nmr", "sc"):
+            raise ValueError(f"platform must be 'nmr' or 'sc', got {self.platform!r}")
+        repeated = sorted({label for label in labels if labels.count(label) > 1})
+        if repeated:
+            raise ValueError(f"channel labels must be distinct, got {repeated} more than once")
         _check_hermitian(drift, "drift")
         dim = math.prod(self.site_dims)
         if drift.shape[0] != dim or stack.shape != (len(labels), dim, dim):

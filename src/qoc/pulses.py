@@ -44,13 +44,17 @@ leading tail term theta^(m+1) / (m+1)! is at most 2^-53.
   overwrites them with their propagators by batched Taylor scaling and
   squaring: one degree m per call, the polynomial of 2^-j_k (+-i dt H_k) by
   matrix products, then j_k squarings, j_k the least that brings
-  theta_k 2^-j_k within reach of m.  Each step is one product of U_k with
-  the state; going backward, of U_k^T with the state's conjugate.
+  theta_k 2^-j_k within reach of m.  Each step is one zgemv call on the
+  stored U_k, Fortran-ordered, that writes the next state in place in its
+  row of the sweep's output; going backward, the call's trans = 2 applies
+  U_k† itself, with no conjugate pass over the states.
 - Action: the sweep assembles one chunk of segments at a time and applies
   exp(+-i dt H_k) to the state directly by a truncated Taylor series
   (Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011) 488); no propagator is
   formed.  theta_k sets s_k = max(1, ceil(theta_k)) steps of norm at most
   1, each truncated at the least degree m_k that reaches theta_k / s_k.
+  Each term is one zgemv call, its alpha worked out once per sweep for
+  each distinct (s_k, m_k).
 
 ``propagate`` computes this plan of steps and degrees once per call, and
 takes the action route when 2 sum_k s_k m_k < K d, that is, when the
@@ -102,8 +106,9 @@ so a forked child needs no hook, and each concurrent caller starts up to W
 threads of its own.  The action route's sweeps are chains of dependent
 matvecs and start no thread.  They want one BLAS thread, which the library
 leaves callers to set: on 2 cores one 6-qubit chain gradient (d = 64,
-K = 1400) took 0.32 s under OpenBLAS's default two and 0.12 s under one,
-most of the difference in the contraction's small GEMMs.
+K = 1400, full-box pulses) took a median 0.29 s under OpenBLAS's default
+two and 0.09 s under one; under two, cProfile put 0.19 s of it in the
+sweeps' Taylor terms and 0.07 s in the contraction's small GEMMs.
 """
 
 from __future__ import annotations
@@ -464,16 +469,16 @@ def _action_is_cheaper(model: SystemModel, plan: tuple[np.ndarray, np.ndarray]) 
     return 2.0 * float(steps @ degrees) < len(steps) * model.dim
 
 
-def _taylor_apply(h: np.ndarray, psi: np.ndarray, coef: complex, steps: int, degree: int):
-    """exp(steps * coef * h) psi, as ``steps`` Taylor series truncated at ``degree``.
+def _taylor_apply(h: np.ndarray, psi: np.ndarray, alphas: tuple[complex, ...], steps: int):
+    """exp(steps * c * h) psi, as ``steps`` Taylor series truncated at degree m.
 
-    Each series runs in Horner form, w <- psi + (coef / j) h w for
-    j = degree ... 1, one BLAS call per term.
+    ``alphas`` is (c / m, ..., c / 2, c / 1).  Each series runs in Horner
+    form, w <- psi + (c / j) h w for j = m ... 1, one zgemv call per term.
     """
     for _ in range(steps):
         w = psi
-        for j in range(degree, 0, -1):
-            w = zgemv(coef / j, h, w, beta=1.0, y=psi)
+        for alpha in alphas:
+            w = zgemv(alpha, h, w, 1.0, psi)
         psi = w
     return psi
 
@@ -490,36 +495,39 @@ def _sweep(
 
     Forward: out[0] = vec and out[k+1] = U_k out[k], (K+1, d).
     Backward: out[K-1] = vec and out[k-1] = U_k† out[k], (K, d).
-    Without a plan each step is one product with the stored U_k; backward,
-    the sweep runs on the conjugates, conj(U_k† psi) = U_k^T conj(psi), so
-    that it reads U_k^T, the C-ordered buffer behind the stack, and
-    conjugates ``out`` once at the end.  With a plan each step applies the
-    plan's Taylor series to the H_k that ``_hamiltonian_chunks`` yields.
+    Without a plan each step is one zgemv call on the stored, Fortran-ordered
+    U_k (trans = 2 for U_k†), which writes the next row of ``out`` in place.
+    With a plan each step applies the plan's Taylor series to the H_k that
+    ``_hamiltonian_chunks`` yields, with the Horner alphas of each distinct
+    (s_k, m_k) worked out once per sweep.
     """
     k_seg = pulses.grid.segments
     out = np.empty((k_seg if backward else k_seg + 1, model.dim), dtype=complex)
     out[-1 if backward else 0] = vec
+    psi = out[-1 if backward else 0]
     # The backward sweep stops before segment 0: out[0] needs no inverse of it.
     first = int(backward)
+    if plan is None:
+        ops, rows = (unitaries[:0:-1], out[-2::-1]) if backward else (unitaries, out[1:])
+        trans = 2 if backward else 0
+        for u, row in zip(ops, rows):
+            psi = zgemv(1.0, u, psi, 0.0, row, 0, 1, 0, 1, trans, 1)
+            if psi is not row:  # zgemv returned a copy rather than write the row
+                row[...] = psi
+        return out
     walk = reversed if backward else iter
     step = -1 if backward else 1
-    if plan is None:
-        ops = unitaries.transpose(0, 2, 1) if backward else unitaries
-        if backward:
-            np.conjugate(out[-1], out=out[-1])
-        for k in walk(range(first, k_seg)):
-            np.matmul(ops[k], out[k], out=out[k + step])
-        if backward:
-            np.conjugate(out, out=out)
-        return out
-    steps, degrees = (p.tolist() for p in plan)
     coef = (-1.0 if backward else 1.0) * 1j * _SIGN_FACTOR[pulses.sign] * pulses.grid.dt
+    steps, degrees = (p.tolist() for p in plan)
+    alphas = {
+        (s, m): tuple(coef / s / j for j in range(m, 0, -1)) for s, m in set(zip(steps, degrees))
+    }
     chunks = [(first + a, first + b) for a, b in _chunk_bounds(k_seg - first, 16 * model.dim**2)]
-    psi = out[-1 if backward else 0]
     for start, h in _hamiltonian_chunks(model, pulses.amplitudes, walk(chunks)):
         for i in walk(range(len(h))):
             k = start + i
-            psi = _taylor_apply(h[i], psi, coef / steps[k], int(steps[k]), degrees[k])
+            s, m = steps[k], degrees[k]
+            psi = _taylor_apply(h[i], psi, alphas[s, m], int(s))
             out[k + step] = psi
     return out
 
@@ -668,6 +676,10 @@ def random_initial_pulses(
     lo, hi = bounds
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"a random start needs finite bounds, got {bounds}")
+    if not lo <= hi:
+        raise ValueError(f"bounds must have lo <= hi, got {bounds}")
+    if not 0.0 <= fraction <= 1.0:
+        raise ValueError(f"fraction must be finite and within [0, 1], got {fraction}")
     amps = rng.uniform(fraction * lo, fraction * hi, size=(grid.segments, len(channels)))
     return PulseSequence(
         grid=grid, amplitudes=amps, channels=tuple(channels), sign=sign, bounds=bounds

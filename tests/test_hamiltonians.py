@@ -59,6 +59,16 @@ class TestSystemModel:
         with pytest.raises(ValueError, match=f"{len(labels)} channel labels"):
             self.model(labels=labels)
 
+    @pytest.mark.parametrize("labels", [("x", "x"), ("x:Q1", "x:Q1")])
+    def test_rejects_repeated_channel_labels(self, labels):
+        with pytest.raises(ValueError, match="channel labels must be distinct"):
+            self.model(labels=labels)
+
+    @pytest.mark.parametrize("platform", ["banana", "NMR", ""])
+    def test_rejects_unknown_platform(self, platform):
+        with pytest.raises(ValueError, match="platform must be 'nmr' or 'sc'"):
+            SystemModel(SZ, np.array((SX, SY)), ("x", "y"), (2,), platform=platform)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_entries(self, bad):
         # NaN slips past the Hermiticity test: nan > tol is False.

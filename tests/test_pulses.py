@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg.blas import zgemv
 
 from qoc import pulses
 from qoc.errors import ContractError, DecompositionError
@@ -392,10 +393,11 @@ class TestActionRoute:
         for j in range(1, degree + 1):
             term = coef * (h @ term) / j
             want += term
-        got = pulses._taylor_apply(np.asfortranarray(h), psi, coef, 1, degree)
+        alphas = tuple(coef / j for j in range(degree, 0, -1))
+        got = pulses._taylor_apply(np.asfortranarray(h), psi, alphas, 1)
         assert np.abs(got - want).max() <= 1e-15
-        twice = pulses._taylor_apply(np.asfortranarray(h), got, coef, 1, degree)
-        assert np.abs(pulses._taylor_apply(h, psi, coef, 2, degree) - twice).max() <= 1e-15
+        twice = pulses._taylor_apply(np.asfortranarray(h), got, alphas, 1)
+        assert np.abs(pulses._taylor_apply(h, psi, alphas, 2) - twice).max() <= 1e-15
 
     @pytest.mark.parametrize("theta", [1e-4, 0.1, 1.0, 4.0])
     def test_matches_dense_route(self, theta, route, rng):
@@ -516,6 +518,110 @@ class TestActionRoute:
             tracemalloc.stop()
         assert ws.unitaries is None
         assert peak <= 0.5 * model.control_stack.nbytes
+
+
+class TestSweepReference:
+    """``_sweep`` against reference loops written out here, step by step.
+
+    Action route: the Horner series with keyword zgemv calls, on the H_k
+    that the sweep itself assembled; the same BLAS operation on the same
+    operands, so the states must be equal.  Dense route: np.matmul per step
+    from the sweep's own previous state, backward on the conjugates, U_k^T
+    conj(psi) = conj(U_k† psi); numpy may link another BLAS, so each step is
+    held to 1e-15 ||psi||.
+    """
+
+    @staticmethod
+    def sweep(model, seq, psi0, backward):
+        """(states, H_k by segment, workspace) of one sweep from psi0."""
+        _, ws = propagate(model, seq, StateVector(psi0, model.site_dims))
+        seen = {}
+        assemble = pulses._hamiltonian_chunks
+
+        def spy(*args):
+            for start, h in assemble(*args):
+                seen.update((start + i, h_k.copy(order="K")) for i, h_k in enumerate(h))
+                yield start, h
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pulses, "_hamiltonian_chunks", spy)
+            if backward:
+                got = ws.backward_adjoint(psi0)
+            else:
+                got = pulses._sweep(model, seq, ws.unitaries, ws.plan, psi0, backward=False)
+        return got, seen, ws
+
+    @staticmethod
+    def horner(h, psi, coef, steps, degree):
+        for _ in range(steps):
+            w = psi
+            for j in range(degree, 0, -1):
+                w = zgemv(coef / j, h, w, beta=1.0, y=psi)
+            psi = w
+        return psi
+
+    @pytest.fixture
+    def case(self, rng):
+        model = toy_model(rng, n_sites=4)
+        # Three chunks of H_k per action sweep, with steps and degrees that vary.
+        segments = 2 * most_per_chunk(16 * model.dim**2) + 5
+        psi0 = random_state(model.site_dims, rng).amplitudes
+        return model, segments, psi0
+
+    @pytest.mark.parametrize("backward", [False, True])
+    @pytest.mark.parametrize("sign", [SIGN_FORWARD, SIGN_REVERSED])
+    def test_action_sweep_equals_keyword_horner(self, case, sign, backward, route, rng):
+        model, segments, psi0 = case
+        seq = TestActionRoute.sequence(rng, model, segments, 3.0, sign)
+        route("action")
+        got, seen, ws = self.sweep(model, seq, psi0, backward)
+        steps, degrees = ws.plan
+        assert len(set(zip(steps, degrees))) > 2
+        coef = (-1.0 if backward else 1.0) * 1j * _SIGN_FACTOR[sign] * seq.grid.dt
+        order = range(segments - 1, 0, -1) if backward else range(segments)
+        assert sorted(seen) == sorted(order)
+        want = np.empty_like(got)
+        psi = want[-1 if backward else 0] = psi0
+        for k in order:
+            psi = self.horner(seen[k], psi, coef / steps[k], int(steps[k]), degrees[k])
+            want[k - 1 if backward else k + 1] = psi
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("backward", [False, True])
+    @pytest.mark.parametrize("sign", [SIGN_FORWARD, SIGN_REVERSED])
+    def test_dense_sweep_matches_matmul_per_step(self, case, sign, backward, route, rng):
+        model, segments, psi0 = case
+        seq = TestActionRoute.sequence(rng, model, segments, 3.0, sign)
+        route("dense")
+        got, _, ws = self.sweep(model, seq, psi0, backward)
+        u = ws.unitaries
+        assert got.shape == (segments if backward else segments + 1, model.dim)
+        assert np.array_equal(got[-1 if backward else 0], psi0)
+        for k in range(1, segments) if backward else range(segments):
+            if backward:
+                want = np.matmul(u[k].T, got[k].conj()).conj()
+                psi, out = got[k], got[k - 1]
+            else:
+                want = np.matmul(u[k], got[k])
+                psi, out = got[k], got[k + 1]
+            assert np.abs(out - want).max() <= 1e-15 * np.linalg.norm(psi)
+
+    @pytest.mark.parametrize("backward", [False, True])
+    def test_dense_sweep_keeps_a_copy_zgemv_returns(self, case, backward, route, rng):
+        # Should zgemv ever return a new array rather than write the row it
+        # is given, the sweep still fills every row with that array.
+        model, segments, psi0 = case
+        seq = TestActionRoute.sequence(rng, model, segments, 3.0, SIGN_FORWARD)
+        route("dense")
+        want, _, _ = self.sweep(model, seq, psi0, backward)
+
+        def copying(*args):
+            return zgemv(*args[:-1], 0)  # overwrite_y = 0: y is copied first
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pulses, "zgemv", copying)
+            got, _, ws = self.sweep(model, seq, psi0, backward)
+        assert ws.plan is None and np.array_equal(got, want)
 
 
 class TestChunkedContraction:
@@ -1036,6 +1142,25 @@ class TestPulseFiles:
     def test_random_start_needs_finite_bounds(self, bounds, rng):
         with pytest.raises(ValueError, match="finite"):
             random_initial_pulses(PulseGrid(1.0, 3), ("a",), bounds, rng, SIGN_FORWARD)
+
+    @pytest.mark.parametrize("fraction", [np.nan, np.inf, 1.5, -0.5])
+    def test_random_start_fraction_within_unit_interval(self, fraction, rng):
+        with pytest.raises(ValueError, match="fraction"):
+            random_initial_pulses(
+                PulseGrid(1.0, 3), ("a",), (-1.0, 1.0), rng, SIGN_FORWARD, fraction=fraction
+            )
+
+    def test_random_start_needs_ordered_bounds(self, rng):
+        with pytest.raises(ValueError, match="bounds must have lo <= hi"):
+            random_initial_pulses(PulseGrid(1.0, 3), ("a",), (1.0, -1.0), rng, SIGN_FORWARD)
+
+    @pytest.mark.parametrize(
+        "fraction, bounds", [(0.0, (-1.0, 1.0)), (1.0, (-1.0, 1.0)), (1.0, (2.0, 2.0))]
+    )
+    def test_random_start_accepts_edges(self, fraction, bounds, rng):
+        seq = random_initial_pulses(PulseGrid(1.0, 3), ("a",), bounds, rng, SIGN_FORWARD, fraction)
+        lo, hi = bounds
+        assert np.all((fraction * lo <= seq.amplitudes) & (seq.amplitudes <= fraction * hi))
 
     def test_bounds_enforced(self):
         grid = PulseGrid(dt=1.0, segments=1)
