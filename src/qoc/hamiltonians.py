@@ -15,14 +15,17 @@ Everything is converted to angular frequency at build time so the pulse
 engine never sees a 2*pi.
 
 ``sample_registry()`` loads the packaged catalogue once, bit-exactly and
-read-only, with reference schedules at the tabulated sizes only.  Spin and
-site indices must be integers (numpy integers included); a float is a
-TypeError rather than being truncated.  Spin subsets are chosen by
-``NmrSample.restricted``.  Catalogue shifts are laboratory-frame values;
-callers substitute rotating-frame offsets via ``with_shifts`` /
-``with_idle_frequencies`` before building.  The models are closed systems:
-relaxation times and formulas are left unread.  Non-finite shifts,
-couplings or frequencies are rejected when a sample is constructed.
+read-only, with reference schedules at the tabulated sizes only.  It parses
+with PyYAML's libyaml-backed ``CSafeLoader`` (the safe constructor and
+resolver of ``yaml.safe_load``), or with the pure-Python ``SafeLoader``
+where PyYAML was built without libyaml.  Spin and site indices must be
+integers (numpy integers included); a float is a TypeError rather than
+being truncated.  Spin subsets are chosen by ``NmrSample.restricted``.
+Catalogue shifts are laboratory-frame values; callers substitute
+rotating-frame offsets via ``with_shifts`` / ``with_idle_frequencies``
+before building.  The models are closed systems: relaxation times and
+formulas are left unread.  Non-finite shifts, couplings or frequencies, and
+repeated spin labels, are rejected when a sample is constructed.
 
 A ``SystemModel`` stores each operator once, read-only and checked finite
 and Hermitian at construction: the (d, d) ``drift`` and the (A, d, d)
@@ -87,8 +90,17 @@ class NmrSample:
     couplings: Mapping[tuple[int, int], float]  # (i, j) i<j -> Hz
 
     def __post_init__(self):
+        spins = tuple((str(l), float(s)) for l, s in self.spins)
+        if not all(math.isfinite(s) for _, s in spins):
+            raise ValueError(f"non-finite chemical shift in {self.name}")
+        labels = [label for label, _ in spins]
+        repeated = sorted({label for label in labels if labels.count(label) > 1})
+        if repeated:
+            raise ValueError(
+                f"spin labels must be distinct in {self.name}, got {repeated} more than once"
+            )
         canon: dict[tuple[int, int], float] = {}
-        n = len(self.spins)
+        n = len(spins)
         for (i, j), val in dict(self.couplings).items():
             if i == j:
                 raise ValueError(f"self-coupling on spin {i} in sample {self.name}")
@@ -100,9 +112,6 @@ class NmrSample:
             if key in canon and canon[key] != val:
                 raise ValueError(f"conflicting duplicate coupling {key} in {self.name}")
             canon[key] = float(val)
-        spins = tuple((str(l), float(s)) for l, s in self.spins)
-        if not all(math.isfinite(s) for _, s in spins):
-            raise ValueError(f"non-finite chemical shift in {self.name}")
         object.__setattr__(self, "couplings", MappingProxyType(canon))
         object.__setattr__(self, "spins", spins)
 
@@ -412,7 +421,7 @@ class SampleRegistry:
         )
 
     def reference_schedule(self, platform: str, size: int) -> dict:
-        """Reference segment budgets and transfer time at a tabulated size."""
+        """Reference segment length and budgets at a tabulated size."""
         table = self.schedules.get(platform)
         if table is None:
             raise KeyError(f"no schedule table for platform {platform!r}")
@@ -426,7 +435,6 @@ class SampleRegistry:
             "dt": float(table["dt"]),
             "igrape": list(row["igrape"]),
             "grape": int(row["grape"]),
-            "transfer": float(row["transfer"]),
         }
 
 
@@ -443,7 +451,7 @@ def _read_only(value):
 def sample_registry() -> SampleRegistry:
     """The built-in catalogue, loaded once per process and shared read-only."""
     text = resources.files("qoc.data").joinpath("samples.yaml").read_text()
-    doc = yaml.safe_load(text)
+    doc = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     nmr = {name: _parse_nmr(name, spec) for name, spec in doc["nmr_samples"].items()}
     sc = {name: _parse_sc(name, spec) for name, spec in doc["sc_samples"].items()}
     return SampleRegistry(

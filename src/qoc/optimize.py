@@ -11,7 +11,9 @@ engines rely on:
 * one projected steepest-descent restart after a line-search failure
   before giving up.
 
-The search is deterministic given the same inputs.
+The search is deterministic given the same inputs.  The backend is imported
+on the first call of ``minimize``, not with this module, so a process that
+only propagates or takes gradients never loads ``scipy.optimize``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize as _scipy_minimize
 
 from .errors import OptimizationError
 
@@ -123,6 +124,10 @@ def minimize(
     config: OptimizerConfig,
 ) -> tuple[np.ndarray, OptimizationReport]:
     """Minimize under box bounds; stop at tolerance, flat gradient, or budget."""
+    # Imported here, not at module level: scipy.optimize costs a fresh process
+    # about 0.25 s and 20 MB that propagation and gradients never use.
+    from scipy.optimize import minimize as _scipy_minimize
+
     start = time.perf_counter()
     objective = _Objective(cost_and_grad)
     x0 = np.asarray(x0, dtype=np.float64).reshape(-1)

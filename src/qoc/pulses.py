@@ -671,7 +671,7 @@ def random_initial_pulses(
     sign: str,
     fraction: float = 0.1,
 ) -> PulseSequence:
-    """Uniform random amplitudes inside ``fraction`` of the box, seeded."""
+    """Uniform random amplitudes in ``fraction`` of the box about its centre, seeded."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     lo, hi = bounds
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -680,7 +680,11 @@ def random_initial_pulses(
         raise ValueError(f"bounds must have lo <= hi, got {bounds}")
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"fraction must be finite and within [0, 1], got {fraction}")
-    amps = rng.uniform(fraction * lo, fraction * hi, size=(grid.segments, len(channels)))
+    centre, half = (lo + hi) / 2, (hi - lo) / 2
+    amps = rng.uniform(
+        centre - fraction * half, centre + fraction * half, size=(grid.segments, len(channels))
+    )
+    np.clip(amps, lo, hi, out=amps)  # centre ± half may round an ulp past an edge
     return PulseSequence(
         grid=grid, amplitudes=amps, channels=tuple(channels), sign=sign, bounds=bounds
     )

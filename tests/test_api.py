@@ -1,5 +1,9 @@
 import importlib
+import json
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -20,3 +24,38 @@ def test_every_exported_name_resolves(name):
     namespace = {}
     exec(f"from qoc.{name} import *", namespace)
     assert set(exported) <= set(namespace)
+
+
+# Imports every qoc module, then runs one bounded search; prints what it saw.
+_COLD_START = """
+import importlib, json, sys
+import numpy as np
+for name in %r:
+    importlib.import_module("qoc." + name)
+seen = {"after_import": "scipy.optimize" in sys.modules}
+from qoc.optimize import OptimizerConfig, minimize
+x, report = minimize(
+    lambda v: (float((v - 1.0) @ (v - 1.0)), 2.0 * (v - 1.0)),
+    np.zeros(3),
+    OptimizerConfig(tolerance=1e-12, bounds=(-2.0, 2.0)),
+)
+seen.update(termination=report.termination, x=x.tolist(),
+            after_minimize="scipy.optimize" in sys.modules)
+print(json.dumps(seen))
+"""
+
+
+def test_scipy_optimize_loads_only_when_a_search_runs():
+    # A fresh process: this one has long since loaded scipy.optimize.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(qoc.__file__)))
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", _COLD_START % (MODULES,)],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    seen = json.loads(out.splitlines()[-1])
+    assert seen["after_import"] is False
+    assert seen["termination"] == "tolerance"
+    assert max(abs(v - 1.0) for v in seen["x"]) < 1e-5
+    assert seen["after_minimize"] is True

@@ -2,10 +2,13 @@ import copy
 import dataclasses
 import math
 import pickle
+import re
 import tracemalloc
+from importlib import resources
 
 import numpy as np
 import pytest
+import yaml
 
 from qoc.errors import SampleNotFoundError
 from qoc.hamiltonians import (
@@ -16,6 +19,7 @@ from qoc.hamiltonians import (
     build_sc,
     _parse_nmr,
     _parse_sc,
+    _read_only,
     frozen_subsystem_hamiltonian,
     sample_registry,
 )
@@ -163,6 +167,15 @@ class TestBuildNmr:
             sample.with_shifts([0.0, bad, 0.0, 0.0])
         with pytest.raises(ValueError, match="finite"):
             two_spin_sample(shifts=(0.0, bad))
+
+    @pytest.mark.parametrize(
+        "labels, repeated", [(("H", "H"), "['H']"), (("F", "H", "C", "H", "F"), "['F', 'H']")]
+    )
+    def test_repeated_spin_labels_rejected(self, labels, repeated):
+        # Caught at construction, not later as repeated channel labels in build_nmr.
+        spins = tuple((label, 0.0) for label in labels)
+        with pytest.raises(ValueError, match=re.escape(f"in dup, got {repeated} more than once")):
+            NmrSample(name="dup", spins=spins, couplings={})
 
     def test_drift_diagonal(self):
         reg = sample_registry()
@@ -358,6 +371,23 @@ class TestRegistry:
         with pytest.raises(SampleNotFoundError):
             sample_registry().get("nonexistent")
 
+    def test_catalogue_matches_pure_python_safe_load(self):
+        # The registry's loader must read the file as yaml.safe_load does; repr
+        # also tells -0.0 from 0.0 and an int from an equal float.
+        text = resources.files("qoc.data").joinpath("samples.yaml").read_text()
+        doc = yaml.safe_load(text)
+        reg = sample_registry()
+        for kind, parse in (("nmr", _parse_nmr), ("sc", _parse_sc)):
+            want = {name: parse(name, spec) for name, spec in doc[f"{kind}_samples"].items()}
+            got = dict(getattr(reg, kind))
+            assert got == want and repr(got) == repr(want)
+        assert repr(_read_only(doc["schedules"])) == repr(reg.schedules)
+        for platform, table in doc["schedules"].items():
+            for size, row in table["sizes"].items():
+                want = {"dt": table["dt"], "igrape": row["igrape"], "grape": row["grape"]}
+                got = reg.reference_schedule(platform, size)
+                assert got == want and repr(got) == repr(want)
+
     def test_all_built_models_hermitian(self):
         reg = sample_registry()
         for name in ("diethyl-fluoromalonate-2q", "iodotrifluoroethylene"):
@@ -371,10 +401,7 @@ class TestRegistry:
     def test_reference_schedules(self):
         reg = sample_registry()
         row = reg.reference_schedule("nmr", 2)
-        assert row["igrape"] == [500, 100]
-        assert row["grape"] == 600
-        assert row["transfer"] == 3.0e-3
-        assert row["dt"] == 5.0e-6
+        assert row == {"dt": 5.0e-6, "igrape": [500, 100], "grape": 600}
         row = reg.reference_schedule("sc", 4)
         assert row["igrape"] == [380, 320, 300]
 
@@ -402,7 +429,7 @@ class TestRegistry:
         assert "tmp" not in again.nmr and "tmp" not in again.sc
         assert "tmp" not in again.schedules
         assert again.reference_schedule("nmr", 4) == {
-            "dt": 5.0e-6, "igrape": [1500, 260], "grape": 1760, "transfer": 8.8e-3
+            "dt": 5.0e-6, "igrape": [1500, 260], "grape": 1760
         }
 
     def test_sample_couplings_read_only_and_picklable(self):

@@ -1162,6 +1162,28 @@ class TestPulseFiles:
         lo, hi = bounds
         assert np.all((fraction * lo <= seq.amplitudes) & (seq.amplitudes <= fraction * hi))
 
+    @pytest.mark.parametrize("bounds", [(2.0, 4.0), (-7.5, -0.25), (0.1, 0.7)])
+    @pytest.mark.parametrize("fraction", [0.1, 1.0])
+    def test_random_start_about_box_centre(self, bounds, fraction, rng):
+        # A box that excludes 0 still gives a start, drawn about its centre.
+        lo, hi = bounds
+        seq = random_initial_pulses(PulseGrid(1.0, 200), ("a",), bounds, rng, SIGN_FORWARD, fraction)
+        centre, half = (lo + hi) / 2, (hi - lo) / 2
+        amps = seq.amplitudes
+        assert np.all((lo <= amps) & (amps <= hi))
+        assert np.abs(amps - centre).max() <= fraction * half * (1 + 1e-12)
+
+    @pytest.mark.parametrize(
+        "bound, fraction",
+        [(2.0e4, 0.1), (2 * np.pi * 0.05, 1.0), (2 * np.pi * 0.05, 0.1), (3.0, 0.37)],
+    )
+    def test_random_start_symmetric_box_draws_unchanged(self, bound, fraction):
+        # Symmetric boxes keep the draws of uniform(f lo, f hi), so seeded runs do not move.
+        grid = PulseGrid(1.0, 64)
+        seq = random_initial_pulses(grid, ("a", "b"), (-bound, bound), 7, SIGN_FORWARD, fraction)
+        want = np.random.default_rng(7).uniform(-fraction * bound, fraction * bound, size=(64, 2))
+        assert np.array_equal(seq.amplitudes, want)
+
     def test_bounds_enforced(self):
         grid = PulseGrid(dt=1.0, segments=1)
         with pytest.raises(ValueError):
