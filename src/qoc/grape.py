@@ -16,7 +16,7 @@ import numpy as np
 
 from .hamiltonians import SystemModel
 from .linalg import StateVector, ground_state
-from .optimize import OptimizationReport, OptimizerConfig, minimize
+from .optimize import TERMINATION_TOLERANCE, OptimizationReport, OptimizerConfig, minimize
 from .pulses import (
     SIGN_FORWARD,
     PulseGrid,
@@ -53,8 +53,9 @@ class GrapeProblem:
                     f"{role} site dimensions {state.site_dims} do not match "
                     f"the model's {self.model.site_dims}"
                 )
-        if not all(math.isfinite(b) for b in self.bounds):
-            raise ValueError(f"amplitude bounds must be finite, got {self.bounds}")
+        lo, hi = self.bounds
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+            raise ValueError(f"amplitude bounds must be finite with lo <= hi, got {self.bounds}")
         solver_bounds = self.optimizer.bounds  # run_grape replaces them by self.bounds
         if solver_bounds is not None and not np.array_equal(solver_bounds, self.bounds):
             raise ValueError(f"optimizer bounds {solver_bounds} conflict with bounds {self.bounds}")
@@ -84,50 +85,39 @@ def run_grape(problem: GrapeProblem) -> GrapeResult:
     grid = problem.grid
     tolerance = problem.optimizer.tolerance
 
-    zero_seq = PulseSequence(
+    pulses = PulseSequence(
         grid,
         np.zeros((grid.segments, model.num_channels)),
         model.channel_labels,
         SIGN_FORWARD,
         bounds=problem.bounds,
     )
-    drift_only, _ = propagate(model, zero_seq, initial)
-    zero_cost = state_infidelity(drift_only, problem.target)
-    if zero_cost < tolerance:
+    final_cost = state_infidelity(propagate(model, pulses, initial)[0], problem.target)
+    if final_cost < tolerance:
         report = OptimizationReport(
-            cost_trace=[zero_cost],
+            cost_trace=[final_cost],
             gradient_norm_trace=[0.0],
-            iterations=0,
-            wall_time=0.0,
-            termination="tolerance",
+            termination=TERMINATION_TOLERANCE,
             message="drift alone reaches the target; controls left at zero",
         )
-        return GrapeResult(
-            pulses=zero_seq,
-            report=report,
-            final_cost=zero_cost,
-            converged=True,
-            seed=problem.seed,
+    else:
+        guess = random_initial_pulses(
+            grid, model.channel_labels, problem.bounds, problem.seed, SIGN_FORWARD
         )
+        shape = guess.amplitudes.shape
 
-    guess = random_initial_pulses(
-        grid, model.channel_labels, problem.bounds, problem.seed, SIGN_FORWARD
-    )
-    shape = guess.amplitudes.shape
+        def cost_and_grad(x: np.ndarray):
+            seq = guess.with_amplitudes(x.reshape(shape))
+            cost, grad, _ = infidelity_value_and_gradient(model, seq, initial, problem.target)
+            return cost, grad.reshape(-1)
 
-    def cost_and_grad(x: np.ndarray):
-        seq = guess.with_amplitudes(x.reshape(shape))
-        cost, grad, _ = infidelity_value_and_gradient(model, seq, initial, problem.target)
-        return cost, grad.reshape(-1)
+        config = dataclasses.replace(problem.optimizer, bounds=problem.bounds)
+        x_star, report = minimize(cost_and_grad, guess.amplitudes.reshape(-1), config)
+        pulses = guess.with_amplitudes(x_star.reshape(shape))
 
-    config = dataclasses.replace(problem.optimizer, bounds=problem.bounds)
-    x_star, report = minimize(cost_and_grad, guess.amplitudes.reshape(-1), config)
-    pulses = guess.with_amplitudes(x_star.reshape(shape))
-
-    # Re-simulate from scratch so the reported fidelity is what a fresh
-    # play-out of the returned pulses actually achieves.
-    final_state, _ = propagate(model, pulses, initial)
-    final_cost = state_infidelity(final_state, problem.target)
+        # Re-simulate so the reported fidelity is what a fresh play-out of the
+        # returned pulses actually achieves.
+        final_cost = state_infidelity(propagate(model, pulses, initial)[0], problem.target)
     converged = final_cost < tolerance
     if not converged:
         logger.info(

@@ -102,6 +102,7 @@ class NmrSample:
         canon: dict[tuple[int, int], float] = {}
         n = len(spins)
         for (i, j), val in dict(self.couplings).items():
+            i, j = operator.index(i), operator.index(j)
             if i == j:
                 raise ValueError(f"self-coupling on spin {i} in sample {self.name}")
             if not (0 <= i < n and 0 <= j < n):
@@ -208,9 +209,10 @@ class ScSample:
 class SystemModel:
     """Drift (d, d) and control stack (A, d, d) in ``channel_labels`` order.
 
-    d = prod(site_dims).  Each operator must be finite and Hermitian, the
-    channel labels distinct, and the platform "nmr" or "sc".  Arrays that are
-    already complex128 are kept, not copied, and made read-only.
+    d = prod(site_dims), kept as a tuple of integers >= 1.  Each operator
+    must be finite and Hermitian, the channel labels distinct, and the
+    platform "nmr" or "sc".  Arrays that are already complex128 are kept, not
+    copied, and made read-only.
     """
 
     drift: np.ndarray
@@ -224,17 +226,20 @@ class SystemModel:
         drift = np.asarray(self.drift, dtype=np.complex128)
         stack = np.asarray(self.control_stack, dtype=np.complex128)
         labels = tuple(self.channel_labels)
+        dims = tuple(operator.index(d) for d in self.site_dims)
+        if any(d < 1 for d in dims):
+            raise ValueError(f"site dimensions must be >= 1, got {dims}")
         if self.platform not in ("nmr", "sc"):
             raise ValueError(f"platform must be 'nmr' or 'sc', got {self.platform!r}")
         repeated = sorted({label for label in labels if labels.count(label) > 1})
         if repeated:
             raise ValueError(f"channel labels must be distinct, got {repeated} more than once")
         _check_hermitian(drift, "drift")
-        dim = math.prod(self.site_dims)
+        dim = math.prod(dims)
         if drift.shape[0] != dim or stack.shape != (len(labels), dim, dim):
             raise ValueError(
                 f"drift {drift.shape} and control stack {stack.shape} do not fit "
-                f"{len(labels)} channel labels on sites {self.site_dims}"
+                f"{len(labels)} channel labels on sites {dims}"
             )
         for label, op in zip(labels, stack):
             _check_hermitian(op, f"control {label!r}")
@@ -243,6 +248,7 @@ class SystemModel:
         object.__setattr__(self, "drift", drift)
         object.__setattr__(self, "control_stack", stack)
         object.__setattr__(self, "channel_labels", labels)
+        object.__setattr__(self, "site_dims", dims)
 
     def __reduce__(self):
         # Copies and unpickled models go through construction, so they are read-only too.

@@ -11,6 +11,12 @@ engines rely on:
 * one projected steepest-descent restart after a line-search failure
   before giving up.
 
+The start, each quasi-Newton iterate and an improving restart step are
+accepted when their cost falls below the last accepted one.  The last
+accepted point is returned, so ``cost_trace[-1]`` is the cost there; the
+backend's ``res.fun``, which after a line-search failure need not be the
+cost at any point, is not read.
+
 The search is deterministic given the same inputs.  The backend is imported
 on the first call of ``minimize``, not with this module, so a process that
 only propagates or takes gradients never loads ``scipy.optimize``.
@@ -67,8 +73,10 @@ class OptimizerConfig:
 class OptimizationReport:
     """Accepted-iterate traces, the work done and the reason the run stopped.
 
-    ``evaluations`` counts calls of the cost-and-gradient callable; repeated
-    points answered from the cache are not counted.
+    ``cost_trace`` falls strictly, and its last entry is the cost at the
+    returned point; the backend's ``res.fun`` is not read.  ``evaluations``
+    counts calls of the cost-and-gradient callable; repeated points answered
+    from the cache are not counted.
     """
 
     cost_trace: list[float] = field(default_factory=list)
@@ -85,12 +93,17 @@ class OptimizationReport:
 
 
 class _Objective:
-    """Finiteness-checked wrapper that remembers recent evaluations."""
+    """Finiteness-checked wrapper that remembers recent evaluations.
+
+    It also keeps the search record: ``report``'s traces and counts, and
+    ``best``, the point accepted last.
+    """
 
     def __init__(self, fn: Callable[[np.ndarray], tuple[float, np.ndarray]]):
         self.fn = fn
         self.cache: dict[bytes, tuple[float, np.ndarray]] = {}
-        self.evaluations = 0
+        self.report = OptimizationReport()
+        self.best: np.ndarray | None = None
 
     def __call__(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         x = np.asarray(x, dtype=np.float64)
@@ -99,7 +112,7 @@ class _Objective:
         if hit is not None:
             return hit
         f, g = self.fn(x)
-        self.evaluations += 1
+        self.report.evaluations += 1
         g = np.asarray(g, dtype=np.float64).reshape(-1)
         if not np.isfinite(f):
             raise OptimizationError(f"cost became non-finite ({f})", iterate=x.copy())
@@ -109,6 +122,18 @@ class _Objective:
             self.cache.clear()
         self.cache[key] = (float(f), g)
         return float(f), g
+
+    def accept(self, x: np.ndarray) -> float:
+        """The cost at ``x``.  When it is the lowest yet, a copy of ``x``
+        becomes ``best`` and its cost and gradient norm join the traces.
+        """
+        f, g = self(x)
+        trace = self.report.cost_trace
+        if not trace or f < trace[-1]:
+            trace.append(f)
+            self.report.gradient_norm_trace.append(float(np.abs(g).max(initial=0.0)))
+            self.best = np.array(x, dtype=np.float64)
+        return f
 
 
 def _clip(x: np.ndarray, bounds) -> np.ndarray:
@@ -129,106 +154,55 @@ def minimize(
     from scipy.optimize import minimize as _scipy_minimize
 
     start = time.perf_counter()
-    objective = _Objective(cost_and_grad)
     x0 = np.asarray(x0, dtype=np.float64).reshape(-1)
-    if config.bounds is not None:
-        lo, hi = config.bounds
-        if np.any(x0 < lo) or np.any(x0 > hi):
-            raise ValueError("x0 violates the bounds")
-        scipy_bounds = [(lo, hi)] * x0.size
-    else:
-        scipy_bounds = None
+    bounds = config.bounds
+    if bounds is not None and (np.any(x0 < bounds[0]) or np.any(x0 > bounds[1])):
+        raise ValueError("x0 violates the bounds")
+    options = {"maxcor": MEMORY_PAIRS, "ftol": RELATIVE_COST_TOLERANCE, "gtol": GRADIENT_TOLERANCE}
 
-    report = OptimizationReport()
-    f0, g0 = objective(x0)
-    report.cost_trace.append(f0)
-    report.gradient_norm_trace.append(float(np.abs(g0).max(initial=0.0)))
-    best_x, best_f = x0.copy(), f0
-
-    if f0 < config.tolerance:
-        report.termination = TERMINATION_TOLERANCE
-        report.message = "initial point already below tolerance"
-        report.evaluations = objective.evaluations
-        report.wall_time = time.perf_counter() - start
-        return x0, report
-
-    hit_tolerance = False
+    objective = _Objective(cost_and_grad)
+    report = objective.report
+    objective.accept(x0)
 
     def callback(xk):
-        nonlocal best_x, best_f, hit_tolerance
-        f, g = objective(np.asarray(xk))
-        if f < report.cost_trace[-1]:
-            report.cost_trace.append(f)
-            report.gradient_norm_trace.append(float(np.abs(g).max(initial=0.0)))
-        if f < best_f:
-            best_f, best_x = f, np.asarray(xk, dtype=np.float64).copy()
-        if f < config.tolerance:
-            hit_tolerance = True
+        report.iterations += 1
+        if objective.accept(xk) < config.tolerance:
             raise StopIteration
 
-    remaining = config.max_iterations
-    iterations = 0
-    restarts_left = 1
-    termination = ""
-    message = ""
-    x = x0
-
-    while True:
-        res = _scipy_minimize(
-            objective,
-            x,
-            jac=True,
-            method="L-BFGS-B",
-            bounds=scipy_bounds,
-            callback=callback,
-            options={
-                "maxiter": remaining,
-                "maxcor": MEMORY_PAIRS,
-                "ftol": RELATIVE_COST_TOLERANCE,
-                "gtol": GRADIENT_TOLERANCE,
-            },
-        )
-        iterations += int(res.nit)
-        remaining -= int(res.nit)
-        if float(res.fun) < best_f:
-            best_f, best_x = float(res.fun), np.asarray(res.x, dtype=np.float64).copy()
-
-        if hit_tolerance or best_f < config.tolerance:
-            termination, message = TERMINATION_TOLERANCE, "cost below tolerance"
-            break
-        if res.status == 1 or remaining <= 0:
-            termination, message = TERMINATION_MAX_ITER, "iteration budget exhausted"
-            break
-        if res.status == 0:
+    res = None  # the backend runs from the best point while no result is pending
+    restarted = False
+    while not report.termination:
+        if report.cost_trace[-1] < config.tolerance:
+            report.termination = TERMINATION_TOLERANCE
+            report.message = (
+                "cost below tolerance" if len(report.cost_trace) > 1
+                else "initial point already below tolerance"
+            )
+        elif res is None:
+            options["maxiter"] = config.max_iterations - report.iterations
+            res = _scipy_minimize(
+                objective, objective.best, jac=True, method="L-BFGS-B", callback=callback,
+                bounds=None if bounds is None else [bounds] * x0.size, options=options,
+            )
+        elif res.status == 1:
+            report.termination, report.message = TERMINATION_MAX_ITER, "iteration budget exhausted"
+        elif res.status == 0:
             # Converged by the backend's flat-gradient / flat-cost tests
             # without reaching the cost tolerance.
-            termination, message = TERMINATION_GRADIENT, str(res.message)
-            break
-        # Abnormal line-search termination: try one projected steepest-descent
-        # restart from the best point before declaring failure.
-        if restarts_left > 0:
-            restarts_left -= 1
-            stepped, improved = _descent_probe(objective, best_x, best_f, config.bounds)
+            report.termination, report.message = TERMINATION_GRADIENT, str(res.message)
+        elif not restarted:
+            # Abnormal line-search termination: one projected steepest-descent
+            # restart from the best point; the backend runs again if it helps.
+            restarted = True
+            x, improved = _descent_probe(objective, objective.best, report.cost_trace[-1], bounds)
             if improved:
-                x = stepped
-                f, g = objective(x)
-                if f < report.cost_trace[-1]:
-                    report.cost_trace.append(f)
-                    report.gradient_norm_trace.append(float(np.abs(g).max(initial=0.0)))
-                best_f, best_x = f, x.copy()
-                if f < config.tolerance:
-                    termination, message = TERMINATION_TOLERANCE, "cost below tolerance"
-                    break
-                continue
-        termination, message = TERMINATION_LINE_SEARCH, str(res.message)
-        break
+                objective.accept(x)
+                res = None
+        else:
+            report.termination, report.message = TERMINATION_LINE_SEARCH, str(res.message)
 
-    report.iterations = iterations
-    report.evaluations = objective.evaluations
-    report.termination = termination
-    report.message = message
     report.wall_time = time.perf_counter() - start
-    return _clip(best_x, config.bounds), report
+    return _clip(objective.best, bounds), report
 
 
 def _descent_probe(objective, x, f_ref, bounds, max_halvings: int = 30):

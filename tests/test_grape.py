@@ -177,7 +177,10 @@ class TestRunGrape:
         with pytest.raises(ValueError, match="finite"):
             StateVector(amps, (2,) * 4)
 
-    @pytest.mark.parametrize("bounds", [(-math.inf, math.inf), (-1e4, math.inf), (math.nan, 1e4)])
+    # (2e4, -2e4) used to construct and fail only in run_grape, after one propagate.
+    @pytest.mark.parametrize(
+        "bounds", [(-math.inf, math.inf), (-1e4, math.inf), (math.nan, 1e4), (2e4, -2e4)]
+    )
     def test_non_finite_bounds_rejected(self, bounds):
         with pytest.raises(ValueError, match="finite"):
             GrapeProblem(

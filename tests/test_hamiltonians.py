@@ -24,6 +24,7 @@ from qoc.hamiltonians import (
     sample_registry,
 )
 from qoc.linalg import expm_hermitian, ground_state
+from qoc.pulses import SIGN_FORWARD, PulseGrid, PulseSequence, propagate
 
 from conftest import SX, SY, SZ, kron, random_state
 
@@ -57,6 +58,25 @@ class TestSystemModel:
             self.model(drift=np.kron(SZ, SZ))
         with pytest.raises(ValueError, match="do not fit"):
             self.model(drift=np.kron(SZ, SZ), site_dims=(2, 2))
+
+    def test_site_dims_stored_as_a_tuple(self):
+        # A list used to be kept as given, so every propagate raised
+        # "state sites (2,) != model sites [2]".
+        model = self.model(site_dims=[2])
+        assert model.site_dims == (2,) and type(model.site_dims) is tuple
+        assert self.model(site_dims=np.array([2])).site_dims == (2,)
+        pulses = PulseSequence(PulseGrid(1e-3, 1), np.zeros((1, 2)), ("x", "y"), SIGN_FORWARD)
+        state, _ = propagate(model, pulses, ground_state((2,)))
+        assert state.site_dims == (2,)
+
+    def test_site_dims_must_be_positive(self):
+        # (-2, -2) multiplies out to the drift's 4 rows.
+        with pytest.raises(ValueError, match="site dimensions must be >= 1"):
+            self.model(np.kron(SZ, SZ), (np.kron(SX, SX),), ("x",), site_dims=(-2, -2))
+
+    def test_site_dims_must_be_integers(self):
+        with pytest.raises(TypeError):
+            self.model(np.kron(SZ, SZ), (np.kron(SX, SX),), ("x",), site_dims=(2.0, 2))
 
     @pytest.mark.parametrize("labels", [("x",), ("x", "y", "z")])
     def test_label_count_must_match_stack(self, labels):
@@ -176,6 +196,17 @@ class TestBuildNmr:
         spins = tuple((label, 0.0) for label in labels)
         with pytest.raises(ValueError, match=re.escape(f"in dup, got {repeated} more than once")):
             NmrSample(name="dup", spins=spins, couplings={})
+
+    def test_non_integer_coupling_index_rejected(self):
+        # A (0, 1.5) key used to be kept, and build_nmr then put Z on spin 0
+        # alone instead of Z_0 Z_1 into the drift.
+        with pytest.raises(TypeError):
+            NmrSample("s", (("A", 0.0), ("B", 0.0)), {(0, 1.5): 10.0})
+
+    def test_numpy_integer_coupling_index_accepted(self):
+        sample = NmrSample("s", (("A", 0.0), ("B", 0.0)), {(np.int64(1), np.int64(0)): 10.0})
+        assert dict(sample.couplings) == {(0, 1): 10.0}
+        assert all(type(i) is int for key in sample.couplings for i in key)
 
     def test_drift_diagonal(self):
         reg = sample_registry()

@@ -46,10 +46,12 @@ class TestMinimize:
 
     def test_initial_point_below_tolerance(self):
         cfg = OptimizerConfig(tolerance=0.5)
-        x, report = minimize(quadratic_shifted, np.full(3, 0.9), cfg)
+        x0 = np.full(3, 0.9)
+        x, report = minimize(quadratic_shifted, x0, cfg)
         assert report.iterations == 0
         assert report.termination == "tolerance"
         assert np.array_equal(x, np.full(3, 0.9))
+        assert not np.shares_memory(x, x0)
 
     def test_max_iterations(self):
         cfg = OptimizerConfig(tolerance=1e-30, max_iterations=3)
@@ -121,6 +123,40 @@ class TestRestart:
         assert np.all(x >= -2.0) and np.all(x <= 2.0)
         assert all(np.all(r >= -2.0) and np.all(r <= 2.0) for r in runs)
         assert report.evaluations == len(runs)
+
+    # The gradient of |x - 1|^2 plus 100 times itself turned by 90 degrees
+    # fails the line search at once, but its projection onto -t still descends,
+    # so the restart probe finds a lower cost.  From [-1.5, 0.1] the backend
+    # stops at its start point and reports a cost there 1.4e-13 below the true
+    # one; the probe must be measured against the true cost.
+    @pytest.mark.parametrize("x0", [[-1.5, 0.1], [0.0, 0.3]], ids=["phantom-cost", "plain"])
+    def test_improving_probe_keeps_one_record(self, monkeypatch, x0):
+        calls = []
+        probes = []
+
+        def cost(x):
+            return float(np.sum((x - 1.0) ** 2))
+
+        def spiral(x):
+            calls.append(x.copy())
+            t = 2.0 * (x - 1.0)
+            return cost(x), t + 100.0 * np.array([-t[1], t[0]])
+
+        def recorded_probe(objective, x, f_ref, bounds):
+            assert f_ref == cost(x)
+            out = probe(objective, x, f_ref, bounds)
+            probes.append(out[1])
+            return out
+
+        probe = optimize._descent_probe
+        monkeypatch.setattr(optimize, "_descent_probe", recorded_probe)
+        cfg = OptimizerConfig(tolerance=1e-8, max_iterations=50, bounds=(-2.0, 2.0))
+        x, report = minimize(spiral, np.array(x0), cfg)
+        assert report.termination == "line-search-failure"
+        assert probes == [True]
+        assert np.all(np.diff(report.cost_trace) < 0.0)
+        assert report.cost_trace[-1] == cost(x)
+        assert report.evaluations == len(calls)
 
 
 class TestConfigValidation:
