@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import logging
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,8 +58,10 @@ class GrapeProblem:
         if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
             raise ValueError(f"amplitude bounds must be finite with lo <= hi, got {self.bounds}")
         solver_bounds = self.optimizer.bounds  # run_grape replaces them by self.bounds
-        if solver_bounds is not None and not np.array_equal(solver_bounds, self.bounds):
+        if solver_bounds is not None and solver_bounds != (lo, hi):
             raise ValueError(f"optimizer bounds {solver_bounds} conflict with bounds {self.bounds}")
+        if operator.index(self.seed) < 0:  # TypeError if not an integer
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

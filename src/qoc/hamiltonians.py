@@ -29,8 +29,9 @@ repeated spin labels, are rejected when a sample is constructed.
 
 A ``SystemModel`` stores each operator once, read-only and checked finite
 and Hermitian at construction: the (d, d) ``drift`` and the (A, d, d)
-``control_stack``, whose channel a is ``channel_labels[a]``.  The builders
-form each term as one Kronecker chain over the sites.
+``control_stack``, whose channel a is ``channel_labels[a]``.  Its
+``pattern``, their nonzeros with each operator's values, is all the pulse
+engine reads.  The builders form each term as one Kronecker chain over sites.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import dataclasses
 import math
 import operator
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from importlib import resources
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -212,7 +213,7 @@ class SystemModel:
     d = prod(site_dims), kept as a tuple of integers >= 1.  Each operator
     must be finite and Hermitian, the channel labels distinct, and the
     platform "nmr" or "sc".  Arrays that are already complex128 are kept, not
-    copied, and made read-only.
+    copied, and made read-only.  ``pattern`` is their sparse form.
     """
 
     drift: np.ndarray
@@ -254,9 +255,27 @@ class SystemModel:
         # Copies and unpickled models go through construction, so they are read-only too.
         return SystemModel, tuple(getattr(self, f.name) for f in dataclasses.fields(self))
 
+    @cached_property
+    def pattern(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, cols, drift values (nnz,), control values (A, nnz) C-ordered), read-only.
+
+        The entries where the drift or any control is nonzero, in the C order
+        of H^T, off which every H_k is zero.  Built once, on first use, with no
+        A d^2 temporary; a copy or an unpickled model builds its own.
+        """
+        mask = self.drift.T != 0
+        for op in self.control_stack:
+            mask |= op.T != 0
+        cols, rows = np.nonzero(mask)
+        controls = np.ascontiguousarray(self.control_stack[:, rows, cols])
+        pattern = (rows, cols, self.drift[rows, cols], controls)
+        for array in pattern:
+            array.flags.writeable = False
+        return pattern
+
     @property
     def dim(self) -> int:
-        return self.drift.shape[0]
+        return math.prod(self.site_dims)
 
     @property
     def num_channels(self) -> int:

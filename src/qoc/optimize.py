@@ -24,6 +24,7 @@ only propagates or takes gradients never loads ``scipy.optimize``.
 
 from __future__ import annotations
 
+import numbers
 import operator
 import time
 from dataclasses import asdict, dataclass, field
@@ -49,7 +50,8 @@ PROBE_STEP = 0.1  # first step of the restart probe, halved until the cost drops
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Stop below ``tolerance`` or after ``max_iterations`` quasi-Newton
-    iterations; ``bounds`` apply elementwise when given.
+    iterations; ``bounds``, one (lo, hi) pair of real numbers kept as Python
+    floats, apply to every element when given.
 
     The module constants above fix every other setting of the search.
     """
@@ -64,9 +66,12 @@ class OptimizerConfig:
         if operator.index(self.max_iterations) < 1:  # TypeError if not an integer
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.bounds is not None:
-            lo, hi = self.bounds
-            if not np.all(np.asarray(lo) <= np.asarray(hi)):
+            if not all(isinstance(b, numbers.Real) for b in self.bounds):
+                raise TypeError(f"bounds must be two real numbers, got {self.bounds}")
+            lo, hi = map(float, self.bounds)
+            if not lo <= hi:
                 raise ValueError(f"invalid bounds {self.bounds}")
+            object.__setattr__(self, "bounds", (lo, hi))
 
 
 @dataclass
@@ -178,6 +183,8 @@ def minimize(
                 "cost below tolerance" if len(report.cost_trace) > 1
                 else "initial point already below tolerance"
             )
+        elif not x0.size:
+            report.termination, report.message = TERMINATION_GRADIENT, "no free parameters"
         elif res is None:
             options["maxiter"] = config.max_iterations - report.iterations
             res = _scipy_minimize(

@@ -20,11 +20,11 @@ serves all three ``*_value_and_gradient`` functions: it checks the sign,
 calls ``propagate``, contracts A[k, a] = <bw_k| H_a |fw_k> and returns
 factor dt Im(weight A).
 
-Every pass over the operators reads them only on the model's nonzero
-pattern, the union of the nonzeros of the drift and of every control
-(``_pattern``, computed once per assembly or contraction call).  A dense
-model has all d^2 entries on it; the qubit chain's single-qubit drives and
-couplings leave 544 of 4096 at 6 qubits and 2944 of 65536 at 8.
+Every pass over the operators reads only the model's ``pattern``, the
+union of the nonzeros of the drift and of every control with each
+operator's values there, never the dense operators.  A dense model has all
+d^2 entries on it; the qubit chain's single-qubit drives and couplings
+leave 544 of 4096 at 6 qubits and 2944 of 65536 at 8.
 
 Routes
 ------
@@ -57,7 +57,8 @@ leading tail term theta^(m+1) / (m+1)! is at most 2^-53.
   each distinct (s_k, m_k).
 
 ``propagate`` computes this plan of steps and degrees once per call, and
-takes the action route when 2 sum_k s_k m_k < K d, that is, when the
+takes the action route when the dense route's U stack, 16 K d^2 bytes, would
+exceed DENSE_STACK_BYTES, or when 2 sum_k s_k m_k < K d, that is, when the
 matvecs of the forward and backward sweeps (d^2 work each) cost less than
 the dense route's d^3 work per segment.  That price was measured with one
 Hermitian eigensolve per segment and is not yet re-fitted to the Taylor
@@ -76,8 +77,8 @@ route its plan, two length-K arrays.  The action route keeps no (K, d, d)
 array; its backward sweep assembles the segment Hamiltonians again, chunk
 by chunk in reverse.  Every chunked loop below cuts its segments by one
 rule, ``_chunk_bounds``: equal chunks, each holding one array in flight
-within CHUNK_BYTES, whatever W is.  No pass copies the (A, d, d) control
-stack: each gathers the controls' (A, nnz) values on the pattern, and
+within CHUNK_BYTES, whatever W is.  No pass copies or gathers the
+operators: each reads the model's stored (A, nnz) control values, and
 assembly computes an (n, nnz) block of values at a time.  On the action
 route one chunk of H_k is in flight, in a buffer zeroed once per sweep and
 reused by every chunk, so a chunk is valid until the next one.  On the
@@ -169,6 +170,13 @@ _TAYLOR_TAIL = 2.0**-53
 _TAYLOR_REACH = tuple(
     math.exp((math.log(_TAYLOR_TAIL) + math.lgamma(m + 2)) / (m + 1)) for m in range(19)
 )
+
+# Bytes of the largest U stack the dense route may form.  The catalogue's
+# 8-qubit chain (d = 256, K = 1460, full box; 2 cores, one BLAS thread) took
+# 26 s and 1.6 GB dense, a 1460 MiB stack, against 14.6 s and 92 MB by action;
+# no other measured route changes at 256 MiB (6-qubit chain at catalogue
+# frequencies: 88 MiB, dense; crotonic acid: 750 MiB, action by matvecs).
+DENSE_STACK_BYTES = 1 << 28
 
 # Degrees of the dense route's Taylor polynomials: the highest that
 # Paterson-Stockmeyer reaches with 0, 1, ..., 6 matrix products.
@@ -281,37 +289,23 @@ def segment_hamiltonians(model: SystemModel, amplitudes: np.ndarray) -> np.ndarr
     return next(_hamiltonian_chunks(model, amps, [(0, amps.shape[0])]))[1]
 
 
-def _pattern(model: SystemModel) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, cols) of the entries where the drift or any control is nonzero.
-
-    Every H_k is zero off this pattern.  The entries run in the C order of
-    H^T, and the mask is built one operator at a time, with no A d^2 temporary.
-    """
-    mask = model.drift.T != 0
-    for op in model.control_stack:
-        mask |= op.T != 0
-    cols, rows = np.nonzero(mask)
-    return rows, cols
-
-
 def _hamiltonian_chunks(model: SystemModel, amplitudes: np.ndarray, chunks):
     """Yield (start, H_start ... H_stop-1) for each (start, stop) in ``chunks``.
 
-    Only the nnz entries on the model's ``_pattern`` are computed.  The
-    controls' values there, gathered once per call as an (A, nnz) array and
-    viewed as interleaved float64 (re, im) pairs so that the real amplitudes
-    are not promoted to complex, go into one real GEMM per block of segments,
-    plus the drift's values: O(A nnz) per segment, in blocks of one
-    ``_chunk_bounds`` cut for (nnz,) complex rows.  They are scattered into a
-    buffer, zeroed once per call, that holds H_k^T in C order, so each
-    yielded H_k is Fortran-ordered, as zgemv takes it without a copy.  The
-    entries off the pattern never change, so every chunk reuses that buffer:
-    a yielded chunk is valid until the next one is asked for.
+    Only the nnz entries on the model's ``pattern`` are computed.  Its stored
+    (A, nnz) control values, viewed as interleaved float64 (re, im) pairs so
+    that the real amplitudes are not promoted to complex, go into one real
+    GEMM per block of segments, plus the drift's values: O(A nnz) per
+    segment, in blocks of one ``_chunk_bounds`` cut for (nnz,) complex rows.
+    They are scattered into a buffer, zeroed once per call, that holds H_k^T
+    in C order, so each yielded H_k is Fortran-ordered, as zgemv takes it
+    without a copy.  The entries off the pattern never change, so every
+    chunk reuses that buffer: a yielded chunk is valid until the next one is
+    asked for.
     """
     d = model.dim
-    rows, cols = _pattern(model)
-    controls = np.ascontiguousarray(model.control_stack[:, rows, cols]).view(np.float64)
-    drift = model.drift[rows, cols]
+    rows, cols, drift, controls = model.pattern
+    controls = controls.view(np.float64)
     row_bytes = 16 * max(1, len(rows))
     chunks = [(start, stop, _chunk_bounds(stop - start, row_bytes)) for start, stop in chunks]
     longest = max((stop - start for start, stop, _ in chunks), default=0)
@@ -446,14 +440,14 @@ def _expm_taylor(h: np.ndarray, scale: float, squarings: np.ndarray, degree: int
     return p
 
 
-def _one_norm(matrix: np.ndarray) -> float:
-    return float(np.abs(matrix).sum(axis=0).max())
-
-
 def _norm_bounds(model: SystemModel, pulses: PulseSequence) -> np.ndarray:
-    """theta_k = dt (||H_drift||_1 + sum_a |u_a(k)| ||H_a||_1) >= dt ||H_k||, per segment."""
-    control_norms = np.array([_one_norm(op) for op in model.control_stack])
-    return pulses.grid.dt * (_one_norm(model.drift) + np.abs(pulses.amplitudes) @ control_norms)
+    """theta_k = dt (||H_drift||_1 + sum_a |u_a(k)| ||H_a||_1) >= dt ||H_k||, per segment.
+
+    Column sums of the pattern values add in row order, as over a dense column: the same bits.
+    """
+    _, cols, drift, controls = model.pattern
+    norms = [np.bincount(cols, np.abs(v), minlength=model.dim).max() for v in (drift, *controls)]
+    return pulses.grid.dt * (norms[0] + np.abs(pulses.amplitudes) @ np.array(norms[1:]))
 
 
 def _taylor_plan(model: SystemModel, pulses: PulseSequence) -> tuple[np.ndarray, np.ndarray]:
@@ -464,9 +458,10 @@ def _taylor_plan(model: SystemModel, pulses: PulseSequence) -> tuple[np.ndarray,
 
 
 def _action_is_cheaper(model: SystemModel, plan: tuple[np.ndarray, np.ndarray]) -> bool:
-    """Whether both sweeps' Taylor matvecs cost less than K dense d^3 segments."""
+    """Whether the U stack would exceed DENSE_STACK_BYTES, or cost more than both sweeps."""
     steps, degrees = plan
-    return 2.0 * float(steps @ degrees) < len(steps) * model.dim
+    k, d = len(steps), model.dim
+    return 16 * k * d * d > DENSE_STACK_BYTES or 2.0 * float(steps @ degrees) < k * d
 
 
 def _taylor_apply(h: np.ndarray, psi: np.ndarray, alphas: tuple[complex, ...], steps: int):
@@ -604,16 +599,15 @@ def ground_leakage(state: StateVector, frozen: Iterable[int]) -> float:
 
 
 def _gradient_terms(ws: Workspace, adjoint: np.ndarray) -> np.ndarray:
-    """A[k, a] = <bw_k| H_a |fw_k>, summed over the model's ``_pattern`` only.
+    """A[k, a] = <bw_k| H_a |fw_k>, summed over the model's ``pattern`` only.
 
     With (i, j) running over the nnz pattern entries, A[k, a] is the sum of
     conj(bw_k[i]) fw_k[j] (H_a)_ij: the products of the gathered states form
     an (n, nnz) array per ``_chunk_bounds`` chunk of segments, and one
-    (n, nnz) @ (nnz, A) GEMM against the controls' gathered values contracts it.
+    (n, nnz) @ (nnz, A) GEMM against the controls' stored values contracts it.
     """
     model = ws.model
-    rows, cols = _pattern(model)
-    controls = model.control_stack[:, rows, cols].T
+    rows, cols, _, controls = model.pattern
     fw = ws.forward[1:]  # state after segment k, k = 1..K
     bw = ws.backward_adjoint(adjoint)
     terms = np.empty((len(fw), model.num_channels), dtype=complex)
@@ -621,7 +615,7 @@ def _gradient_terms(ws: Workspace, adjoint: np.ndarray) -> np.ndarray:
         pairs = bw[start:stop, rows]
         np.conjugate(pairs, out=pairs)
         pairs *= fw[start:stop, cols]
-        np.matmul(pairs, controls, out=terms[start:stop])
+        np.matmul(pairs, controls.T, out=terms[start:stop])
     return terms
 
 

@@ -16,7 +16,7 @@ from qoc.optimize import OptimizerConfig
 from qoc.pulses import PulseGrid, propagate, state_infidelity
 from qoc.targets import ghz
 
-from conftest import SX
+from conftest import SX, SZ
 
 
 def single_channel_qubit():
@@ -190,6 +190,37 @@ class TestRunGrape:
                 optimizer=OptimizerConfig(tolerance=1e-3),
                 bounds=bounds,
             )
+
+    @pytest.mark.parametrize("seed, error", [(-1, ValueError), (1.5, TypeError), ("0", TypeError)])
+    def test_bad_seed_rejected(self, seed, error):
+        # -1 and 1.5 used to construct and fail in run_grape, after a propagate.
+        with pytest.raises(error):
+            GrapeProblem(
+                model=single_channel_qubit(),
+                target=ground_state((2,)),
+                grid=PulseGrid(1e-5, 5),
+                optimizer=OptimizerConfig(tolerance=1e-3),
+                bounds=(-1e4, 1e4),
+                seed=seed,
+            )
+
+    def test_model_without_controls_reports_non_convergence(self):
+        # A drift that cannot reach the target and nothing to optimize: the
+        # search used to raise inside the backend.
+        model = SystemModel(
+            math.pi * SZ, np.zeros((0, 2, 2)), channel_labels=(), site_dims=(2,), platform="nmr"
+        )
+        problem = GrapeProblem(
+            model=model,
+            target=StateVector(np.array([0, 1], dtype=complex), (2,)),
+            grid=PulseGrid(1e-3, 5),
+            optimizer=OptimizerConfig(tolerance=1e-3),
+            bounds=(-1e4, 1e4),
+        )
+        result = run_grape(problem)
+        assert not result.converged and result.final_cost == 1.0
+        assert result.pulses.amplitudes.shape == (5, 0)
+        assert result.report.message == "no free parameters"
 
     def test_conflicting_optimizer_bounds_rejected(self):
         kwargs = dict(

@@ -120,6 +120,33 @@ class TestSystemModel:
             assert np.array_equal(model.control_stack, built.control_stack)
             assert model.channel_labels == built.channel_labels
 
+    def test_pattern_built_once_read_only_and_equal_to_the_dense_operators(self):
+        model = build_sc(sample_registry().get("sc-chain-12"), sites=range(3))
+        pattern = model.pattern
+        assert all(a is b for a, b in zip(model.pattern, pattern))
+        assert not any(array.flags.writeable for array in pattern)
+        rows, cols, drift, controls = pattern
+        mask = (model.drift != 0) | (model.control_stack != 0).any(axis=0)
+        want_cols, want_rows = np.nonzero(mask.T)  # the C order of H^T
+        assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
+        assert len(rows) < model.dim**2
+        assert np.array_equal(drift, model.drift[rows, cols])
+        assert np.array_equal(controls, model.control_stack[:, rows, cols])
+        assert controls.flags.c_contiguous
+
+    def test_copies_build_their_own_pattern(self):
+        built = build_nmr(two_spin_sample())
+        pattern = built.pattern
+        for model in (
+            pickle.loads(pickle.dumps(built)),
+            copy.deepcopy(built),
+            dataclasses.replace(built, coupling_mask=None),
+        ):
+            assert all(a is not b and np.array_equal(a, b) for a, b in zip(model.pattern, pattern))
+        # The two-spin drift is diagonal and the controls are zero on it.
+        rows, cols, drift, _ = dataclasses.replace(built, drift=np.zeros((4, 4))).pattern
+        assert len(rows) < len(pattern[0]) and np.all(rows != cols) and not drift.any()
+
     def test_built_model_holds_one_copy_of_each_operator(self):
         sample = sample_registry().get("sc-chain-12")
         tracemalloc.start()

@@ -89,6 +89,23 @@ class TestMinimize:
             minimize(bad, np.array([0.0, 0.0]), cfg)
         assert err.value.iterate is not None
 
+    @pytest.mark.parametrize("bounds", [None, (-1.0, 1.0)])
+    def test_no_free_parameters_ends_as_data(self, bounds):
+        # An empty start used to fail inside the backend: "not enough values
+        # to unpack" with bounds, "ERROR: N <= 0" without.
+        calls = []
+
+        def constant(x):
+            calls.append(x.size)
+            return 0.5, np.zeros(0)
+
+        x, report = minimize(constant, np.zeros(0), OptimizerConfig(tolerance=1e-3, bounds=bounds))
+        assert x.shape == (0,) and calls == [0]
+        assert (report.termination, report.message) == ("gradient", "no free parameters")
+        assert report.cost_trace == [0.5] and report.iterations == 0
+        x, report = minimize(constant, np.zeros(0), OptimizerConfig(tolerance=1.0, bounds=bounds))
+        assert report.termination == "tolerance"
+
     def test_x0_outside_bounds_rejected(self):
         cfg = OptimizerConfig(tolerance=1e-3, bounds=(0.0, 1.0))
         with pytest.raises(ValueError):
@@ -179,6 +196,19 @@ class TestConfigValidation:
     def test_bounds_ordering(self):
         with pytest.raises(ValueError):
             OptimizerConfig(bounds=(2.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "bounds", [(np.zeros(2), np.ones(2)), (np.zeros(1), 1.0), ("0", "1"), (0.0, None)]
+    )
+    def test_bounds_must_be_two_real_numbers(self, bounds):
+        # Arrays used to pass the ordering check and fail inside the backend
+        # with "can only convert an array of size 1 to a Python scalar".
+        with pytest.raises(TypeError, match="two real numbers"):
+            OptimizerConfig(bounds=bounds)
+
+    def test_bounds_kept_as_python_floats(self):
+        bounds = OptimizerConfig(bounds=(np.float32(-1.5), 2)).bounds
+        assert bounds == (-1.5, 2.0) and all(type(b) is float for b in bounds)
 
 
 class TestReport:

@@ -213,7 +213,7 @@ class TestSegmentHamiltonians:
     def test_equals_the_full_gemm_on_any_pattern(self, case, segments, rng):
         model = self.pattern_model(rng, case)
         d = model.dim
-        rows, cols = pulses._pattern(model)
+        rows, cols = model.pattern[:2]
         nnz = {"all zero": 0, "dense": d * d}.get(case, len(rows))
         assert len(rows) == nnz
         if case == "disjoint":
@@ -478,6 +478,16 @@ class TestActionRoute:
         assert ws.unitaries is None
         assert abs(final.norm - 1.0) < 1e-12
 
+    def test_rule_goes_by_action_when_the_stack_exceeds_its_budget(self, monkeypatch, rng):
+        # The matvec count alone sends this small model dense (see above).
+        toy = toy_model(rng)
+        seq = toy_sequence(rng, toy, 8, 1e-4, SIGN_FORWARD)
+        stack_bytes = 16 * 8 * toy.dim**2
+        for budget, dense in ((stack_bytes, True), (stack_bytes - 1, False)):
+            monkeypatch.setattr(pulses, "DENSE_STACK_BYTES", budget)
+            _, ws = propagate(toy, seq, ground_state(toy.site_dims))
+            assert (ws.unitaries is not None) == dense
+
     def test_gradient_peak_memory_far_below_a_unitary_stack(self, route, rng):
         model = toy_model(rng, n_sites=6, n_channels=6)
         segments = 512
@@ -624,16 +634,69 @@ class TestSweepReference:
         assert ws.plan is None and np.array_equal(got, want)
 
 
+class Untouchable:
+    """Stands in for a dense operator; any use of it fails the test."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"dense operator read: .{name}")
+
+    def __getitem__(self, key):
+        raise AssertionError("dense operator indexed")
+
+    def __iter__(self):
+        raise AssertionError("dense operator iterated")
+
+    def __array__(self, *args, **kwargs):
+        raise AssertionError("dense operator converted to an array")
+
+
+class TestPatternOnly:
+    @staticmethod
+    def results(model, forward, reversed_, psi0, target):
+        """Final state, forward states and U stack of propagate and of each gradient call."""
+        final, ws = propagate(model, forward, psi0)
+        out = [final.amplitudes, ws.forward, ws.unitaries]
+        for value, grad, ws in (
+            infidelity_value_and_gradient(model, forward, psi0, target),
+            impurity_value_and_gradient(model, reversed_, psi0, (0,)),
+            ground_leakage_value_and_gradient(model, reversed_, psi0, (0,)),
+        ):
+            out += [value, grad, ws.forward, ws.unitaries]
+        return out
+
+    @pytest.mark.parametrize("name", ["action", "dense"])
+    def test_propagation_and_gradients_read_only_the_pattern(self, name, route, rng):
+        model = toy_model(rng, n_sites=3)
+        blind = SystemModel(
+            model.drift, model.control_stack, model.channel_labels, model.site_dims, "nmr"
+        )
+        blind.pattern  # built from the operators on first use
+        object.__setattr__(blind, "drift", Untouchable())
+        object.__setattr__(blind, "control_stack", Untouchable())
+        assert blind.dim == model.dim
+        route(name)
+        args = (
+            toy_sequence(rng, model, 40, 0.3, SIGN_FORWARD),
+            toy_sequence(rng, model, 40, 0.3, SIGN_REVERSED),
+            random_state(model.site_dims, rng),
+            random_state(model.site_dims, rng),
+        )
+        want, got = self.results(model, *args), self.results(blind, *args)
+        assert (got[2] is None) == (name == "action")
+        for a, b in zip(want, got):
+            assert (a is None and b is None) or np.array_equal(a, b)
+
+
 class TestChunkedContraction:
     @staticmethod
     def chunk_length(model):
-        return most_per_chunk(16 * len(pulses._pattern(model)[0]))
+        return most_per_chunk(16 * len(model.pattern[0]))
 
     @staticmethod
     def pattern_terms(model, fw, bw):
         """A[k, a] = sum over the pattern of conj(bw_k[i]) (H_a)_ij fw_k[j], all segments at once."""
-        rows, cols = pulses._pattern(model)
-        return (bw[:, rows].conj() * fw[:, cols]) @ model.control_stack[:, rows, cols].T
+        rows, cols, _, controls = model.pattern
+        return (bw[:, rows].conj() * fw[:, cols]) @ controls.T
 
     @pytest.mark.parametrize("sign", [SIGN_FORWARD, SIGN_REVERSED])
     def test_matches_unchunked_contraction(self, sign, route, rng):
@@ -662,7 +725,7 @@ class TestChunkedContraction:
             seq = random_initial_pulses(
                 PulseGrid(dt, 200), model.channel_labels, bound, rng, sign, fraction=1.0
             )
-            assert len(pulses._pattern(model)[0]) < model.dim**2 / 4
+            assert len(model.pattern[0]) < model.dim**2 / 4
         else:
             model = toy_model(rng, n_sites=5, n_channels=24)
             seq = toy_sequence(rng, model, 200, 0.05, sign)
