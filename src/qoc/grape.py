@@ -33,7 +33,7 @@ logger = logging.getLogger(__name__)
 __all__ = ["GrapeProblem", "GrapeResult", "run_grape"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GrapeProblem:
     model: SystemModel
     target: StateVector
@@ -64,7 +64,7 @@ class GrapeProblem:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
-@dataclass
+@dataclass(eq=False)
 class GrapeResult:
     pulses: PulseSequence
     report: OptimizationReport

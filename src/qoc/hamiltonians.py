@@ -206,7 +206,7 @@ class ScSample:
         return dataclasses.replace(self, qubits=qubits)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SystemModel:
     """Drift (d, d) and control stack (A, d, d) in ``channel_labels`` order.
 

@@ -31,7 +31,7 @@ __all__ = [
 HERMITICITY_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateVector:
     """Complex amplitudes over a tensor-product Hilbert space.
 

@@ -62,8 +62,8 @@ exceed DENSE_STACK_BYTES, or when 2 sum_k s_k m_k < K d, that is, when the
 matvecs of the forward and backward sweeps (d^2 work each) cost less than
 the dense route's d^3 work per segment.  That price was measured with one
 Hermitian eigensolve per segment and is not yet re-fitted to the Taylor
-fill, which takes 2 d x d products per segment at dt ||H_k|| ~ 1e-4, 8 to
-9 on the 4-spin NMR sample and 20 to 21 at laboratory-frame shifts.
+fill, which takes 2 d x d products per segment at dt ||H_k|| ~ 1e-4, 7 on
+the 4-spin NMR sample and 19 at laboratory-frame shifts.
 Small d, or a large dt ||H_k||, goes dense: the 4-spin NMR sample
 (d = 16) needs 50 to 70 matvecs per segment and sweep.  The qubit chain at
 full-box amplitudes goes by action from d = 32 on.  The action route runs
@@ -76,15 +76,16 @@ needs: the dense route the (K, d, d) stack of segment unitaries, the action
 route its plan, two length-K arrays.  The action route keeps no (K, d, d)
 array; its backward sweep assembles the segment Hamiltonians again, chunk
 by chunk in reverse.  Every chunked loop below cuts its segments by one
-rule, ``_chunk_bounds``: equal chunks, each holding one array in flight
-within CHUNK_BYTES, whatever W is.  No pass copies or gathers the
-operators: each reads the model's stored (A, nnz) control values, and
-assembly computes an (n, nnz) block of values at a time.  On the action
-route one chunk of H_k is in flight, in a buffer zeroed once per sweep and
-reused by every chunk, so a chunk is valid until the next one.  On the
-dense route, where U first holds the H_k, each busy thread has up to b + 2
-(n, d, d) temporaries in flight: the powers X^2 .. X^b of its chunk's
-polynomial (b <= 4), the sum, a product and a scaled term.  The gradient
+rule, ``_chunk_bounds``: equal chunks, whatever W is, each holding within
+CHUNK_BYTES the one array a thread has in flight or, in the dense fill, a
+quarter of its work array.  No pass copies or gathers the operators: each
+reads the model's stored (A, nnz) control values, and assembly computes an
+(n, nnz) block of values at a time.  On the action route one chunk of H_k
+is in flight, in a buffer zeroed once per sweep and reused by every chunk,
+so a chunk is valid until the next one.  On the dense route, where U first
+holds the H_k, each busy thread has one work array in flight, of up to 9
+(n, d, d) slots (``_TAYLOR_SLOTS``): the stacked powers of its chunk's X,
+their linear combinations and a spare for the squarings.  The gradient
 contraction forms the products conj(bw_k[i]) fw_k[j] on the pattern for one
 chunk of segments at a time, an (n, nnz) array.  The transients of a call
 do not grow with K, and none outlive it.
@@ -150,14 +151,16 @@ SIGN_FORWARD = "forward"
 SIGN_REVERSED = "reversed"
 _SIGN_FACTOR = MappingProxyType({SIGN_FORWARD: -1.0, SIGN_REVERSED: +1.0})
 
-# Byte budget of one thread's array in flight in a chunked loop, such as one
-# (n, d, d) temporary of the dense fill: a few per thread stay far below the
-# U stack they fill and near cache size.  Median Taylor fill, full-box pulses,
-# one BLAS thread, 2 x86-64 cores with AVX-512, by budget per chunk: 4-spin
-# NMR (d = 16, K = 1760) 72 / 68 / 74 / 78 / 110 / 96 ms at 0.25 / 0.5 / 1 /
-# 2 / 4 / 8 MiB with W = 1 and 88 / 78 / 69 / 80 / 93 / 82 ms at 0.125 .. 4
-# MiB with W = 2; 6-qubit chain (d = 64, K = 1400), W = 1, 0.25 .. 8 MiB:
-# 947 / 905 / 926 / 1047 / 1316 / 1184 ms.
+# Byte budget of one thread's array in flight in a chunked loop, or of a
+# quarter of the dense fill's work array: a few per thread stay far below
+# the U stack they fill and near cache size.  Median Taylor fill, seed-0
+# full-box pulses, one BLAS thread, 2 x86-64 cores with AVX-512, shared, by
+# budget at 0.125 / 0.25 / 0.5 / 1 / 2 / 4 / 8 MiB: 4-spin NMR (d = 16,
+# K = 1760) 38 / 35 / 36 / 37 / 39 / 40 / 41 ms with W = 1 and 44 / 33 / 28 /
+# 30 / 29 / 28 / 31 ms with W = 2; 5-spin NMR (d = 32, K = 2400) 213 / 197 /
+# 193 / 206 / 212 / 214 / 239 ms with W = 1 and 204 / 142 / 131 / 122 / 120 /
+# 133 / 131 ms with W = 2; 6-qubit chain at catalogue frequencies (d = 64,
+# K = 1400), W = 1: 624 / 710 / 733 / 671 / 817 / 803 / 909 ms.
 CHUNK_BYTES = 1 << 19
 
 # Leading Taylor tail term allowed per action-route step or scaled dense
@@ -178,9 +181,53 @@ _TAYLOR_REACH = tuple(
 # frequencies: 88 MiB, dense; crotonic acid: 750 MiB, action by matvecs).
 DENSE_STACK_BYTES = 1 << 28
 
-# Degrees of the dense route's Taylor polynomials: the highest that
-# Paterson-Stockmeyer reaches with 0, 1, ..., 6 matrix products.
-_PS_DEGREES = (1, 2, 4, 6, 9, 12, 16)
+# Matrix products that evaluate the dense route's Taylor polynomial of each
+# degree: Horner up to degree 4, then Bader, Blanes & Casas (Mathematics 7
+# (2019) 1174).
+_TAYLOR_PRODUCTS = MappingProxyType({1: 0, 2: 1, 4: 2, 8: 3, 12: 4, 18: 5})
+
+# (n, d, d) slots of the one work array that _expm_taylor fills per chunk.
+_TAYLOR_SLOTS = MappingProxyType({1: 2, 2: 3, 4: 4, 8: 6, 12: 7, 18: 9})
+
+# Linear combinations of each scheme, one row per matrix formed: column 0
+# multiplies I, column i > 0 the i-th of the scheme's stacked powers of X.
+_T1 = np.array([[1.0, 1.0]])  # I + X
+_T2 = np.array([[0.0, 1 / 2], [1.0, 1.0]])  # X / 2, I + X
+_T4 = np.array([[1 / 2, 1 / 6, 1 / 24], [1.0, 1.0, 0.0]])  # over X, X^2
+# Degree 8 over X, X^2, X^4, with r = sqrt(177): X^4 = X^2 (x1 X + x2 X^2), then
+# the rows x3 X^2 + X^4, x4 I + x5 X + x6 X^2 + x7 X^4 and I + X + y2 X^2.
+_R, _X3 = math.sqrt(177.0), 2 / 3
+_T8_FIRST = np.array([[0.0, _X3 * (1 + _R) / 88, _X3 * (1 + _R) / 352]])
+_T8 = np.array([
+    [0.0, 0.0, _X3, 1.0],
+    [(-271 + 29 * _R) / (315 * _X3), 11 * (-1 + _R) / (1260 * _X3),
+     11 * (-9 + _R) / (5040 * _X3), (89 - _R) / (5040 * _X3**2)],
+    [1.0, 1.0, (857 - 58 * _R) / 630, 0.0],
+])  # fmt: skip
+# Degree 12: B1 .. B4 over X, X^2, X^3.
+_T12 = np.array([
+    [-0.0186023205146205532243437300433, -0.00500702322573317730979741843919,
+     -0.573420122960522263905952420789, -0.133399693943892059700768926983],
+    [4.6, 0.992875103538486836140479571505,
+     -0.132445561052799638845074997454, 0.0017299],
+    [0.211693118299809442949323323336, 0.158224384715726725371768893252,
+     0.165635169436727415011171668419, 0.0107862779315792425026320640108],
+    [0.0, -0.131810610138301840156819349464,
+     -0.0202785554058925907933568229945, -0.00675951846863086359778560766482],
+])  # fmt: skip
+# Degree 18: B1 .. B5 over X, X^2, X^3, X^6.
+_T18 = np.array([
+    [0.0, -0.10036558103014462001, -0.00802924648241156960,
+     -0.00089213849804572995, 0.0],
+    [0.0, 0.39784974949964507614, 1.36783778460411719922,
+     0.49828962252538267755, -0.00063789819459472151],
+    [-10.9676396052962062593, 1.68015813878906197182, 0.05717798464788655127,
+     -0.00698210122488052084, 0.00003349750170860705],
+    [-0.09043168323908105619, -0.06764045190713819075, 0.06759613017704596460,
+     0.02955525704293155274, -0.00001391802575160607],
+    [0.0, 0.0, -0.09233646193671185927,
+     -0.01693649390020817171, -0.00001400867981820361],
+])  # fmt: skip
 
 # Most threads that fill segment_unitaries chunks; it does not set the chunks.
 _WORKERS = (
@@ -204,7 +251,7 @@ class PulseGrid:
             raise ValueError(f"segment count must be >= 1, got {self.segments}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PulseSequence:
     """K x A real control amplitudes on a grid, with a sign convention tag.
 
@@ -255,7 +302,7 @@ class PulseSequence:
         return replace(self, amplitudes=self.amplitudes[::-1], sign=flipped)
 
 
-@dataclass
+@dataclass(eq=False)
 class Workspace:
     """Forward states of one propagation, and what its backward sweep needs.
 
@@ -344,10 +391,12 @@ def segment_unitaries(model: SystemModel, pulses: PulseSequence) -> np.ndarray:
 
     U_k = exp(X_k) with X_k = +-i dt H_k is the degree-m Taylor polynomial of
     2^-j_k X_k, squared j_k times (Al-Mohy & Higham, SIAM J. Matrix Anal.
-    Appl. 31 (2009) 970).  j_k is the least count with theta_k 2^-j_k within
-    the reach of degree m, theta_k being the segment's norm bound of Routes,
-    so the truncated tail is at most 2^-53 per scaled segment; m is chosen
-    once per call, for the fewest matrix products over all segments.  Each
+    Appl. 31 (2009) 970); from degree 8 on the polynomial is evaluated by the
+    schemes of Bader, Blanes & Casas (Mathematics 7 (2019) 1174), degree 18
+    in 5 products.  j_k is the least count with theta_k 2^-j_k within the
+    reach of degree m, theta_k being the segment's norm bound of Routes, so
+    the truncated tail is at most 2^-53 per scaled segment; m is chosen once
+    per call, for the fewest matrix products over all segments.  Each
     squaring can double the error of the matrix it squares, so U_k is
     accurate and unitary to about 2^j_k u, u the unit roundoff, which is of
     order theta_k u: a few u at theta_k ~ 1, and about 1e-11 at the
@@ -356,12 +405,13 @@ def segment_unitaries(model: SystemModel, pulses: PulseSequence) -> np.ndarray:
     ``segment_hamiltonians`` assembles all K segments on the calling thread.
     Its buffer holds each H_k^T C-ordered, and the chunks overwrite it in
     place by exp(i scale H_k^T) = U_k^T, so the stack is returned transposed.
-    ``_chunk_bounds`` cuts the stack for (d, d) complex rows, so each chunk's
-    temporaries stay within CHUNK_BYTES rather than growing with K, and the
-    chunks are the same for any W.  With more than one chunk and W > 1, a
-    pool of min(W, chunks) threads that lives for this call fills them.  The
-    pool is joined before the call returns or raises, so an error in any
-    chunk is raised only once no thread writes into U.
+    ``_chunk_bounds`` cuts the stack for rows of a quarter of a segment's
+    share of the work array, so a chunk's work array stays within
+    4 CHUNK_BYTES rather than growing with K, and the chunks are the same for
+    any W.  With more than one chunk and W > 1, a pool of min(W, chunks)
+    threads that lives for this call fills them.  The pool is joined before
+    the call returns or raises, so an error in any chunk is raised only once
+    no thread writes into U.
     """
     scale = _SIGN_FACTOR[pulses.sign] * pulses.grid.dt
     degree, squarings = _scaling_plan(_norm_bounds(model, pulses))
@@ -369,9 +419,15 @@ def segment_unitaries(model: SystemModel, pulses: PulseSequence) -> np.ndarray:
 
     def fill(chunk):
         start, stop = chunk
-        u_t[start:stop] = _expm_taylor(u_t[start:stop], scale, squarings[start:stop], degree)
+        _expm_taylor(u_t[start:stop], scale, squarings[start:stop], degree)
 
-    chunks = _chunk_bounds(len(u_t), 16 * model.dim**2)
+    # Rows of a quarter of a segment's share of the work array, so the array
+    # stays within 4 CHUNK_BYTES.  4-spin fill (degree 18, nine slots) at
+    # W = 2 by the array's budget, median time and peak RSS growth over 20
+    # gradients: 9 CHUNK_BYTES 26 ms, +28 MB; 4.5: 25 ms, +17 MB; 4: 25 ms,
+    # +14 MB; 3: 28 ms; 1.8: 33 ms; 1: 39 ms.  Shorter chunks make more numpy
+    # calls, over which the threads contend for the GIL.
+    chunks = _chunk_bounds(len(u_t), _TAYLOR_SLOTS[degree] * 4 * model.dim**2)
     lanes = min(_WORKERS, len(chunks))
     if lanes == 1:
         for chunk in chunks:
@@ -382,62 +438,102 @@ def segment_unitaries(model: SystemModel, pulses: PulseSequence) -> np.ndarray:
     return u_t.transpose(0, 2, 1)
 
 
-def _ps_block(degree: int) -> int:
-    """Paterson-Stockmeyer block b = ceil(sqrt(m)); it divides each of _PS_DEGREES."""
-    return math.isqrt(degree - 1) + 1
-
-
 def _scaling_plan(theta: np.ndarray) -> tuple[int, np.ndarray]:
     """Degree m, and squarings j_k = max(0, ceil(log2(theta_k / reach_m))).
 
-    m is the degree among _PS_DEGREES with the fewest matrix products over
-    all segments: K times b - 1 + m / b - 1 for the polynomial, plus
-    sum_k j_k squarings.  A tie goes to the higher degree, which squares less.
+    m is the degree of _TAYLOR_PRODUCTS with the fewest matrix products over
+    all segments: K times its products for the polynomial, plus sum_k j_k
+    squarings.  A tie goes to the higher degree, which squares less.
     """
     best = None
-    for degree in _PS_DEGREES:
+    for degree, products in _TAYLOR_PRODUCTS.items():
         mantissa, exponent = np.frexp(theta / _TAYLOR_REACH[degree])
         squarings = np.maximum(0, exponent - (mantissa == 0.5))
-        block = _ps_block(degree)
-        cost = len(theta) * (block + degree // block - 2) + int(squarings.sum())
+        cost = len(theta) * products + int(squarings.sum())
         if best is None or cost <= best[0]:
             best = cost, degree, squarings
     return best[1], best[2]
 
 
-def _expm_taylor(h: np.ndarray, scale: float, squarings: np.ndarray, degree: int) -> np.ndarray:
-    """exp(i scale H_k) for a (n, d, d) chunk, given each segment's squarings.
+def _combine(coef: np.ndarray, powers: np.ndarray, out: np.ndarray) -> None:
+    """out[j] = coef[j, 0] I + sum_i coef[j, i] powers[i - 1], for (p, n, d, d) powers.
 
-    Evaluates sum_{i<=m} X^i / i! at X = i scale 2^-j_k H_k in Paterson-
-    Stockmeyer form (SIAM J. Comput. 2 (1973) 60): with X^2 .. X^b formed,
-    Horner's rule in X^b runs over blocks B_r = sum_{i<b} X^i / (rb+i)!,
-    from the top block 1/m! I down.  Then the k-th result is squared j_k
-    times.  ``h`` is overwritten.  Each matrix gets the same arithmetic
-    whatever chunk it is in.
+    One real GEMM of the coefficient rows against the stacked powers, viewed
+    as interleaved float64 (re, im) pairs, then the identity's diagonal.
+    """
+    rows, n, d, _ = out.shape
+    flat = powers.view(np.float64).reshape(len(powers), -1)
+    np.matmul(coef[:, 1:], flat, out=out.view(np.float64).reshape(rows, -1))
+    out.reshape(rows, n, d * d)[:, :, :: d + 1] += coef[:, :1, None]
+
+
+def _expm_taylor(h: np.ndarray, scale: float, squarings: np.ndarray, degree: int) -> None:
+    """Overwrite a (n, d, d) chunk h of H_k by exp(i scale H_k), given the squarings j_k.
+
+    Evaluates the degree-m Taylor polynomial T_m(X) = sum_{i<=m} X^i / i! at
+    X = i scale 2^-j_k H_k in _TAYLOR_PRODUCTS[m] matrix products: Horner up
+    to degree 4, and for degrees 8, 12 and 18 the schemes of Bader, Blanes &
+    Casas (Mathematics 7 (2019) 1174), each exactly T_m.  Each linear
+    combination of powers is one ``_combine`` GEMM, and every product writes
+    into h or into one work array of _TAYLOR_SLOTS[m] (n, d, d) slots.  Then
+    the k-th result is squared j_k times.  Each matrix gets the same
+    arithmetic whatever chunk it is in.
     """
     n, d, _ = h.shape
-    block = _ps_block(degree)
-    coef = [1.0 / math.factorial(i) for i in range(degree + 1)]
-    h *= (1j * scale * np.ldexp(1.0, -squarings))[:, None, None]
-    powers = [h]  # X, X^2 .. X^b
-    for _ in range(block - 1):
-        powers.append(powers[-1] @ h)
-    top = degree // block - 1
-    p = coef[degree] * powers[-1]
-    for r in range(top, -1, -1):
-        if r < top:
-            p = p @ powers[-1]
-        for i in range(1, block):
-            p += coef[r * block + i] * powers[i - 1]
-        p.reshape(n, d * d)[:, :: d + 1] += coef[r * block]
+    work = np.empty((_TAYLOR_SLOTS[degree], n, d, d), dtype=complex)
+    x = work[0]
+    np.multiply(h, (1j * scale * np.ldexp(1.0, -squarings))[:, None, None], out=x)
+    if degree == 1:
+        _combine(_T1, work[:1], h[None])
+    elif degree == 2:
+        _combine(_T2, work[:1], work[1:3])
+        np.matmul(x, work[1], out=h)
+        h += work[2]
+    elif degree == 4:  # I + X + X^2 (I/2 + X/6 + X^2/24)
+        np.matmul(x, x, out=work[1])
+        _combine(_T4, work[:2], work[2:4])
+        np.matmul(work[1], work[2], out=h)
+        h += work[3]
+    elif degree == 8:  # T8 = (x3 X^2 + X^4)(x4 I + x5 X + x6 X^2 + x7 X^4) + I + X + y2 X^2
+        p, b = work[:3], work[3:6]
+        np.matmul(x, x, out=p[1])
+        _combine(_T8_FIRST, p[:2], b[:1])
+        np.matmul(p[1], b[0], out=p[2])
+        _combine(_T8, p, b)
+        np.matmul(b[0], b[1], out=h)
+        h += b[2]
+    elif degree == 12:  # X^6 = B3 + B4 B4;  T12 = B1 + (B2 + X^6) X^6
+        p, b = work[:3], work[3:7]
+        np.matmul(x, x, out=p[1])
+        np.matmul(p[1], x, out=p[2])
+        _combine(_T12, p, b)
+        np.matmul(b[3], b[3], out=p[0])
+        p[0] += b[2]
+        b[1] += p[0]
+        np.matmul(b[1], p[0], out=h)
+        h += b[0]
+    else:  # degree 18: X^9 = B1 B5 + B4;  T18 = B2 + (B3 + X^9) X^9
+        p, b = work[:4], work[4:9]
+        np.matmul(x, x, out=p[1])
+        np.matmul(p[1], x, out=p[2])
+        np.matmul(p[2], p[2], out=p[3])
+        _combine(_T18, p, b)
+        np.matmul(b[0], b[4], out=p[0])
+        p[0] += b[3]
+        b[2] += p[0]
+        np.matmul(b[2], p[0], out=h)
+        h += b[1]
+    result, spare = h, work[0]
     for done in range(int(squarings.max(initial=0))):
         more = squarings > done
         if more.all():
-            p = p @ p
+            np.matmul(result, result, out=spare)
+            result, spare = spare, result
         else:
-            part = p[more]
-            p[more] = part @ part
-    return p
+            part = result[more]
+            result[more] = np.matmul(part, part, out=spare[: len(part)])
+    if result is not h:
+        h[...] = result
 
 
 def _norm_bounds(model: SystemModel, pulses: PulseSequence) -> np.ndarray:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -27,6 +28,29 @@ def single_channel_qubit():
         site_dims=(2,),
         platform="nmr",
     )
+
+
+def test_records_with_arrays_compare_and_hash_by_identity():
+    model = single_channel_qubit()
+    problem = GrapeProblem(
+        model=model,
+        target=ground_state((2,)),
+        grid=PulseGrid(1e-5, 10),
+        optimizer=OptimizerConfig(tolerance=1e-3, max_iterations=50),
+        bounds=(-2e4, 2e4),
+    )
+    result = run_grape(problem)
+    pulses = result.pulses
+    _, ws = propagate(model, pulses, ground_state((2,)))
+    for first, second in (
+        (ghz(2), ghz(2)),
+        (pulses, pulses.with_amplitudes(pulses.amplitudes)),
+        (ws, dataclasses.replace(ws)),
+        (problem, dataclasses.replace(problem)),
+        (result, dataclasses.replace(result)),
+    ):
+        assert first == first and first != second
+        assert len({first, second}) == 2
 
 
 class TestRunGrape:

@@ -147,6 +147,15 @@ class TestSystemModel:
         rows, cols, drift, _ = dataclasses.replace(built, drift=np.zeros((4, 4))).pattern
         assert len(rows) < len(pattern[0]) and np.all(rows != cols) and not drift.any()
 
+    def test_models_built_separately_compare_unequal_and_hash(self):
+        # Equal fields, but the arrays among them have no single truth value:
+        # models compare and hash by identity.
+        sample = sample_registry().get("diethyl-fluoromalonate-2q")
+        first, second = build_nmr(sample), build_nmr(sample)
+        assert first == first and first != second
+        keys = {first: "first", second: "second"}
+        assert len(keys) == 2 and keys[second] == "second"
+
     def test_built_model_holds_one_copy_of_each_operator(self):
         sample = sample_registry().get("sc-chain-12")
         tracemalloc.start()

@@ -4,6 +4,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -262,8 +263,8 @@ class TestChunkedUnitaries:
                 assert np.abs(u[k] - expm_hermitian(h, scale)).max() <= 1e-13
 
     def test_scaling_plan_least_squarings_and_fewest_products(self, rng):
-        products = {1: 0, 2: 1, 4: 2, 6: 3, 9: 4, 12: 5, 16: 6}  # Paterson-Stockmeyer
-        assert tuple(products) == pulses._PS_DEGREES
+        products = {1: 0, 2: 1, 4: 2, 8: 3, 12: 4, 18: 5}  # Horner, then Bader-Blanes-Casas
+        assert dict(pulses._TAYLOR_PRODUCTS) == products
         reach = pulses._TAYLOR_REACH
 
         def least_squarings(theta, degree):
@@ -275,6 +276,82 @@ class TestChunkedUnitaries:
             cost = {m: len(theta) * products[m] + sum(least_squarings(theta, m)) for m in products}
             assert cost[degree] == min(cost.values())
             assert degree == max(m for m in cost if cost[m] == cost[degree])
+
+    @staticmethod
+    def expand(degree):
+        """Coefficients of the degree-m scheme's polynomial in X, by exact
+        arithmetic on the stored float coefficients."""
+
+        def mul(p, q):
+            out = [Fraction(0)] * (len(p) + len(q) - 1)
+            for i, a in enumerate(p):
+                for j, b in enumerate(q):
+                    out[i + j] += a * b
+            return out
+
+        def add(*terms):
+            out = [Fraction(0)] * max(map(len, terms))
+            for p in terms:
+                for i, a in enumerate(p):
+                    out[i] += a
+            return out
+
+        def combine(coef, powers):
+            return [
+                add(*(mul([Fraction(c)], p) for c, p in zip(row, [[Fraction(1)], *powers])))
+                for row in coef.tolist()
+            ]
+
+        x = [Fraction(0), Fraction(1)]
+        x2 = mul(x, x)
+        x3 = mul(x2, x)
+        if degree == 8:
+            x4 = mul(x2, combine(pulses._T8_FIRST, [x, x2])[0])
+            l2, l3, tail = combine(pulses._T8, [x, x2, x4])
+            return add(tail, mul(l2, l3))
+        if degree == 12:
+            b1, b2, b3, b4 = combine(pulses._T12, [x, x2, x3])
+            x6 = add(b3, mul(b4, b4))
+            return add(b1, mul(add(b2, x6), x6))
+        b1, b2, b3, b4, b5 = combine(pulses._T18, [x, x2, x3, mul(x3, x3)])
+        x9 = add(mul(b1, b5), b4)
+        return add(b2, mul(add(b3, x9), x9))
+
+    @pytest.mark.parametrize("degree", [8, 12, 18])
+    def test_each_scheme_is_exactly_its_taylor_polynomial(self, degree):
+        # Then _TAYLOR_REACH[m] bounds the tail as for the plain series.
+        coef = self.expand(degree)
+        assert max(k for k, c in enumerate(coef) if c) == degree
+        for k in range(degree + 1):
+            assert abs(coef[k] * math.factorial(k) - 1) <= 8 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("degree", sorted(pulses._TAYLOR_PRODUCTS))
+    def test_kernel_evaluates_the_taylor_polynomial(self, degree):
+        # X = N, the nilpotent shift: row 0 of T(N) lists the coefficients of T.
+        d = 26  # room for degree 24 = 18 + 6, should B1 or B5 of T18 lose its zeros
+        shift = np.eye(d, k=1)
+        h = np.stack([-1j * shift, np.zeros((d, d))])
+        squarings = np.array([0, 3])
+        pulses._expm_taylor(h, 1.0, squarings, degree)
+        want = [1 / math.factorial(k) for k in range(degree + 1)]
+        got = h[0, 0]
+        assert not got.imag.any() and not got.real[degree + 1 :].any()
+        assert np.abs(got.real[: degree + 1] / want - 1).max() <= 4e-15
+        assert np.abs(h[1] - np.eye(d)).max() <= 4e-15  # X = 0, squared three times
+
+    @pytest.mark.parametrize("fraction", [0.1, 1.0])
+    def test_catalogue_nmr4_plan_takes_seven_products_per_segment(self, fraction):
+        registry = sample_registry()
+        model = build_nmr(registry.get("iodotrifluoroethylene"))
+        schedule = registry.reference_schedule("nmr", 4)
+        bound = (-NMR_AMPLITUDE_BOUND_HZ, NMR_AMPLITUDE_BOUND_HZ)
+        seq = random_initial_pulses(
+            PulseGrid(schedule["dt"], schedule["grape"]), model.channel_labels, bound, 0,
+            SIGN_FORWARD, fraction=fraction,
+        )
+        degree, squarings = pulses._scaling_plan(pulses._norm_bounds(model, seq))
+        products = len(squarings) * pulses._TAYLOR_PRODUCTS[degree] + squarings.sum()
+        assert products == 7 * len(squarings)
 
     @staticmethod
     def assert_accurate_and_unitary(model, seq):
