@@ -88,14 +88,12 @@ def run_grape(problem: GrapeProblem) -> GrapeResult:
     grid = problem.grid
     tolerance = problem.optimizer.tolerance
 
-    pulses = PulseSequence(
-        grid,
-        np.zeros((grid.segments, model.num_channels)),
-        model.channel_labels,
-        SIGN_FORWARD,
-        bounds=problem.bounds,
-    )
-    final_cost = state_infidelity(propagate(model, pulses, initial)[0], problem.target)
+    lo, hi = problem.bounds
+    final_cost = math.inf
+    if lo <= 0.0 <= hi:  # zero controls lie in the box: try the drift alone
+        zeros = np.zeros((grid.segments, model.num_channels))
+        pulses = PulseSequence(grid, zeros, model.channel_labels, SIGN_FORWARD, problem.bounds)
+        final_cost = state_infidelity(propagate(model, pulses, initial)[0], problem.target)
     if final_cost < tolerance:
         report = OptimizationReport(
             cost_trace=[final_cost],

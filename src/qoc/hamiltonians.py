@@ -212,8 +212,10 @@ class SystemModel:
 
     d = prod(site_dims), kept as a tuple of integers >= 1.  Each operator
     must be finite and Hermitian, the channel labels distinct, and the
-    platform "nmr" or "sc".  Arrays that are already complex128 are kept, not
-    copied, and made read-only.  ``pattern`` is their sparse form.
+    platform "nmr" or "sc".  ``coupling_mask``, when given, is kept as a
+    tuple of one bool per boundary between neighbouring sites.  Arrays that
+    are already complex128 are kept, not copied, and made read-only.
+    ``pattern`` is their sparse form.
     """
 
     drift: np.ndarray
@@ -230,6 +232,11 @@ class SystemModel:
         dims = tuple(operator.index(d) for d in self.site_dims)
         if any(d < 1 for d in dims):
             raise ValueError(f"site dimensions must be >= 1, got {dims}")
+        mask = self.coupling_mask
+        if mask is not None:
+            mask = tuple(bool(on) for on in mask)
+            if len(mask) != len(dims) - 1:
+                raise ValueError(f"coupling mask needs {len(dims) - 1} entries, got {len(mask)}")
         if self.platform not in ("nmr", "sc"):
             raise ValueError(f"platform must be 'nmr' or 'sc', got {self.platform!r}")
         repeated = sorted({label for label in labels if labels.count(label) > 1})
@@ -250,6 +257,7 @@ class SystemModel:
         object.__setattr__(self, "control_stack", stack)
         object.__setattr__(self, "channel_labels", labels)
         object.__setattr__(self, "site_dims", dims)
+        object.__setattr__(self, "coupling_mask", mask)
 
     def __reduce__(self):
         # Copies and unpickled models go through construction, so they are read-only too.
@@ -360,9 +368,6 @@ def build_sc(
     n = len(sites)
     if coupling_mask is None:
         coupling_mask = (True,) * (n - 1)
-    coupling_mask = tuple(bool(b) for b in coupling_mask)
-    if len(coupling_mask) != n - 1:
-        raise ValueError(f"coupling mask needs {n - 1} entries, got {len(coupling_mask)}")
 
     dims = (d,) * n
     dim = d**n
@@ -379,7 +384,7 @@ def build_sc(
             drift += w * _embed({pos: num}, dims)
         if eta != 0.0 and d > 2:
             drift += 0.5 * eta * _embed({pos: anh}, dims)
-    for b, on in enumerate(coupling_mask):
+    for b, on in zip(range(n - 1), coupling_mask):  # SystemModel checks the mask's length
         if on and g != 0.0:
             hop = _embed({b: a.conj().T, b + 1: a}, dims)
             drift += g * (hop + hop.conj().T)

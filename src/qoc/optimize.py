@@ -61,8 +61,8 @@ class OptimizerConfig:
     bounds: tuple[float, float] | None = None
 
     def __post_init__(self):
-        if not (self.tolerance > 0.0):
-            raise ValueError("tolerance must be positive")
+        if not (0.0 < self.tolerance < float("inf")):
+            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
         if operator.index(self.max_iterations) < 1:  # TypeError if not an integer
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.bounds is not None:

@@ -62,7 +62,7 @@ exceed DENSE_STACK_BYTES, or when 2 sum_k s_k m_k < K d, that is, when the
 matvecs of the forward and backward sweeps (d^2 work each) cost less than
 the dense route's d^3 work per segment.  That price was measured with one
 Hermitian eigensolve per segment and is not yet re-fitted to the Taylor
-fill, which takes 2 d x d products per segment at dt ||H_k|| ~ 1e-4, 7 on
+fill, which takes 3 d x d products per segment at dt ||H_k|| ~ 1e-4, 7 on
 the 4-spin NMR sample and 19 at laboratory-frame shifts.
 Small d, or a large dt ||H_k||, goes dense: the 4-spin NMR sample
 (d = 16) needs 50 to 70 matvecs per segment and sweep.  The qubit chain at
@@ -182,18 +182,14 @@ _TAYLOR_REACH = tuple(
 DENSE_STACK_BYTES = 1 << 28
 
 # Matrix products that evaluate the dense route's Taylor polynomial of each
-# degree: Horner up to degree 4, then Bader, Blanes & Casas (Mathematics 7
-# (2019) 1174).
-_TAYLOR_PRODUCTS = MappingProxyType({1: 0, 2: 1, 4: 2, 8: 3, 12: 4, 18: 5})
+# degree by the schemes of Bader, Blanes & Casas (Mathematics 7 (2019) 1174).
+_TAYLOR_PRODUCTS = MappingProxyType({8: 3, 18: 5})
 
 # (n, d, d) slots of the one work array that _expm_taylor fills per chunk.
-_TAYLOR_SLOTS = MappingProxyType({1: 2, 2: 3, 4: 4, 8: 6, 12: 7, 18: 9})
+_TAYLOR_SLOTS = MappingProxyType({8: 6, 18: 9})
 
 # Linear combinations of each scheme, one row per matrix formed: column 0
 # multiplies I, column i > 0 the i-th of the scheme's stacked powers of X.
-_T1 = np.array([[1.0, 1.0]])  # I + X
-_T2 = np.array([[0.0, 1 / 2], [1.0, 1.0]])  # X / 2, I + X
-_T4 = np.array([[1 / 2, 1 / 6, 1 / 24], [1.0, 1.0, 0.0]])  # over X, X^2
 # Degree 8 over X, X^2, X^4, with r = sqrt(177): X^4 = X^2 (x1 X + x2 X^2), then
 # the rows x3 X^2 + X^4, x4 I + x5 X + x6 X^2 + x7 X^4 and I + X + y2 X^2.
 _R, _X3 = math.sqrt(177.0), 2 / 3
@@ -203,17 +199,6 @@ _T8 = np.array([
     [(-271 + 29 * _R) / (315 * _X3), 11 * (-1 + _R) / (1260 * _X3),
      11 * (-9 + _R) / (5040 * _X3), (89 - _R) / (5040 * _X3**2)],
     [1.0, 1.0, (857 - 58 * _R) / 630, 0.0],
-])  # fmt: skip
-# Degree 12: B1 .. B4 over X, X^2, X^3.
-_T12 = np.array([
-    [-0.0186023205146205532243437300433, -0.00500702322573317730979741843919,
-     -0.573420122960522263905952420789, -0.133399693943892059700768926983],
-    [4.6, 0.992875103538486836140479571505,
-     -0.132445561052799638845074997454, 0.0017299],
-    [0.211693118299809442949323323336, 0.158224384715726725371768893252,
-     0.165635169436727415011171668419, 0.0107862779315792425026320640108],
-    [0.0, -0.131810610138301840156819349464,
-     -0.0202785554058925907933568229945, -0.00675951846863086359778560766482],
 ])  # fmt: skip
 # Degree 18: B1 .. B5 over X, X^2, X^3, X^6.
 _T18 = np.array([
@@ -391,9 +376,9 @@ def segment_unitaries(model: SystemModel, pulses: PulseSequence) -> np.ndarray:
 
     U_k = exp(X_k) with X_k = +-i dt H_k is the degree-m Taylor polynomial of
     2^-j_k X_k, squared j_k times (Al-Mohy & Higham, SIAM J. Matrix Anal.
-    Appl. 31 (2009) 970); from degree 8 on the polynomial is evaluated by the
-    schemes of Bader, Blanes & Casas (Mathematics 7 (2019) 1174), degree 18
-    in 5 products.  j_k is the least count with theta_k 2^-j_k within the
+    Appl. 31 (2009) 970); the polynomial is evaluated by the schemes of
+    Bader, Blanes & Casas (Mathematics 7 (2019) 1174), degree 8 in 3 products
+    and degree 18 in 5.  j_k is the least count with theta_k 2^-j_k within the
     reach of degree m, theta_k being the segment's norm bound of Routes, so
     the truncated tail is at most 2^-53 per scaled segment; m is chosen once
     per call, for the fewest matrix products over all segments.  Each
@@ -471,30 +456,19 @@ def _expm_taylor(h: np.ndarray, scale: float, squarings: np.ndarray, degree: int
     """Overwrite a (n, d, d) chunk h of H_k by exp(i scale H_k), given the squarings j_k.
 
     Evaluates the degree-m Taylor polynomial T_m(X) = sum_{i<=m} X^i / i! at
-    X = i scale 2^-j_k H_k in _TAYLOR_PRODUCTS[m] matrix products: Horner up
-    to degree 4, and for degrees 8, 12 and 18 the schemes of Bader, Blanes &
-    Casas (Mathematics 7 (2019) 1174), each exactly T_m.  Each linear
-    combination of powers is one ``_combine`` GEMM, and every product writes
-    into h or into one work array of _TAYLOR_SLOTS[m] (n, d, d) slots.  Then
-    the k-th result is squared j_k times.  Each matrix gets the same
-    arithmetic whatever chunk it is in.
+    X = i scale 2^-j_k H_k in _TAYLOR_PRODUCTS[m] matrix products, m being 8
+    or 18, by the schemes of Bader, Blanes & Casas (Mathematics 7 (2019)
+    1174), each exactly T_m.  Each linear combination of powers is one
+    ``_combine`` GEMM, and every product writes into h or into one work
+    array of _TAYLOR_SLOTS[m] (n, d, d) slots.  Then the k-th result is
+    squared j_k times.  Each matrix gets the same arithmetic whatever chunk
+    it is in.
     """
     n, d, _ = h.shape
     work = np.empty((_TAYLOR_SLOTS[degree], n, d, d), dtype=complex)
     x = work[0]
     np.multiply(h, (1j * scale * np.ldexp(1.0, -squarings))[:, None, None], out=x)
-    if degree == 1:
-        _combine(_T1, work[:1], h[None])
-    elif degree == 2:
-        _combine(_T2, work[:1], work[1:3])
-        np.matmul(x, work[1], out=h)
-        h += work[2]
-    elif degree == 4:  # I + X + X^2 (I/2 + X/6 + X^2/24)
-        np.matmul(x, x, out=work[1])
-        _combine(_T4, work[:2], work[2:4])
-        np.matmul(work[1], work[2], out=h)
-        h += work[3]
-    elif degree == 8:  # T8 = (x3 X^2 + X^4)(x4 I + x5 X + x6 X^2 + x7 X^4) + I + X + y2 X^2
+    if degree == 8:  # T8 = (x3 X^2 + X^4)(x4 I + x5 X + x6 X^2 + x7 X^4) + I + X + y2 X^2
         p, b = work[:3], work[3:6]
         np.matmul(x, x, out=p[1])
         _combine(_T8_FIRST, p[:2], b[:1])
@@ -502,16 +476,6 @@ def _expm_taylor(h: np.ndarray, scale: float, squarings: np.ndarray, degree: int
         _combine(_T8, p, b)
         np.matmul(b[0], b[1], out=h)
         h += b[2]
-    elif degree == 12:  # X^6 = B3 + B4 B4;  T12 = B1 + (B2 + X^6) X^6
-        p, b = work[:3], work[3:7]
-        np.matmul(x, x, out=p[1])
-        np.matmul(p[1], x, out=p[2])
-        _combine(_T12, p, b)
-        np.matmul(b[3], b[3], out=p[0])
-        p[0] += b[2]
-        b[1] += p[0]
-        np.matmul(b[1], p[0], out=h)
-        h += b[0]
     else:  # degree 18: X^9 = B1 B5 + B4;  T18 = B2 + (B3 + X^9) X^9
         p, b = work[:4], work[4:9]
         np.matmul(x, x, out=p[1])

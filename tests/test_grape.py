@@ -135,6 +135,23 @@ class TestRunGrape:
         assert result.converged
         assert result.fidelity >= 0.997
 
+    def test_box_without_zero_returns_a_result(self):
+        # Bounds that exclude 0 are valid; the drift-only check used to build
+        # all-zero pulses outside the box and raise.
+        sample = sample_registry().get("diethyl-fluoromalonate-3q").with_shifts(0.0)
+        problem = GrapeProblem(
+            model=build_nmr(sample),
+            target=ghz(3),
+            grid=PulseGrid(5e-6, 40),
+            optimizer=OptimizerConfig(tolerance=1e-3, max_iterations=3),
+            bounds=(1.0, 2e4),
+        )
+        result = run_grape(problem)
+        assert isinstance(result, GrapeResult)
+        amps = result.pulses.amplitudes
+        assert amps.min() >= 1.0 and amps.max() <= 2e4
+        assert result.report.evaluations > 0
+
     def test_determinism_same_seed(self):
         model = single_channel_qubit()
         one = StateVector(np.array([0, 1], dtype=complex), (2,))

@@ -69,6 +69,19 @@ class TestSystemModel:
         state, _ = propagate(model, pulses, ground_state((2,)))
         assert state.site_dims == (2,)
 
+    def test_coupling_mask_stored_as_a_tuple_of_bools(self):
+        model = self.model(np.kron(SZ, SZ), (np.kron(SX, SX),), ("x",), site_dims=(2, 2))
+        assert model.coupling_mask is None
+        masked = dataclasses.replace(model, coupling_mask=[np.bool_(False)])
+        assert masked.coupling_mask == (False,) and type(masked.coupling_mask[0]) is bool
+
+    @pytest.mark.parametrize("mask", [[], [True], [True] * 7])
+    def test_coupling_mask_needs_one_entry_per_boundary(self, mask):
+        # A 7-entry list on a 3-spin model used to be stored as given.
+        stack = np.array([np.eye(8)])
+        with pytest.raises(ValueError, match="coupling mask needs 2 entries"):
+            SystemModel(np.eye(8), stack, ("x",), (2, 2, 2), "nmr", coupling_mask=mask)
+
     def test_site_dims_must_be_positive(self):
         # (-2, -2) multiplies out to the drift's 4 rows.
         with pytest.raises(ValueError, match="site dimensions must be >= 1"):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -178,8 +179,10 @@ class TestRestart:
 
 class TestConfigValidation:
     def test_tolerance_positive(self):
-        with pytest.raises(ValueError):
-            OptimizerConfig(tolerance=0.0)
+        # An infinite tolerance used to report convergence after 0 evaluations.
+        for bad in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="tolerance"):
+                OptimizerConfig(tolerance=bad)
 
     @pytest.mark.parametrize("budget", [0, -3])
     def test_max_iterations_at_least_one(self, budget):

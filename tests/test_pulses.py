@@ -263,7 +263,7 @@ class TestChunkedUnitaries:
                 assert np.abs(u[k] - expm_hermitian(h, scale)).max() <= 1e-13
 
     def test_scaling_plan_least_squarings_and_fewest_products(self, rng):
-        products = {1: 0, 2: 1, 4: 2, 8: 3, 12: 4, 18: 5}  # Horner, then Bader-Blanes-Casas
+        products = {8: 3, 18: 5}  # Bader-Blanes-Casas
         assert dict(pulses._TAYLOR_PRODUCTS) == products
         reach = pulses._TAYLOR_REACH
 
@@ -309,15 +309,11 @@ class TestChunkedUnitaries:
             x4 = mul(x2, combine(pulses._T8_FIRST, [x, x2])[0])
             l2, l3, tail = combine(pulses._T8, [x, x2, x4])
             return add(tail, mul(l2, l3))
-        if degree == 12:
-            b1, b2, b3, b4 = combine(pulses._T12, [x, x2, x3])
-            x6 = add(b3, mul(b4, b4))
-            return add(b1, mul(add(b2, x6), x6))
         b1, b2, b3, b4, b5 = combine(pulses._T18, [x, x2, x3, mul(x3, x3)])
         x9 = add(mul(b1, b5), b4)
         return add(b2, mul(add(b3, x9), x9))
 
-    @pytest.mark.parametrize("degree", [8, 12, 18])
+    @pytest.mark.parametrize("degree", [8, 18])
     def test_each_scheme_is_exactly_its_taylor_polynomial(self, degree):
         # Then _TAYLOR_REACH[m] bounds the tail as for the plain series.
         coef = self.expand(degree)
@@ -337,21 +333,55 @@ class TestChunkedUnitaries:
         got = h[0, 0]
         assert not got.imag.any() and not got.real[degree + 1 :].any()
         assert np.abs(got.real[: degree + 1] / want - 1).max() <= 4e-15
-        assert np.abs(h[1] - np.eye(d)).max() <= 4e-15  # X = 0, squared three times
+        assert np.array_equal(h[1], np.eye(d))  # X = 0, squared three times
+
+    @staticmethod
+    def catalogue_plan(name, size, fraction, frame=None):
+        """Degree and matrix products per segment of the dense fill's plan on a
+        catalogue sample, at its reference dt and GRAPE budget, with seed-0
+        pulses over ``fraction`` of the box; ``frame`` sets every shift or idle
+        frequency."""
+        registry = sample_registry()
+        sample = registry.get(name)
+        if isinstance(sample, NmrSample):
+            platform, bound = "nmr", NMR_AMPLITUDE_BOUND_HZ
+            model = build_nmr(sample if frame is None else sample.with_shifts(frame))
+        else:
+            platform, bound = "sc", SC_AMPLITUDE_BOUND_RAD_PER_NS
+            if frame is not None:
+                sample = sample.with_idle_frequencies(frame)
+            model = build_sc(sample, sites=range(size))
+        schedule = registry.reference_schedule(platform, size)
+        seq = random_initial_pulses(
+            PulseGrid(schedule["dt"], schedule["grape"]), model.channel_labels, (-bound, bound), 0,
+            SIGN_FORWARD, fraction=fraction,
+        )
+        assert not pulses._action_is_cheaper(model, pulses._taylor_plan(model, seq))
+        degree, squarings = pulses._scaling_plan(pulses._norm_bounds(model, seq))
+        products = len(squarings) * pulses._TAYLOR_PRODUCTS[degree] + squarings.sum()
+        return degree, products / len(squarings)
 
     @pytest.mark.parametrize("fraction", [0.1, 1.0])
     def test_catalogue_nmr4_plan_takes_seven_products_per_segment(self, fraction):
-        registry = sample_registry()
-        model = build_nmr(registry.get("iodotrifluoroethylene"))
-        schedule = registry.reference_schedule("nmr", 4)
-        bound = (-NMR_AMPLITUDE_BOUND_HZ, NMR_AMPLITUDE_BOUND_HZ)
-        seq = random_initial_pulses(
-            PulseGrid(schedule["dt"], schedule["grape"]), model.channel_labels, bound, 0,
-            SIGN_FORWARD, fraction=fraction,
-        )
-        degree, squarings = pulses._scaling_plan(pulses._norm_bounds(model, seq))
-        products = len(squarings) * pulses._TAYLOR_PRODUCTS[degree] + squarings.sum()
-        assert products == 7 * len(squarings)
+        assert self.catalogue_plan("iodotrifluoroethylene", 4, fraction) == (18, 7)
+
+    # Every dense catalogue case takes degree 8 or 18, at these products per
+    # segment; a change that moves one to another scheme fails here.
+    @pytest.mark.parametrize(
+        "name, size, fraction, frame, degree, per_segment",
+        [
+            ("bromotrifluorobenzene", 5, 0.1, None, 18, 16436 / 2400),
+            ("diethyl-fluoromalonate-2q", 2, 0.1, None, 18, 19),  # laboratory frame
+            ("diethyl-fluoromalonate-3q", 3, 0.1, 0.0, 8, 3.91),  # on resonance
+            ("sc-chain-12", 4, 1.0, 0.0, 8, 3.822),  # idle frequencies 0
+            ("sc-chain-12", 6, 1.0, None, 18, 8),  # catalogue frequencies
+        ],
+        ids=["nmr5", "nmr2-laboratory", "nmr3-on-resonance", "sc4-idle-0", "sc6"],
+    )
+    def test_catalogue_plan_keeps_its_scheme(
+        self, name, size, fraction, frame, degree, per_segment
+    ):
+        assert self.catalogue_plan(name, size, fraction, frame) == (degree, per_segment)
 
     @staticmethod
     def assert_accurate_and_unitary(model, seq):
