@@ -1,8 +1,9 @@
 """Baseline gradient-based pulse search for |0...0> -> target transfers.
 
-One forward-sign pulse sequence is optimized against the overlap
-infidelity.  Non-convergence is a first-class outcome recorded in the
-result, never an exception: benchmark sweeps need failed seeds as data.
+One forward-sign pulse sequence, every channel inside ``bounds``, is
+optimized from |0...0> against the overlap infidelity.  Non-convergence
+is a first-class outcome recorded in the result, never an exception:
+benchmark sweeps need failed seeds as data.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .hamiltonians import SystemModel
 from .linalg import StateVector, ground_state
-from .optimize import TERMINATION_TOLERANCE, OptimizationReport, OptimizerConfig, minimize
+from .optimize import OptimizationReport, OptimizerConfig, minimize
 from .pulses import (
     SIGN_FORWARD,
     PulseGrid,
@@ -35,25 +36,24 @@ __all__ = ["GrapeProblem", "GrapeResult", "run_grape"]
 
 @dataclass(frozen=True, eq=False)
 class GrapeProblem:
+    """|0...0> -> ``target`` on ``grid``, with every channel inside ``bounds``.
+
+    ``optimizer.bounds`` is None or equal to ``bounds``; ``seed`` draws the start.
+    """
+
     model: SystemModel
     target: StateVector
     grid: PulseGrid
     optimizer: OptimizerConfig
     bounds: tuple[float, float]
     seed: int = 0
-    initial: StateVector | None = None
 
     def __post_init__(self):
-        for role, state in (("target", self.target), ("initial", self.initial)):
-            if state is None:
-                continue
-            if abs(state.norm - 1.0) > 1e-8:
-                raise ValueError(f"{role} state must be normalized")
-            if state.site_dims != self.model.site_dims:
-                raise ValueError(
-                    f"{role} site dimensions {state.site_dims} do not match "
-                    f"the model's {self.model.site_dims}"
-                )
+        target, dims = self.target, self.model.site_dims
+        if abs(target.norm - 1.0) > 1e-8:
+            raise ValueError("target state must be normalized")
+        if target.site_dims != dims:
+            raise ValueError(f"target sites {target.site_dims} do not match the model's {dims}")
         lo, hi = self.bounds
         if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
             raise ValueError(f"amplitude bounds must be finite with lo <= hi, got {self.bounds}")
@@ -84,42 +84,25 @@ class GrapeResult:
 def run_grape(problem: GrapeProblem) -> GrapeResult:
     """Optimize a forward-sign sequence; flag rather than hide failures."""
     model = problem.model
-    initial = problem.initial or ground_state(model.site_dims)
-    grid = problem.grid
-    tolerance = problem.optimizer.tolerance
+    initial = ground_state(model.site_dims)
+    guess = random_initial_pulses(
+        problem.grid, model.channel_labels, problem.bounds, problem.seed, SIGN_FORWARD
+    )
+    shape = guess.amplitudes.shape
 
-    lo, hi = problem.bounds
-    final_cost = math.inf
-    if lo <= 0.0 <= hi:  # zero controls lie in the box: try the drift alone
-        zeros = np.zeros((grid.segments, model.num_channels))
-        pulses = PulseSequence(grid, zeros, model.channel_labels, SIGN_FORWARD, problem.bounds)
-        final_cost = state_infidelity(propagate(model, pulses, initial)[0], problem.target)
-    if final_cost < tolerance:
-        report = OptimizationReport(
-            cost_trace=[final_cost],
-            gradient_norm_trace=[0.0],
-            termination=TERMINATION_TOLERANCE,
-            message="drift alone reaches the target; controls left at zero",
-        )
-    else:
-        guess = random_initial_pulses(
-            grid, model.channel_labels, problem.bounds, problem.seed, SIGN_FORWARD
-        )
-        shape = guess.amplitudes.shape
+    def cost_and_grad(x: np.ndarray):
+        seq = guess.with_amplitudes(x.reshape(shape))
+        cost, grad, _ = infidelity_value_and_gradient(model, seq, initial, problem.target)
+        return cost, grad.reshape(-1)
 
-        def cost_and_grad(x: np.ndarray):
-            seq = guess.with_amplitudes(x.reshape(shape))
-            cost, grad, _ = infidelity_value_and_gradient(model, seq, initial, problem.target)
-            return cost, grad.reshape(-1)
+    config = dataclasses.replace(problem.optimizer, bounds=problem.bounds)
+    x_star, report = minimize(cost_and_grad, guess.amplitudes.reshape(-1), config)
+    pulses = guess.with_amplitudes(x_star.reshape(shape))
 
-        config = dataclasses.replace(problem.optimizer, bounds=problem.bounds)
-        x_star, report = minimize(cost_and_grad, guess.amplitudes.reshape(-1), config)
-        pulses = guess.with_amplitudes(x_star.reshape(shape))
-
-        # Re-simulate so the reported fidelity is what a fresh play-out of the
-        # returned pulses actually achieves.
-        final_cost = state_infidelity(propagate(model, pulses, initial)[0], problem.target)
-    converged = final_cost < tolerance
+    # Re-simulate so the reported fidelity is what a fresh play-out of the
+    # returned pulses actually achieves.
+    final_cost = state_infidelity(propagate(model, pulses, initial)[0], problem.target)
+    converged = final_cost < problem.optimizer.tolerance
     if not converged:
         logger.info(
             "transfer did not converge: cost %.3e after %d iterations (%s)",

@@ -73,20 +73,24 @@ class StateVector:
         return StateVector(self.amplitudes / n, self.site_dims)
 
     def overlap(self, other: "StateVector") -> complex:
-        if other.dim != self.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
+        if other.site_dims != self.site_dims:
+            raise ValueError(f"sites mismatch: {self.site_dims} vs {other.site_dims}")
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
 def _check_hermitian(matrix: np.ndarray, what: str) -> None:
-    """Raise ValueError unless ``matrix`` is square, finite and Hermitian within 1e-12."""
+    """Raise ValueError unless ``matrix`` is square, finite and Hermitian.
+
+    max |A - A†| may reach 1e-12 times max(1, max |A_ij|): rounding grows
+    with the entries, and laboratory-frame shifts reach 1e9 rad/s.
+    """
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"{what}: expected a square matrix, got shape {matrix.shape}")
     # NaN would pass the Hermiticity test below: nan > tol is False.
     if not np.all(np.isfinite(matrix)):
         raise ValueError(f"{what}: matrix entries must be finite")
     dev = float(np.abs(matrix - matrix.conj().T).max())
-    if dev > HERMITICITY_TOL:
+    if dev > HERMITICITY_TOL * max(1.0, float(np.abs(matrix).max())):
         raise ValueError(f"{what}: matrix is not Hermitian (max |A - A†| = {dev:.3e})")
 
 

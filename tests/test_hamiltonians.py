@@ -122,6 +122,18 @@ class TestSystemModel:
         with pytest.raises(ValueError, match="control 'y': matrix is not Hermitian"):
             self.model(stack=(SX, m))
 
+    def test_hermiticity_tolerance_scales_with_the_entries(self):
+        # Rounding in a rotated 1e9 rad/s spectrum leaves |A - A†| ~ 6e-8,
+        # far above an absolute 1e-12.
+        q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 4)))
+        lab = q @ np.diag([1e9, -1e9, 5e8, 0.0]) @ q.conj().T
+        assert np.abs(lab - lab.conj().T).max() > 1e-8
+        stack = (np.kron(SX, np.eye(2)),)
+        assert self.model(lab, stack, ("x",), site_dims=(2, 2)).dim == 4
+        skewed = SZ + np.array([[0, 1e-9], [0, 0]])
+        with pytest.raises(ValueError, match="drift: matrix is not Hermitian"):
+            self.model(drift=skewed)
+
     def test_operators_are_read_only(self):
         built = build_nmr(two_spin_sample())
         for model in (built, pickle.loads(pickle.dumps(built)), copy.deepcopy(built)):

@@ -156,6 +156,16 @@ class TestPropagate:
             propagate(model, seq, split)
         with pytest.raises(ValueError, match="sites"):
             impurity_value_and_gradient(model, seq, split, [0])
+        # A target of the right size on another split is rejected too.
+        pair = build_nmr(sample_registry().get("diethyl-fluoromalonate-2q"))
+        forward = PulseSequence(
+            PulseGrid(1e-5, 3), np.zeros((3, 4)), pair.channel_labels, SIGN_FORWARD
+        )
+        zero, target = ground_state((2, 2)), StateVector(ghz_amplitudes(2), (4,))
+        with pytest.raises(ValueError, match=r"\(4,\) vs \(2, 2\)"):
+            infidelity_value_and_gradient(pair, forward, zero, target)
+        with pytest.raises(ValueError, match=r"\(4,\) vs \(2, 2\)"):
+            state_infidelity(zero, target)
 
     def test_channel_labels_must_match_the_model(self):
         model = build_nmr(sample_registry().get("diethyl-fluoromalonate-2q"))
