@@ -31,7 +31,9 @@ A ``SystemModel`` stores each operator once, read-only and checked finite
 and Hermitian at construction: the (d, d) ``drift`` and the (A, d, d)
 ``control_stack``, whose channel a is ``channel_labels[a]``.  Its
 ``pattern``, their nonzeros with each operator's values, is all the pulse
-engine reads.  The builders form each term as one Kronecker chain over sites.
+engine reads.  Each builder lists its drift terms and its x and y drives;
+``_model`` forms each term as one Kronecker chain over sites, and embeds and
+labels both drives on every site.
 """
 
 from __future__ import annotations
@@ -92,6 +94,8 @@ class NmrSample:
 
     def __post_init__(self):
         spins = tuple((str(l), float(s)) for l, s in self.spins)
+        if not spins:
+            raise ValueError(f"no spins in sample {self.name}")
         if not all(math.isfinite(s) for _, s in spins):
             raise ValueError(f"non-finite chemical shift in {self.name}")
         labels = [label for label, _ in spins]
@@ -176,8 +180,11 @@ class ScSample:
         if self.truncation < 2:
             raise ValueError("per-site truncation must be at least 2")
         qubits = tuple((str(l), float(w), float(e)) for l, w, e in self.qubits)
+        if not qubits:
+            raise ValueError(f"no qubits in sample {self.name}")
         if not all(math.isfinite(w) and math.isfinite(e) for _, w, e in qubits):
             raise ValueError(f"non-finite idle frequency or anharmonicity in {self.name}")
+        object.__setattr__(self, "coupling_mhz", float(self.coupling_mhz))
         if not math.isfinite(self.coupling_mhz):
             raise ValueError(f"non-finite coupler strength in {self.name}")
         object.__setattr__(self, "qubits", qubits)
@@ -290,29 +297,37 @@ class SystemModel:
         return len(self.channel_labels)
 
 
+def _model(
+    dims: tuple[int, ...], terms: Iterable, drives: tuple, site_labels: Sequence[str],
+    platform: str, coupling_mask: Sequence[bool] | None = None,
+) -> SystemModel:
+    """Model whose drift sums the terms ``(c, {site: op})`` with c != 0, in order.
+
+    Each term is c times one Kronecker chain over sites.  Site j gets the two
+    ``drives`` as channels ``x:<site_labels[j]>`` and ``y:<site_labels[j]>``.
+    """
+    dim = math.prod(dims)
+    drift = np.zeros((dim, dim), dtype=complex)
+    for coefficient, factors in terms:
+        if coefficient != 0.0:
+            drift += coefficient * _embed(factors, dims)
+    stack = np.empty((2 * len(dims), dim, dim), dtype=complex)
+    for pos in range(len(dims)):
+        for k, op in enumerate(drives):
+            stack[2 * pos + k] = _embed({pos: op}, dims)
+    labels = [f"{axis}:{label}" for label in site_labels for axis in "xy"]
+    return SystemModel(drift, stack, labels, dims, platform, coupling_mask)
+
+
 def build_nmr(sample: NmrSample) -> SystemModel:
     """Spin-system model on every spin of ``sample``.
 
     The drift is diagonal in the computational basis; each spin gets an x
     and a y rf channel.  Build a model on a subset from ``restricted``.
     """
-    n = sample.size
-    dims = (2,) * n
-    drift = np.zeros((2**n, 2**n), dtype=complex)
-    for j, (_, shift) in enumerate(sample.spins):
-        if shift != 0.0:
-            drift += math.pi * shift * _embed({j: _SZ}, dims)
-    for (i, j), val in sample.couplings.items():
-        if val != 0.0:
-            drift += (math.pi / 2.0) * val * _embed({i: _SZ, j: _SZ}, dims)
-    stack = np.empty((2 * n, 2**n, 2**n), dtype=complex)
-    for j in range(n):
-        stack[2 * j] = math.pi * _embed({j: _SX}, dims)
-        stack[2 * j + 1] = math.pi * _embed({j: _SY}, dims)
-    labels = [f"{axis}:{label}" for label in sample.labels for axis in "xy"]
-    return SystemModel(
-        drift=drift, control_stack=stack, channel_labels=labels, site_dims=dims, platform="nmr"
-    )
+    terms = [(math.pi * shift, {j: _SZ}) for j, (_, shift) in enumerate(sample.spins)]
+    terms += [((math.pi / 2.0) * v, {i: _SZ, j: _SZ}) for (i, j), v in sample.couplings.items()]
+    return _model((2,) * sample.size, terms, (math.pi * _SX, math.pi * _SY), sample.labels, "nmr")
 
 
 def frozen_subsystem_hamiltonian(sample: NmrSample, frozen: Iterable[int]) -> SystemModel:
@@ -355,56 +370,32 @@ def build_sc(
     identically (n(n-1) = 0 on {0, 1}).
     """
     d = sample.truncation
-    if sites is None:
-        sites = list(range(sample.size))
-    else:
-        sites = [operator.index(s) for s in sites]
-        if not sites:
-            raise ValueError(f"empty site list for sample {sample.name}")
-        if sites != list(range(min(sites), min(sites) + len(sites))):
-            raise ValueError("chain subsystems must be contiguous site runs")
-        if sites[0] < 0 or sites[-1] >= sample.size:
-            raise ValueError("site indices out of range")
+    sites = list(range(sample.size)) if sites is None else [operator.index(s) for s in sites]
+    if not sites:
+        raise ValueError(f"empty site list for sample {sample.name}")
+    if sites != list(range(sites[0], sites[0] + len(sites))):
+        raise ValueError("chain subsystems must be contiguous site runs")
+    if sites[0] < 0 or sites[-1] >= sample.size:
+        raise ValueError("site indices out of range")
     n = len(sites)
     if coupling_mask is None:
         coupling_mask = (True,) * (n - 1)
-
-    dims = (d,) * n
-    dim = d**n
     a = _ladder(d)
-    num = a.conj().T @ a
+    up = a.conj().T
+    num = up @ a
     anh = num @ num - num  # n(n-1)
     g = 2.0 * math.pi * 1.0e-3 * sample.coupling_mhz  # MHz -> rad/ns
-
-    drift = np.zeros((dim, dim), dtype=complex)
+    terms = []
     for pos, q in enumerate(sites):
-        w = 2.0 * math.pi * sample.idle_ghz(q)  # GHz -> rad/ns
-        eta = 2.0 * math.pi * 1.0e-3 * sample.anharmonicity_mhz(q)
-        if w != 0.0:
-            drift += w * _embed({pos: num}, dims)
-        if eta != 0.0 and d > 2:
-            drift += 0.5 * eta * _embed({pos: anh}, dims)
+        terms.append((2.0 * math.pi * sample.idle_ghz(q), {pos: num}))  # GHz -> rad/ns
+        if d > 2:
+            eta = 2.0 * math.pi * 1.0e-3 * sample.anharmonicity_mhz(q)
+            terms.append((0.5 * eta, {pos: anh}))
     for b, on in zip(range(n - 1), coupling_mask):  # SystemModel checks the mask's length
-        if on and g != 0.0:
-            hop = _embed({b: a.conj().T, b + 1: a}, dims)
-            drift += g * (hop + hop.conj().T)
-
-    x_op = a + a.conj().T
-    y_op = 1j * (a - a.conj().T)
-    stack = np.empty((2 * n, dim, dim), dtype=complex)
-    for pos in range(n):
-        stack[2 * pos] = _embed({pos: x_op}, dims)
-        stack[2 * pos + 1] = _embed({pos: y_op}, dims)
-    labels = [f"{axis}:{sample.labels[q]}" for q in sites for axis in "xy"]
-
-    return SystemModel(
-        drift=drift,
-        control_stack=stack,
-        channel_labels=labels,
-        site_dims=dims,
-        platform="sc",
-        coupling_mask=coupling_mask,
-    )
+        if on:
+            terms += [(g, {b: up, b + 1: a}), (g, {b: a, b + 1: up})]
+    drives = (a + up, 1j * (a - up))
+    return _model((d,) * n, terms, drives, [sample.labels[q] for q in sites], "sc", coupling_mask)
 
 
 # ---------------------------------------------------------------------------
@@ -421,16 +412,10 @@ def _parse_nmr(name: str, spec: Mapping) -> NmrSample:
 
 
 def _parse_sc(name: str, spec: Mapping) -> ScSample:
-    qubits = tuple(
-        (q["label"], float(q["idle_ghz"]), float(q["anharmonicity_mhz"]))
-        for q in spec["qubits"]
-    )
-    return ScSample(
-        name=name,
-        qubits=qubits,
-        coupling_mhz=float(spec.get("coupling_mhz", 20.0)),
-        truncation=spec.get("truncation", 2),
-    )
+    # ScSample converts the values and owns the chain defaults.
+    qubits = tuple((q["label"], q["idle_ghz"], q["anharmonicity_mhz"]) for q in spec["qubits"])
+    chain = {key: spec[key] for key in ("coupling_mhz", "truncation") if key in spec}
+    return ScSample(name=name, qubits=qubits, **chain)
 
 
 @dataclass(frozen=True)

@@ -86,12 +86,10 @@ def _apply_cnot(amps: np.ndarray, n: int, control: int, target: int) -> np.ndarr
     return tensor.reshape(-1)
 
 
-def pqc_state(spec: PqcSpec, parameters: np.ndarray | None = None) -> StateVector:
+def pqc_state(spec: PqcSpec) -> StateVector:
     """State produced by the layered circuit acting on |0...0>."""
     n = spec.qubits
-    params = spec.parameters() if parameters is None else np.asarray(parameters)
-    if params.shape != (spec.layers, n, 3):
-        raise ValueError(f"parameters must have shape {(spec.layers, n, 3)}")
+    params = spec.parameters()
     amps = ground_state((2,) * n).amplitudes.copy()
     for layer in range(spec.layers):
         if layer > 0:

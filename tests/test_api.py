@@ -1,6 +1,8 @@
 import importlib
+import importlib.util
 import json
 import os
+import pathlib
 import pkgutil
 import subprocess
 import sys
@@ -24,6 +26,25 @@ def test_every_exported_name_resolves(name):
     namespace = {}
     exec(f"from qoc.{name} import *", namespace)
     assert set(exported) <= set(namespace)
+
+
+def test_every_function_the_benchmark_wraps_exists():
+    # bench/spans.py times layers by replacing these attributes; one that is
+    # renamed away only zeroes its layer metric in a traced benchmark run.
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    wrapped = [*spans.LAYER_FUNCTIONS, *(("", "qoc.pulses", n) for n in spans.GRADIENT_FUNCTIONS)]
+    assert len(wrapped) > len(spans.GRADIENT_FUNCTIONS) > 0
+    missing = []
+    for _, module_name, attribute_path in wrapped:
+        owner = importlib.import_module(module_name)
+        for attribute in attribute_path.split("."):
+            owner = getattr(owner, attribute, None)
+        if not callable(owner):
+            missing.append(f"{module_name}.{attribute_path}")
+    assert missing == []
 
 
 # Imports every qoc module, then runs one bounded search; prints what it saw.

@@ -1,9 +1,11 @@
 import copy
 import dataclasses
+import hashlib
 import math
 import pickle
 import re
 import tracemalloc
+from functools import partial
 from importlib import resources
 
 import numpy as np
@@ -35,6 +37,81 @@ def two_spin_sample(j=47.6, shifts=(0.0, 0.0)):
         spins=(("A", shifts[0]), ("B", shifts[1])),
         couplings={(0, 1): j},
     )
+
+
+def catalogue_models():
+    """Builders of the catalogue models whose operators are pinned, by case name."""
+    reg = sample_registry()
+    chain = reg.get("sc-chain-12")
+    models = {}
+    for name, sample in reg.nmr.items():
+        models[name] = partial(build_nmr, sample)
+        for p, label in enumerate(sample.labels):
+            models[f"{name}-frozen-{label}"] = partial(frozen_subsystem_hamiltonian, sample, {p})
+    for n in (2, 4, 6):
+        models[f"chain-{n}"] = partial(build_sc, chain, sites=range(n))
+        models[f"chain-{n}-idle-0"] = partial(
+            build_sc, chain.with_idle_frequencies(0.0), sites=range(n)
+        )
+        mask = [b % 2 == 1 for b in range(n - 1)]
+        models[f"chain-{n}-masked"] = partial(
+            build_sc, chain, coupling_mask=mask, sites=range(1, n + 1)
+        )
+    models["chain-3-three-level"] = partial(
+        build_sc, dataclasses.replace(chain, truncation=3), sites=range(3)
+    )
+    return models
+
+
+def operator_digest(model):
+    """SHA-256 of the drift, control stack and channel labels; -0.0 hashes as 0.0."""
+    h = hashlib.sha256()
+    for array in (model.drift, model.control_stack):
+        h.update((array + 0.0).tobytes())
+    h.update("\n".join(model.channel_labels).encode())
+    return h.hexdigest()
+
+
+# Recorded at commit 4e15fc7, where each builder formed its own operators;
+# any changed operator bit or label changes a digest.
+CATALOGUE_DIGESTS = {
+    "diethyl-fluoromalonate-2q": "381d1fa128d465ddd8dafc04356f4459604f2a501651d4ef489aa3dc2933aee1",
+    "diethyl-fluoromalonate-2q-frozen-H": "d44dda59b696b6a4186ca9a05d698bdbf679db408361b595fb6cbc0d78075259",
+    "diethyl-fluoromalonate-2q-frozen-F": "6abd938814f81bc810b4becca4e670e5068f715b1512415cedff946766902a96",
+    "diethyl-fluoromalonate-3q": "ccbffa67fe695ead892bd407930566a94da3897b9f28a61510289cd389b3b5cb",
+    "diethyl-fluoromalonate-3q-frozen-C": "38de8fd5cc2aff74001dcf8c50ebaf176fe67afe31430566eff345f4ae0457ef",
+    "diethyl-fluoromalonate-3q-frozen-H": "c6938194f4589fbbbe44f70e43027799de0318cb32b7f96e4ff43f3563f6e086",
+    "diethyl-fluoromalonate-3q-frozen-F": "2f41854db15be7144dc08f1f8df5ee5b1f31b6f742543998d6b3b7e9b2b2fb3f",
+    "iodotrifluoroethylene": "b18bb6117c9daebd32e80df380b9aff701885bd0f20e935c2f60e428f2bdc9b1",
+    "iodotrifluoroethylene-frozen-C": "f151dd9bf82fe2c8ab160e67cb48ee1e59e8fe836e6812ebb0ecffcfe2c2df1e",
+    "iodotrifluoroethylene-frozen-F1": "f7fe79f91a44fdeb01709ee76157da9e3fb00c951265756158e3590a5b6ab5ee",
+    "iodotrifluoroethylene-frozen-F2": "3acece3021e4ca695cd0b0af3f0cf857d842cf9f07ce77a48568ef1c433d42b5",
+    "iodotrifluoroethylene-frozen-F3": "2700ed4e986c05f926b172921c0d30dcc04f23521581877a146a2e9d3671eab8",
+    "bromotrifluorobenzene": "7e3c03bbab6fcc56589649b4730a5053163d33eb669808917955d1c2655bb9da",
+    "bromotrifluorobenzene-frozen-F1": "19966f3e40d1eb21301186f9caf177422138fac7ee6a613e7209bb8d7963bcd3",
+    "bromotrifluorobenzene-frozen-F2": "e663db95e52fb5b95c860068a449bff7747894e8a31024f33fc694884fbd860b",
+    "bromotrifluorobenzene-frozen-F3": "a28ca97667361bde205e056932fa90e7c274ec65a1705ae01ba7ab1738332801",
+    "bromotrifluorobenzene-frozen-H1": "3eb330a21f8048b3be8fd7ff59fd0a61f94e67b4881e87b52791add660d3f566",
+    "bromotrifluorobenzene-frozen-H2": "fa2a6920a7550fb10d1eab33420cc07fd3d8a4e6e08cb2cd2e2308c44aa1618e",
+    "crotonic-acid": "37241390aec800841e8cc83f31b1c2e30157fcb653aa979e69a6eea29c3b0110",
+    "crotonic-acid-frozen-C1": "db981827e14d9688290f67ab665969babb6742469e359de301e051abcd1886f6",
+    "crotonic-acid-frozen-C2": "fea3164d18bc15ae51e1c70c0ba8acf2bdbb0fec1c927fcec2bd3717194aada0",
+    "crotonic-acid-frozen-C3": "1069a01f89c5629e0f48a41eed341371d95d3572914baa18acba20a37c74f14b",
+    "crotonic-acid-frozen-C4": "03ea830e7d2e5c3e9450b38df4d3135c4121a9d845fb2fd80af079c6ee1abefe",
+    "crotonic-acid-frozen-H1": "f5f1e7096c440c9852ed2c90b1d7463735cab2ba66e23accc3f1ab2497fefef5",
+    "crotonic-acid-frozen-H2": "ce89d2fd2cdad8be3ae76d7036b8c2aaa81429f1b1affb7243e4abf968dc9d40",
+    "crotonic-acid-frozen-H3": "65b0126ed418249647a688a0fb0d8986c9889cad860dd8022a175ee5733b4b7e",
+    "chain-2": "977952681dd4aa30cd28771e522069c50136f0b76c00cd2835801dae9bc9a83e",
+    "chain-2-idle-0": "52870ae20e34b4f25eae4e6f3717631b2e56111bed45a11e81685e0736931e1b",
+    "chain-2-masked": "be5cccd079f5d71a8cc6dce99281947ce2a5a960057820d3f285567a17b47ae0",
+    "chain-4": "36f69ad617ce96241743afe5aee03aafa1aed187771900f45209cf821b220aa1",
+    "chain-4-idle-0": "23217e1d5bad88996132d61610e4e8f137f9b6e4f376069528d103304c5f0bce",
+    "chain-4-masked": "dea0ffea5793776a672d51bca869b34e79eb79489a2191b08c6a8af0f04607e3",
+    "chain-6": "a8a54a588c049349a93b7ae58adc81758635a15a227336ecbbf9a4536f6e8c42",
+    "chain-6-idle-0": "534c270941bc0b13d4a8797bfd853b49f20f075bb8e6567c8beb8a7cc071d714",
+    "chain-6-masked": "552d97ec3b21170721c56fe55b5f4fce866d85914c5e4660972ff55eb94c76fc",
+    "chain-3-three-level": "0271e1c7998fe4d3ddef4cba22a95ddee453ecddeeea2f0aa3a751cd49f0c469",
+}
 
 
 class TestSystemModel:
@@ -231,6 +308,11 @@ class TestBuildNmr:
         with pytest.raises(ValueError):
             two_spin_sample().restricted(indices)
 
+    def test_empty_sample_rejected(self):
+        # It used to build a model with d = 1 and no channels.
+        with pytest.raises(ValueError, match="no spins in sample e"):
+            NmrSample("e", (), {})
+
     @pytest.mark.parametrize("indices", [[1.7], [0, 1.0], ["1"]])
     def test_restricted_rejects_non_integer_indices(self, indices):
         # int() would truncate 1.7 to spin 1 (F) instead of rejecting it.
@@ -351,6 +433,9 @@ class TestBuildSc:
     def test_empty_sites_rejected(self):
         with pytest.raises(ValueError, match="empty site list"):
             build_sc(sample_registry().get("sc-chain-12"), sites=[])
+        # An empty chain used to fail in build_sc, on its coupling mask.
+        with pytest.raises(ValueError, match="no qubits in sample e"):
+            ScSample("e", ())
 
     def test_excitation_conserved_under_drift(self, rng):
         sample = sample_registry().get("sc-chain-12").with_idle_frequencies(0.0)
@@ -533,6 +618,26 @@ class TestRegistry:
         assert again == sample
         with pytest.raises(TypeError):
             again.couplings[(0, 1)] = 0.0
+
+    def test_chain_spec_without_coupler_or_truncation_takes_the_sample_defaults(self):
+        spec = {"qubits": [{"label": "Q1", "idle_ghz": 5, "anharmonicity_mhz": -250}]}
+        defaults = {field.name: field.default for field in dataclasses.fields(ScSample)}
+        sc = _parse_sc("toy", spec)
+        assert (sc.coupling_mhz, sc.truncation) == (defaults["coupling_mhz"], defaults["truncation"])
+        given = _parse_sc("toy", {**spec, "coupling_mhz": 7, "truncation": 3})
+        assert (given.coupling_mhz, given.truncation) == (7.0, 3)
+        # The sample converts what the file gives, integers included.
+        assert repr(given.qubits) == repr((("Q1", 5.0, -250.0),))
+        assert type(given.coupling_mhz) is float
+        assert type(ScSample("c", given.qubits, coupling_mhz=7).coupling_mhz) is float
+
+    def test_catalogue_models_pinned_cover_every_case(self):
+        assert sorted(catalogue_models()) == sorted(CATALOGUE_DIGESTS)
+        assert len(CATALOGUE_DIGESTS) == 36
+
+    @pytest.mark.parametrize("case", list(CATALOGUE_DIGESTS))
+    def test_catalogue_operators_pinned(self, case):
+        assert operator_digest(catalogue_models()[case]()) == CATALOGUE_DIGESTS[case]
 
     def test_relaxation_keys_ignored(self):
         nmr = _parse_nmr("toy-one", {

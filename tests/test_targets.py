@@ -66,12 +66,6 @@ class TestPqcState:
         assert type(spec.qubits) is int and type(spec.layers) is int
         assert pqc_state(spec).dim == 8
 
-    def test_zero_angles_single_layer_stays_on_ground(self):
-        spec = PqcSpec(qubits=3, layers=1)
-        state = pqc_state(spec, parameters=np.zeros((1, 3, 3)))
-        assert abs(abs(state.amplitudes[0]) - 1.0) < 1e-12
-        assert np.abs(state.amplitudes[1:]).max() < 1e-12
-
     def test_single_layer_is_product_5q(self):
         # Depth 1 applies no entangler, so every cut shows one singular value.
         spec = PqcSpec(qubits=5, layers=1, seed=11)
