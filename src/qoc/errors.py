@@ -6,7 +6,8 @@ class QocError(Exception):
 
 
 class DecompositionError(QocError):
-    """An eigendecomposition or SVD failed; carries the offending residual."""
+    """``linalg.expm_hermitian``'s eigendecomposition failed; carries the
+    Hermiticity residual of the input."""
 
     def __init__(self, message: str, residual: float | None = None):
         super().__init__(message if residual is None else f"{message} (residual={residual:.3e})")

@@ -8,14 +8,17 @@ engines rely on:
   tolerance (the natural stopping rule for transfer problems),
 * a diagnostic error carrying the offending iterate when the cost or
   gradient goes non-finite,
-* one projected steepest-descent restart after a line-search failure
-  before giving up.
+* one projected steepest-descent restart after a line-search failure; only
+  when it lowers the cost does the backend run a second, last time.
 
 The start, each quasi-Newton iterate and an improving restart step are
-accepted when their cost falls below the last accepted one.  The last
-accepted point is returned, so ``cost_trace[-1]`` is the cost there; the
-backend's ``res.fun``, which after a line-search failure need not be the
-cost at any point, is not read.
+accepted when their cost falls below the last accepted one; the last
+accepted point is returned, so ``cost_trace[-1]`` is the cost there (the
+backend's ``res.fun``, after a line-search failure not always the cost at
+any point, is not read).  Its gradient is kept with it, so the restart needs
+no evaluation to find its direction, and a small cache answers the points
+the backend asks for again, such as each iterate handed to the callback,
+without running the callable.
 
 The search is deterministic given the same inputs.  The backend is imported
 on the first call of ``minimize``, not with this module, so a process that
@@ -45,6 +48,7 @@ MEMORY_PAIRS = 10  # correction pairs the quasi-Newton backend keeps
 RELATIVE_COST_TOLERANCE = 0.0  # its relative cost-decrease stop, switched off
 GRADIENT_TOLERANCE = 1e-9  # its flat-gradient stop, on the largest projected component
 PROBE_STEP = 0.1  # first step of the restart probe, halved until the cost drops
+PROBE_HALVINGS = 30  # steps the restart probe tries before it gives up
 
 
 @dataclass(frozen=True)
@@ -109,6 +113,7 @@ class _Objective:
         self.cache: dict[bytes, tuple[float, np.ndarray]] = {}
         self.report = OptimizationReport()
         self.best: np.ndarray | None = None
+        self.best_gradient: np.ndarray | None = None
 
     def __call__(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         x = np.asarray(x, dtype=np.float64)
@@ -130,22 +135,20 @@ class _Objective:
 
     def accept(self, x: np.ndarray) -> float:
         """The cost at ``x``.  When it is the lowest yet, a copy of ``x``
-        becomes ``best`` and its cost and gradient norm join the traces.
+        becomes ``best``, its gradient ``best_gradient``, and its cost and
+        gradient norm join the traces.
         """
         f, g = self(x)
         trace = self.report.cost_trace
         if not trace or f < trace[-1]:
             trace.append(f)
             self.report.gradient_norm_trace.append(float(np.abs(g).max(initial=0.0)))
-            self.best = np.array(x, dtype=np.float64)
+            self.best, self.best_gradient = np.array(x, dtype=np.float64), g
         return f
 
 
 def _clip(x: np.ndarray, bounds) -> np.ndarray:
-    if bounds is None:
-        return x
-    lo, hi = bounds
-    return np.clip(x, lo, hi)
+    return x if bounds is None else np.clip(x, *bounds)
 
 
 def minimize(
@@ -174,49 +177,46 @@ def minimize(
         if objective.accept(xk) < config.tolerance:
             raise StopIteration
 
-    res = None  # the backend runs from the best point while no result is pending
-    restarted = False
-    while not report.termination:
-        if report.cost_trace[-1] < config.tolerance:
-            report.termination = TERMINATION_TOLERANCE
-            report.message = (
-                "cost below tolerance" if len(report.cost_trace) > 1
-                else "initial point already below tolerance"
-            )
-        elif not x0.size:
-            report.termination, report.message = TERMINATION_GRADIENT, "no free parameters"
-        elif res is None:
-            options["maxiter"] = config.max_iterations - report.iterations
-            res = _scipy_minimize(
-                objective, objective.best, jac=True, method="L-BFGS-B", callback=callback,
-                bounds=None if bounds is None else [bounds] * x0.size, options=options,
-            )
-        elif res.status == 1:
-            report.termination, report.message = TERMINATION_MAX_ITER, "iteration budget exhausted"
-        elif res.status == 0:
-            # Converged by the backend's flat-gradient / flat-cost tests
-            # without reaching the cost tolerance.
-            report.termination, report.message = TERMINATION_GRADIENT, str(res.message)
-        elif not restarted:
-            # Abnormal line-search termination: one projected steepest-descent
-            # restart from the best point; the backend runs again if it helps.
-            restarted = True
+    def search():
+        options["maxiter"] = config.max_iterations - report.iterations
+        return _scipy_minimize(
+            objective, objective.best, jac=True, method="L-BFGS-B", callback=callback,
+            bounds=None if bounds is None else [bounds] * x0.size, options=options,
+        )
+
+    res = None
+    if x0.size and report.cost_trace[-1] >= config.tolerance:
+        res = search()
+        # An abnormal line-search end gets one projected steepest-descent
+        # restart from the best point; the backend runs again if it helps.
+        if res.status not in (0, 1) and report.cost_trace[-1] >= config.tolerance:
             x, improved = _descent_probe(objective, objective.best, report.cost_trace[-1], bounds)
-            if improved:
-                objective.accept(x)
-                res = None
-        else:
-            report.termination, report.message = TERMINATION_LINE_SEARCH, str(res.message)
+            if improved and objective.accept(x) >= config.tolerance:
+                res = search()
+
+    if report.cost_trace[-1] < config.tolerance:
+        report.termination, report.message = TERMINATION_TOLERANCE, "cost below tolerance"
+        if len(report.cost_trace) == 1:
+            report.message = "initial point already below tolerance"
+    elif not x0.size:
+        report.termination, report.message = TERMINATION_GRADIENT, "no free parameters"
+    elif res.status == 1:
+        report.termination, report.message = TERMINATION_MAX_ITER, "iteration budget exhausted"
+    elif res.status == 0:
+        # The backend's flat-gradient / flat-cost stop, short of the tolerance.
+        report.termination, report.message = TERMINATION_GRADIENT, str(res.message)
+    else:
+        report.termination, report.message = TERMINATION_LINE_SEARCH, str(res.message)
 
     report.wall_time = time.perf_counter() - start
     return _clip(objective.best, bounds), report
 
 
-def _descent_probe(objective, x, f_ref, bounds, max_halvings: int = 30):
-    """One backtracking projected-gradient step; (new_x, improved)."""
-    _, g = objective(x)
+def _descent_probe(objective, x, f_ref, bounds):
+    """One backtracking projected-gradient step along ``best_gradient``; (new_x, improved)."""
+    g = objective.best_gradient
     step = PROBE_STEP
-    for _ in range(max_halvings):
+    for _ in range(PROBE_HALVINGS):
         candidate = _clip(x - step * g, bounds)
         f_new, _ = objective(candidate)
         if f_new < f_ref:

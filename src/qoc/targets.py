@@ -20,6 +20,7 @@ __all__ = ["PqcSpec", "ghz", "u_gate", "pqc_state"]
 
 def ghz(n: int) -> StateVector:
     """(|0...0> + |1...1>)/sqrt(2); for n = 1 this degenerates to |+>."""
+    n = operator.index(n)  # TypeError if not an integer
     if n < 1:
         raise ValueError(f"qubit count must be >= 1, got {n}")
     amps = np.zeros(2**n, dtype=complex)
@@ -54,10 +55,13 @@ class PqcSpec:
     def __post_init__(self):
         object.__setattr__(self, "qubits", operator.index(self.qubits))
         object.__setattr__(self, "layers", operator.index(self.layers))
+        object.__setattr__(self, "seed", operator.index(self.seed))
         if self.qubits < 1:
             raise ValueError("qubit count must be >= 1")
         if self.layers < 1:
             raise ValueError("layer count must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def parameters(self) -> np.ndarray:
         """(layers, qubits, 3) array of angles, reproducible from the seed.

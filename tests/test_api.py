@@ -47,6 +47,32 @@ def test_every_function_the_benchmark_wraps_exists():
     assert missing == []
 
 
+def test_every_benchmark_workload_sets_up():
+    # The workloads call GrapeProblem(bounds=...), OptimizerConfig(bounds=...),
+    # build_sc(sites=...) and model.control_stack; a change that breaks one of
+    # those calls fails here, not only in a benchmark run.
+    repo = pathlib.Path(__file__).resolve().parents[1]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qoc.__file__)))
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    names = [w["name"] for w in json.loads((repo / "BENCHMARK.json").read_text())["workloads"]]
+    runs = {
+        name: subprocess.Popen(
+            [sys.executable, str(repo / "bench" / "workloads.py"), "--workload", name,
+             "--seed", "0", "--seconds", "1", "--setup-only"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        for name in names
+    }
+    failed = {}
+    for name, run in runs.items():
+        out, err = run.communicate()
+        if run.returncode:
+            failed[name] = err.strip().splitlines()[-1:]
+        else:
+            assert json.loads(out.splitlines()[-1])["setup_s"] > 0.0
+    assert names and failed == {}
+
+
 # Imports every qoc module, then runs one bounded search; prints what it saw.
 _COLD_START = """
 import importlib, json, sys

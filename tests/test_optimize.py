@@ -120,6 +120,8 @@ class TestRestart:
     def test_wrong_sign_gradient_ends_in_line_search_failure(self, monkeypatch, x0):
         # The gradient points uphill, so the quasi-Newton line search fails and
         # the one projected-gradient restart finds no decrease either.
+        # The probe starts from the best point's stored gradient, so it must
+        # not evaluate that point again.
         runs = []
         probes = []
 
@@ -127,9 +129,11 @@ class TestRestart:
             runs.append(x.copy())
             return float(np.sum((x - 1.0) ** 2)), -2.0 * (x - 1.0)
 
-        def counted_probe(*args, **kwargs):
-            out = probe(*args, **kwargs)
+        def counted_probe(objective, x, *args):
+            before = len(runs)
+            out = probe(objective, x, *args)
             probes.append(out[1])
+            assert not any(np.array_equal(r, x) for r in runs[before:])
             return out
 
         probe = optimize._descent_probe

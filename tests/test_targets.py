@@ -38,6 +38,16 @@ class TestGhz:
         with pytest.raises(ValueError):
             ghz(0)
 
+    @pytest.mark.parametrize("n", [2.0, 2.5])
+    def test_rejects_non_integer_count(self, n):
+        # 2.0 used to fail inside np.zeros on the shape 4.0, with a message
+        # about shapes rather than the count.
+        with pytest.raises(TypeError, match="'float' object"):
+            ghz(n)
+
+    def test_integer_like_count_accepted(self):
+        assert ghz(np.int64(2)).site_dims == (2, 2)
+
 
 class TestUGate:
     def test_zero_angles(self):
@@ -60,6 +70,12 @@ class TestPqcState:
     def test_non_integer_sizes_rejected(self, qubits, layers):
         with pytest.raises(TypeError):
             PqcSpec(qubits, layers)
+
+    @pytest.mark.parametrize("seed, error", [(-1, ValueError), (1.5, TypeError), ("0", TypeError)])
+    def test_bad_seed_rejected(self, seed, error):
+        # These used to construct and fail only in pqc_state, inside numpy.
+        with pytest.raises(error):
+            PqcSpec(3, 2, seed=seed)
 
     def test_integer_like_sizes_become_ints(self):
         spec = PqcSpec(np.int64(3), np.int32(2))
