@@ -437,6 +437,7 @@ class SampleRegistry:
 
     def reference_schedule(self, platform: str, size: int) -> dict:
         """Reference segment length and budgets at a tabulated size."""
+        size = operator.index(size)  # TypeError if not an integer, as in restricted()
         table = self.schedules.get(platform)
         if table is None:
             raise KeyError(f"no schedule table for platform {platform!r}")

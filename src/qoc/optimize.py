@@ -16,9 +16,10 @@ accepted when their cost falls below the last accepted one; the last
 accepted point is returned, so ``cost_trace[-1]`` is the cost there (the
 backend's ``res.fun``, after a line-search failure not always the cost at
 any point, is not read).  Its gradient is kept with it, so the restart needs
-no evaluation to find its direction, and a small cache answers the points
-the backend asks for again, such as each iterate handed to the callback,
-without running the callable.
+no evaluation to find its direction.  Besides that point, only the latest
+evaluation is remembered, in a memo.  The two answer the points the backend
+asks for again without running the callable: each iterate handed to the
+callback and, after a failed line search, the backend's last iterate.
 
 The search is deterministic given the same inputs.  The backend is imported
 on the first call of ``minimize``, not with this module, so a process that
@@ -85,7 +86,7 @@ class OptimizationReport:
     ``cost_trace`` falls strictly, and its last entry is the cost at the
     returned point; the backend's ``res.fun`` is not read.  ``evaluations``
     counts calls of the cost-and-gradient callable; repeated points answered
-    from the cache are not counted.
+    from the memo are not counted.
     """
 
     cost_trace: list[float] = field(default_factory=list)
@@ -102,7 +103,8 @@ class OptimizationReport:
 
 
 class _Objective:
-    """Finiteness-checked wrapper that remembers recent evaluations.
+    """Finiteness-checked wrapper that remembers its latest evaluation and
+    answers again for the best point too.
 
     It also keeps the search record: ``report``'s traces and counts, and
     ``best``, the point accepted last.
@@ -110,7 +112,7 @@ class _Objective:
 
     def __init__(self, fn: Callable[[np.ndarray], tuple[float, np.ndarray]]):
         self.fn = fn
-        self.cache: dict[bytes, tuple[float, np.ndarray]] = {}
+        self.memo: tuple[bytes, float, np.ndarray] | None = None
         self.report = OptimizationReport()
         self.best: np.ndarray | None = None
         self.best_gradient: np.ndarray | None = None
@@ -118,9 +120,10 @@ class _Objective:
     def __call__(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         x = np.asarray(x, dtype=np.float64)
         key = x.tobytes()
-        hit = self.cache.get(key)
-        if hit is not None:
-            return hit
+        if self.memo is not None and self.memo[0] == key:
+            return self.memo[1:]
+        if self.best is not None and self.best.tobytes() == key:
+            return self.report.cost_trace[-1], self.best_gradient
         f, g = self.fn(x)
         self.report.evaluations += 1
         g = np.asarray(g, dtype=np.float64).reshape(-1)
@@ -128,10 +131,8 @@ class _Objective:
             raise OptimizationError(f"cost became non-finite ({f})", iterate=x.copy())
         if not np.all(np.isfinite(g)):
             raise OptimizationError("gradient became non-finite", iterate=x.copy())
-        if len(self.cache) > 16:
-            self.cache.clear()
-        self.cache[key] = (float(f), g)
-        return float(f), g
+        self.memo = (key, float(f), g)
+        return self.memo[1:]
 
     def accept(self, x: np.ndarray) -> float:
         """The cost at ``x``.  When it is the lowest yet, a copy of ``x``

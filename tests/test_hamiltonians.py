@@ -346,6 +346,25 @@ class TestBuildNmr:
         with pytest.raises(TypeError):
             NmrSample("s", (("A", 0.0), ("B", 0.0)), {(0, 1.5): 10.0})
 
+    @pytest.mark.parametrize(
+        "couplings, message",
+        [
+            ({(1, 1): 10.0}, "self-coupling on spin 1 in sample s"),
+            ({(0, 2): 10.0}, r"coupling \(0,2\) out of range in s"),
+            ({(-1, 0): 10.0}, r"coupling \(-1,0\) out of range in s"),
+            ({(0, 1): math.nan}, r"non-finite coupling \(0,1\) in s"),
+            ({(0, 1): 10.0, (1, 0): 12.0}, r"conflicting duplicate coupling \(0, 1\) in s"),
+        ],
+        ids=["self", "past-end", "negative", "non-finite", "conflicting"],
+    )
+    def test_bad_coupling_rejected(self, couplings, message):
+        with pytest.raises(ValueError, match=message):
+            NmrSample("s", (("A", 0.0), ("B", 0.0)), couplings)
+
+    def test_repeated_equal_coupling_accepted(self):
+        sample = NmrSample("s", (("A", 0.0), ("B", 0.0)), {(0, 1): 10.0, (1, 0): 10.0})
+        assert dict(sample.couplings) == {(0, 1): 10.0}
+
     def test_numpy_integer_coupling_index_accepted(self):
         sample = NmrSample("s", (("A", 0.0), ("B", 0.0)), {(np.int64(1), np.int64(0)): 10.0})
         assert dict(sample.couplings) == {(0, 1): 10.0}
@@ -413,6 +432,30 @@ class TestBuildSc:
             ScSample(name="bad", qubits=(("Q1", 0.0, bad),))
         with pytest.raises(ValueError, match="finite"):
             ScSample(name="bad", qubits=(("Q1", 0.0, -200.0),), coupling_mhz=bad)
+
+    @pytest.mark.parametrize("count", [11, 13])
+    def test_value_count_must_match_size(self, count):
+        # zip() would quietly drop the extra values, or the sites left without one.
+        chain = sample_registry().get("sc-chain-12")
+        with pytest.raises(ValueError, match="frequency count does not match qubit count"):
+            chain.with_idle_frequencies([0.0] * count)
+        nmr = sample_registry().get("iodotrifluoroethylene")
+        with pytest.raises(ValueError, match="shift count does not match spin count"):
+            nmr.with_shifts([0.0] * (count - 8))
+
+    @pytest.mark.parametrize(
+        "sites, message",
+        [
+            ([0, 2], "contiguous"),
+            ([3, 2], "contiguous"),
+            ([11, 12], "out of range"),
+            ([-1, 0], "out of range"),
+        ],
+    )
+    def test_bad_sites_rejected(self, sites, message):
+        # [-1, 0] would otherwise wrap round to the last qubit.
+        with pytest.raises(ValueError, match=message):
+            build_sc(sample_registry().get("sc-chain-12"), sites=sites)
 
     def test_mask_length_guard(self):
         sample = sample_registry().get("sc-chain-12")
@@ -587,6 +630,21 @@ class TestRegistry:
         # Neither interpolated between rows nor clamped to the nearest edge.
         with pytest.raises(KeyError, match="tabulated sizes"):
             sample_registry().reference_schedule("sc", size)
+
+    @pytest.mark.parametrize("platform", ["ion", "NMR"])
+    def test_unknown_schedule_platform_rejected(self, platform):
+        with pytest.raises(KeyError, match=f"no schedule table for platform '{platform}'"):
+            sample_registry().reference_schedule(platform, 4)
+
+    @pytest.mark.parametrize("size", [4.0, 4.5, "4"])
+    def test_non_integer_schedule_size_rejected(self, size):
+        # 4.0 used to find the size-4 row, because 4.0 == 4 as a dict key.
+        with pytest.raises(TypeError):
+            sample_registry().reference_schedule("nmr", size)
+
+    def test_numpy_integer_schedule_size_accepted(self):
+        reg = sample_registry()
+        assert reg.reference_schedule("nmr", np.int64(4)) == reg.reference_schedule("nmr", 4)
 
     def test_catalogue_is_read_only(self):
         reg = sample_registry()

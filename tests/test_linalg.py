@@ -64,6 +64,16 @@ class TestStateVector:
         s = StateVector(rng.standard_normal(8) + 1j * rng.standard_normal(8), (2, 2, 2))
         assert abs(s.normalized().norm - 1.0) < 1e-10
 
+    def test_zero_vector_cannot_be_normalized(self):
+        with pytest.raises(ValueError, match="cannot normalize the zero vector"):
+            StateVector(np.zeros(4), (2, 2)).normalized()
+
+    @pytest.mark.parametrize("amps, dims", [(np.ones(0), (0, 2)), (np.ones(4), (-2, -2))])
+    def test_site_dims_below_one_rejected(self, amps, dims):
+        # Both pass the amplitude-count check: 0 * 2 = 0 and -2 * -2 = 4.
+        with pytest.raises(ValueError, match="site dimensions must be >= 1"):
+            StateVector(amps, dims)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
     def test_rejects_non_finite_amplitudes(self, bad):
         amps = np.full(16, 0.25, dtype=complex)

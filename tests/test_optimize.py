@@ -1,5 +1,6 @@
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -89,6 +90,18 @@ class TestMinimize:
         with pytest.raises(OptimizationError) as err:
             minimize(bad, np.array([0.0, 0.0]), cfg)
         assert err.value.iterate is not None
+
+    def test_non_finite_gradient_raises_with_iterate(self):
+        def bad(x):
+            g = np.array([2 * (x[0] - 1.0), 2 * x[1]])
+            if x[0] > 0.5:
+                g[1] = np.inf
+            return float((x[0] - 1.0) ** 2 + x[1] ** 2), g
+
+        cfg = OptimizerConfig(tolerance=1e-30, max_iterations=50)
+        with pytest.raises(OptimizationError, match="gradient became non-finite") as err:
+            minimize(bad, np.array([0.0, 0.0]), cfg)
+        assert err.value.iterate[0] > 0.5
 
     @pytest.mark.parametrize("bounds", [None, (-1.0, 1.0)])
     def test_no_free_parameters_ends_as_data(self, bounds):
@@ -230,6 +243,29 @@ class TestReport:
         config = OptimizerConfig(tolerance=1e-8, max_iterations=60)
         _, report = minimize(counted, np.array(x0), config)
         assert report.evaluations == len(runs) >= 1
+
+    def test_memo_keeps_only_latest_and_best_gradients(self):
+        # A long bounded search on the 40-variable Rosenbrock chain.  Of the
+        # gradients the callable has returned, the optimizer may keep only
+        # the latest (its memo) and the best point's; a point cache would
+        # keep one per remembered point.
+        returned = []
+        alive = []
+
+        def chained(x):
+            alive.append(sum(ref() is not None for ref in returned))
+            d = x[1:] - x[:-1] ** 2
+            g = np.zeros_like(x)
+            g[:-1] = -2.0 * (1.0 - x[:-1]) - 400.0 * x[:-1] * d
+            g[1:] += 200.0 * d
+            returned.append(weakref.ref(g))
+            return float(np.sum((1.0 - x[:-1]) ** 2) + 100.0 * np.sum(d**2)), g
+
+        cfg = OptimizerConfig(tolerance=1e-10, max_iterations=1000, bounds=(-2.0, 2.0))
+        _, report = minimize(chained, np.tile([-1.2, 1.0], 20), cfg)
+        assert report.termination == "tolerance"
+        assert report.evaluations == len(alive) > 200
+        assert max(alive) <= 2
 
     def test_to_dict_round_trips_through_json(self):
         _, report = minimize(rosenbrock, np.array([-1.2, 1.0]), OptimizerConfig(tolerance=1e-8))

@@ -1364,6 +1364,21 @@ class TestPulseFiles:
         want = np.random.default_rng(7).uniform(-fraction * bound, fraction * bound, size=(64, 2))
         assert np.array_equal(seq.amplitudes, want)
 
+    @pytest.mark.parametrize(
+        "amps, channels, sign, bounds, message",
+        [
+            (np.zeros(2), ("a",), SIGN_FORWARD, (-1.0, 1.0), "must be K x A"),
+            (np.zeros((3, 1)), ("a",), SIGN_FORWARD, (-1.0, 1.0), "amplitude rows 3 != grid segments 2"),
+            (np.zeros((2, 2)), ("a",), SIGN_FORWARD, (-1.0, 1.0), "amplitude columns 2 != channel count 1"),
+            (np.zeros((2, 1)), ("a",), "backward", (-1.0, 1.0), "sign must be forward or reversed"),
+            (np.zeros((2, 1)), ("a",), SIGN_FORWARD, (1.0, -1.0), "invalid bounds"),
+        ],
+        ids=["shape", "rows", "columns", "sign", "lo-above-hi"],
+    )
+    def test_malformed_sequence_rejected(self, amps, channels, sign, bounds, message):
+        with pytest.raises(ValueError, match=message):
+            PulseSequence(PulseGrid(dt=1.0, segments=2), amps, channels, sign, bounds)
+
     def test_bounds_enforced(self):
         grid = PulseGrid(dt=1.0, segments=1)
         with pytest.raises(ValueError):

@@ -71,6 +71,14 @@ class TestPqcState:
         with pytest.raises(TypeError):
             PqcSpec(qubits, layers)
 
+    @pytest.mark.parametrize(
+        "qubits, layers, message",
+        [(0, 2, "qubit count"), (-3, 2, "qubit count"), (3, 0, "layer count"), (3, -1, "layer count")],
+    )
+    def test_sizes_below_one_rejected(self, qubits, layers, message):
+        with pytest.raises(ValueError, match=f"{message} must be >= 1"):
+            PqcSpec(qubits, layers)
+
     @pytest.mark.parametrize("seed, error", [(-1, ValueError), (1.5, TypeError), ("0", TypeError)])
     def test_bad_seed_rejected(self, seed, error):
         # These used to construct and fail only in pqc_state, inside numpy.
