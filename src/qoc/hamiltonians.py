@@ -14,18 +14,20 @@ with channels (a_j + a†_j) and i(a_j - a†_j); chain amplitudes are rad/ns.
 Everything is converted to angular frequency at build time so the pulse
 engine never sees a 2*pi.
 
-``sample_registry()`` loads the packaged catalogue once, bit-exactly and
-read-only, with reference schedules at the tabulated sizes only.  It parses
-with PyYAML's libyaml-backed ``CSafeLoader`` (the safe constructor and
-resolver of ``yaml.safe_load``), or with the pure-Python ``SafeLoader``
-where PyYAML was built without libyaml.  Spin and site indices must be
-integers (numpy integers included); a float is a TypeError rather than
-being truncated.  Spin subsets are chosen by ``NmrSample.restricted``.
-Catalogue shifts are laboratory-frame values; callers substitute
-rotating-frame offsets via ``with_shifts`` / ``with_idle_frequencies``
-before building.  The models are closed systems: relaxation times and
-formulas are left unread.  Non-finite shifts, couplings or frequencies, and
-repeated spin labels, are rejected when a sample is constructed.
+``sample_registry()`` loads the packaged catalogue, ``data/samples.json``,
+once per process, bit-exactly and read-only, with reference schedules at the
+tabulated sizes only; samples are addressed by their exact names.  Each
+field name carries its unit: shifts and couplings in Hz, idle frequencies in
+GHz, anharmonicities and coupler strengths in MHz, relaxation times in s
+(``t1_s``, ``t2_s``) for spins and in us (``t1_us``, ``t2_us``) for qubits.
+Spin and site indices must be integers (numpy integers included); a float
+is a TypeError rather than being truncated.  Spin subsets are chosen by
+``NmrSample.restricted``.  Catalogue shifts are laboratory-frame values;
+callers substitute rotating-frame offsets via ``with_shifts`` /
+``with_idle_frequencies`` before building.  The models are closed systems:
+relaxation times and formulas are inert metadata that the loader skips.
+Non-finite shifts, couplings or frequencies, and repeated spin labels, are
+rejected when a sample is constructed.
 
 A ``SystemModel`` stores each operator once, read-only and checked finite
 and Hermitian at construction: the (d, d) ``drift`` and the (A, d, d)
@@ -39,6 +41,7 @@ labels both drives on every site.
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import operator
 from dataclasses import dataclass
@@ -48,7 +51,6 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-import yaml
 
 from .errors import SampleNotFoundError
 from .linalg import _check_hermitian
@@ -168,7 +170,11 @@ class NmrSample:
 
 @dataclass(frozen=True)
 class ScSample:
-    """A chain of anharmonic qubits with switchable nearest-neighbour couplers."""
+    """A chain of anharmonic qubits with switchable nearest-neighbour couplers.
+
+    The coupler strength is an operating point, not a device constant, so
+    one value serves every coupler of the chain.
+    """
 
     name: str
     qubits: tuple[tuple[str, float, float], ...]  # (label, idle GHz, anharmonicity MHz)
@@ -420,7 +426,14 @@ def _parse_sc(name: str, spec: Mapping) -> ScSample:
 
 @dataclass(frozen=True)
 class SampleRegistry:
-    """The built-in catalogue: spin samples, chain samples and schedules."""
+    """The built-in catalogue: spin samples, chain samples and schedules.
+
+    ``schedules[platform]`` holds the segment length ``dt`` and, per system
+    size, a row: ``igrape``, the segment count of each stage of the
+    iterative scheme; ``grape``, the segment count of the single-sequence
+    baseline; and ``transfer``, the transfer time.  Times are in seconds
+    for spin samples and in nanoseconds for the qubit chain.
+    """
 
     nmr: Mapping[str, NmrSample]
     sc: Mapping[str, ScSample]
@@ -455,7 +468,7 @@ class SampleRegistry:
 
 
 def _read_only(value):
-    """Parsed YAML with mappings as read-only views and lists as tuples."""
+    """Parsed JSON with mappings as read-only views and lists as tuples."""
     if isinstance(value, Mapping):
         return MappingProxyType({key: _read_only(item) for key, item in value.items()})
     if isinstance(value, list):
@@ -466,8 +479,9 @@ def _read_only(value):
 @cache
 def sample_registry() -> SampleRegistry:
     """The built-in catalogue, loaded once per process and shared read-only."""
-    text = resources.files("qoc.data").joinpath("samples.yaml").read_text()
-    doc = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+    doc = json.loads(resources.files("qoc.data").joinpath("samples.json").read_text())
+    for table in doc["schedules"].values():  # JSON object keys are strings
+        table["sizes"] = {int(size): row for size, row in table["sizes"].items()}
     nmr = {name: _parse_nmr(name, spec) for name, spec in doc["nmr_samples"].items()}
     sc = {name: _parse_sc(name, spec) for name, spec in doc["sc_samples"].items()}
     return SampleRegistry(

@@ -7,7 +7,8 @@ engines rely on:
 * early termination as soon as the cost drops below the configured
   tolerance (the natural stopping rule for transfer problems),
 * a diagnostic error carrying the offending iterate when the cost or
-  gradient goes non-finite,
+  gradient goes non-finite, and a ``ContractError`` when the gradient's
+  size is not the parameter count,
 * one projected steepest-descent restart after a line-search failure; only
   when it lowers the cost does the backend run a second, last time.
 
@@ -36,7 +37,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import OptimizationError
+from .errors import ContractError, OptimizationError
 
 __all__ = ["OptimizerConfig", "OptimizationReport", "minimize"]
 
@@ -127,6 +128,8 @@ class _Objective:
         f, g = self.fn(x)
         self.report.evaluations += 1
         g = np.asarray(g, dtype=np.float64).reshape(-1)
+        if g.size != x.size:
+            raise ContractError(f"gradient has {g.size} elements for {x.size} parameters")
         if not np.isfinite(f):
             raise OptimizationError(f"cost became non-finite ({f})", iterate=x.copy())
         if not np.all(np.isfinite(g)):

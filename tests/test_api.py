@@ -1,9 +1,11 @@
+import ast
 import importlib
 import importlib.util
 import json
 import os
 import pathlib
 import pkgutil
+import re
 import subprocess
 import sys
 
@@ -26,6 +28,22 @@ def test_every_exported_name_resolves(name):
     namespace = {}
     exec(f"from qoc.{name} import *", namespace)
     assert set(exported) <= set(namespace)
+
+
+def test_third_party_imports_are_the_declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    repo = pathlib.Path(__file__).resolve().parents[1]
+    imported = set()
+    for path in (repo / "src" / "qoc").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names)
+    project = tomllib.loads((repo / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in project["dependencies"]}
+    assert third_party == declared
 
 
 def test_every_function_the_benchmark_wraps_exists():
@@ -73,13 +91,16 @@ def test_every_benchmark_workload_sets_up():
     assert names and failed == {}
 
 
-# Imports every qoc module, then runs one bounded search; prints what it saw.
+# Imports every qoc module and loads the catalogue, then runs one bounded
+# search; prints what it saw.
 _COLD_START = """
 import importlib, json, sys
 import numpy as np
 for name in %r:
     importlib.import_module("qoc." + name)
-seen = {"after_import": "scipy.optimize" in sys.modules}
+from qoc.hamiltonians import sample_registry
+sample_registry()
+seen = {"after_import": "scipy.optimize" in sys.modules, "yaml": "yaml" in sys.modules}
 from qoc.optimize import OptimizerConfig, minimize
 x, report = minimize(
     lambda v: (float((v - 1.0) @ (v - 1.0)), 2.0 * (v - 1.0)),
@@ -103,6 +124,7 @@ def test_scipy_optimize_loads_only_when_a_search_runs():
     ).stdout
     seen = json.loads(out.splitlines()[-1])
     assert seen["after_import"] is False
+    assert seen["yaml"] is False
     assert seen["termination"] == "tolerance"
     assert max(abs(v - 1.0) for v in seen["x"]) < 1e-5
     assert seen["after_minimize"] is True

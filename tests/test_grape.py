@@ -80,6 +80,7 @@ class TestRunGrape:
         }[case]()
         result = run_grape(problem)
         assert result.converged
+        assert result.iterations == result.report.iterations
         assert result.report.evaluations >= 1 and result.report.wall_time > 0
         assert result.final_cost == result.report.cost_trace[-1]
 

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import hashlib
+import json
 import math
 import pickle
 import re
@@ -10,7 +11,6 @@ from importlib import resources
 
 import numpy as np
 import pytest
-import yaml
 
 from qoc.errors import SampleNotFoundError
 from qoc.hamiltonians import (
@@ -591,11 +591,14 @@ class TestRegistry:
         with pytest.raises(SampleNotFoundError):
             sample_registry().get("nonexistent")
 
-    def test_catalogue_matches_pure_python_safe_load(self):
-        # The registry's loader must read the file as yaml.safe_load does; repr
-        # also tells -0.0 from 0.0 and an int from an equal float.
-        text = resources.files("qoc.data").joinpath("samples.yaml").read_text()
-        doc = yaml.safe_load(text)
+    def test_catalogue_matches_json_loads(self):
+        # The registry must hold what json.loads reads from the file, with
+        # integer schedule sizes; repr also tells -0.0 from 0.0 and an int
+        # from an equal float.
+        text = resources.files("qoc.data").joinpath("samples.json").read_text()
+        doc = json.loads(text)
+        for table in doc["schedules"].values():
+            table["sizes"] = {int(size): row for size, row in table["sizes"].items()}
         reg = sample_registry()
         for kind, parse in (("nmr", _parse_nmr), ("sc", _parse_sc)):
             want = {name: parse(name, spec) for name, spec in doc[f"{kind}_samples"].items()}

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qoc import optimize
-from qoc.errors import OptimizationError
+from qoc.errors import ContractError, OptimizationError
 from qoc.optimize import OptimizerConfig, minimize
 
 
@@ -102,6 +102,22 @@ class TestMinimize:
         with pytest.raises(OptimizationError, match="gradient became non-finite") as err:
             minimize(bad, np.array([0.0, 0.0]), cfg)
         assert err.value.iterate[0] > 0.5
+
+    @pytest.mark.parametrize("gradient", [np.ones(1), np.zeros(3)], ids=["size-1", "size-3"])
+    def test_gradient_of_the_wrong_size_rejected(self, gradient):
+        # Unchecked, [1.0] ended in a line-search failure after 47 evaluations
+        # and three zeros in a "gradient" stop after one.
+        calls = []
+
+        def wrong(x):
+            calls.append(x.copy())
+            return float(x @ x), gradient
+
+        cfg = OptimizerConfig(tolerance=1e-30, bounds=(-1.0, 1.0))
+        message = f"gradient has {gradient.size} elements for 2 parameters"
+        with pytest.raises(ContractError, match=message):
+            minimize(wrong, np.array([0.5, 0.5]), cfg)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("bounds", [None, (-1.0, 1.0)])
     def test_no_free_parameters_ends_as_data(self, bounds):
