@@ -34,20 +34,29 @@ call from its inputs; both give the same states to roundoff.  One loop,
 
 Both routes assemble H_k by ``_hamiltonian_chunks``, at O(A nnz) per
 segment for the nnz pattern entries: one real GEMM per block of segments
-computes H_k on the pattern, and the rest of each H_k stays zero.  They
-truncate Taylor series under one rule.  The bound
-theta_k = dt (||H_drift||_1 + sum_a |u_a(k)| ||H_a||_1) >= dt ||H_k||_2
+computes H_k on the pattern, and the rest of each H_k stays zero.  The
+dense route's real kernel is the exception: it builds a real matrix per
+segment itself.  Both routes truncate Taylor series under one rule.  The
+bound theta_k = dt (||H_drift||_1 + sum_a |u_a(k)| ||H_a||_1) >= dt ||H_k||_2
 scales each segment to a norm theta that degree m reaches, meaning that the
 leading tail term theta^(m+1) / (m+1)! is at most 2^-53.
 
-- Dense: ``segment_unitaries`` assembles all K segments as one chunk and
-  overwrites them with their propagators by batched Taylor scaling and
-  squaring: one degree m per call, the polynomial of 2^-j_k (+-i dt H_k) by
-  matrix products, then j_k squarings, j_k the least that brings
-  theta_k 2^-j_k within reach of m.  Each step is one zgemv call on the
-  stored U_k, Fortran-ordered, that writes the next state in place in its
-  row of the sweep's output; going backward, the call's trans = 2 applies
-  U_k† itself, with no conjugate pass over the states.
+- Dense: ``segment_unitaries`` fills the stack of propagators by one of two
+  kernels, chosen from the model's operators.  The real kernel takes a real
+  diagonal drift with controls that each drive one spin, as every spin
+  sample has: it rotates each spin's drive phase out, H_k = P_k R_k P_k†
+  with P_k diagonal and R_k real symmetric, and evaluates cos and sin of
+  2^-j_k dt R_k as real Taylor polynomials, then takes j_k double-angle
+  steps.  The complex kernel takes every other model, such as a coupled
+  chain: it assembles all K segments as one chunk and overwrites them by
+  batched Taylor scaling and squaring, one degree m per call, the
+  polynomial of 2^-j_k (+-i dt H_k) by matrix products, then j_k
+  squarings.  Either way j_k is the least count that brings the segment's
+  norm bound times 2^-j_k within the polynomial's reach.  Each sweep step
+  is one zgemv call on the stored U_k, Fortran-ordered, that writes the
+  next state in place in its row of the sweep's output; going backward,
+  the call's trans = 2 applies U_k† itself, with no conjugate pass over
+  the states.
 - Action: the sweep assembles one chunk of segments at a time and applies
   exp(+-i dt H_k) to the state directly by a truncated Taylor series
   (Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011) 488); no propagator is
@@ -62,8 +71,10 @@ exceed DENSE_STACK_BYTES, or when 2 sum_k s_k m_k < K d, that is, when the
 matvecs of the forward and backward sweeps (d^2 work each) cost less than
 the dense route's d^3 work per segment.  That price was measured with one
 Hermitian eigensolve per segment and is not yet re-fitted to the Taylor
-fill, which takes 3 d x d products per segment at dt ||H_k|| ~ 1e-4, 7 on
-the 4-spin NMR sample and 19 at laboratory-frame shifts.
+fill.  Per segment, the complex kernel takes 3 complex d x d products at
+dt ||H_k|| ~ 1e-4 and 8 on the 6-qubit chain; the real kernel takes 9 real
+ones on the 4-spin NMR sample, each about a quarter of a complex one, and
+35 at laboratory-frame shifts.
 Small d, or a large dt ||H_k||, goes dense: the 4-spin NMR sample
 (d = 16) needs 50 to 70 matvecs per segment and sweep.  The qubit chain at
 full-box amplitudes goes by action from d = 32 on.  The action route runs
@@ -82,10 +93,14 @@ quarter of its work array.  No pass copies or gathers the operators: each
 reads the model's stored (A, nnz) control values, and assembly computes an
 (n, nnz) block of values at a time.  On the action route one chunk of H_k
 is in flight, in a buffer zeroed once per sweep and reused by every chunk,
-so a chunk is valid until the next one.  On the dense route, where U first
-holds the H_k, each busy thread has one work array in flight, of up to 9
-(n, d, d) slots (``_TAYLOR_SLOTS``): the stacked powers of its chunk's X,
-their linear combinations and a spare for the squarings.  The gradient
+so a chunk is valid until the next one.  On the dense route each busy
+thread has one work array in flight.  The complex kernel's, beside U that
+first holds the H_k, has up to 9 complex (n, d, d) slots
+(``_TAYLOR_SLOTS``): the stacked powers of its chunk's X, their linear
+combinations and a spare for the squarings.  The real kernel's has 11 real
+slots (``_COS_SIN_SLOTS``), 88 bytes per matrix entry against 144: R_k,
+its powers and the six blocks of its Horner scheme, which then hold cos,
+sin and the double-angle steps; U is written once, from them.  The gradient
 contraction forms the products conj(bw_k[i]) fw_k[j] on the pattern for one
 chunk of segments at a time, an (n, nnz) array.  The transients of a call
 do not grow with K, and none outlive it.
@@ -98,19 +113,26 @@ threads, W being the number of CPUs in the process's affinity mask
 (restrict a process with ``taskset`` to run several side by side).  W sets
 only how many threads run, not how the segments are cut.  The threads
 belong to a pool that the call starts and joins before it returns or
-raises; the matmul and elementwise calls release the GIL.  All K segments
-are assembled on the calling thread before the pool starts, in blocks
-whose bounds depend on the pattern and K only, the degree is chosen once
-per call and the squarings once per segment, so every matrix gets the same
-arithmetic whatever chunk holds it, and U is bit-identical for any W.  With W = 1, or
-a single chunk, no thread starts.  The module keeps no state between calls,
-so a forked child needs no hook, and each concurrent caller starts up to W
-threads of its own.  The action route's sweeps are chains of dependent
-matvecs and start no thread.  They want one BLAS thread, which the library
-leaves callers to set: on 2 cores one 6-qubit chain gradient (d = 64,
-K = 1400, full-box pulses) took a median 0.29 s under OpenBLAS's default
-two and 0.09 s under one; under two, cProfile put 0.19 s of it in the
-sweeps' Taylor terms and 0.07 s in the contraction's small GEMMs.
+raises; the matmul and elementwise calls release the GIL.  For the complex
+kernel all K segments are assembled on the calling thread before the pool
+starts, in blocks whose bounds depend on the pattern and K only, the
+degree is chosen once per call and the squarings once per segment.  The
+real kernel works out every segment's drive amplitudes, phases and
+double-angle steps on the calling thread, and a chunk builds its R_k by a
+GEMM in which each entry has one nonzero term, exact in any chunk.  So
+every matrix gets the same arithmetic whatever chunk holds it, and U is
+bit-identical for any W.  With W = 1, or a single chunk, no thread starts.
+The pool buys less on the real kernel: on 2 cores, one BLAS thread, the
+4-spin fill (K = 1760) took a median 8.9 ms at W = 1 and at W = 2 from
+the seed-0 GRAPE start, and 9.9 against 8.3 ms with full-box pulses, where
+the complex kernel took 27-28 against 21-23 ms.  The module keeps no state
+between calls, so a forked child needs no hook, and each concurrent caller
+starts up to W threads of its own.  The action route's sweeps are chains
+of dependent matvecs and start no thread.  They want one BLAS thread, which
+the library leaves callers to set: on 2 cores one 6-qubit chain gradient
+(d = 64, K = 1400, full-box pulses) took a median 0.29 s under OpenBLAS's
+default two and 0.09 s under one; under two, cProfile put 0.19 s of it in
+the sweeps' Taylor terms and 0.07 s in the contraction's small GEMMs.
 """
 
 from __future__ import annotations
@@ -153,14 +175,14 @@ _SIGN_FACTOR = MappingProxyType({SIGN_FORWARD: -1.0, SIGN_REVERSED: +1.0})
 
 # Byte budget of one thread's array in flight in a chunked loop, or of a
 # quarter of the dense fill's work array: a few per thread stay far below
-# the U stack they fill and near cache size.  Median Taylor fill, seed-0
-# full-box pulses, one BLAS thread, 2 x86-64 cores with AVX-512, shared, by
-# budget at 0.125 / 0.25 / 0.5 / 1 / 2 / 4 / 8 MiB: 4-spin NMR (d = 16,
-# K = 1760) 38 / 35 / 36 / 37 / 39 / 40 / 41 ms with W = 1 and 44 / 33 / 28 /
-# 30 / 29 / 28 / 31 ms with W = 2; 5-spin NMR (d = 32, K = 2400) 213 / 197 /
-# 193 / 206 / 212 / 214 / 239 ms with W = 1 and 204 / 142 / 131 / 122 / 120 /
-# 133 / 131 ms with W = 2; 6-qubit chain at catalogue frequencies (d = 64,
-# K = 1400), W = 1: 624 / 710 / 733 / 671 / 817 / 803 / 909 ms.
+# the U stack they fill and near cache size.  Median fill, seed-0 full-box
+# pulses, one BLAS thread, 2 x86-64 cores with AVX-512, shared, by budget at
+# 0.125 / 0.25 / 0.5 / 1 / 2 / 4 / 8 MiB.  Real kernel: 4-spin NMR (d = 16,
+# K = 1760) 17 / 14 / 14 / 15 / 18 / 15 / 15 ms with W = 1 and 19 / 12 / 10 /
+# 9 / 9 / 10 / 9 ms with W = 2; 5-spin NMR (d = 32, K = 2400) 87 / 73 / 84 /
+# 91 / 108 / 92 / 101 ms with W = 1 and 114 / 71 / 56 / 56 / 58 / 55 / 72 ms
+# with W = 2.  Complex kernel: 6-qubit chain at catalogue frequencies
+# (d = 64, K = 1400), W = 1: 624 / 710 / 733 / 671 / 817 / 803 / 909 ms.
 CHUNK_BYTES = 1 << 19
 
 # Leading Taylor tail term allowed per action-route step or scaled dense
@@ -213,6 +235,24 @@ _T18 = np.array([
     [0.0, 0.0, -0.09233646193671185927,
      -0.01693649390020817171, -0.00001400867981820361],
 ])  # fmt: skip
+
+# Largest scaled norm of the real kernel, which truncates cos at degree 24 and
+# sin at degree 25: its leading omitted term, cos's theta^26 / 26!, is at most
+# _TAYLOR_TAIL.
+_COS_SIN_REACH = math.exp((math.log(_TAYLOR_TAIL) + math.lgamma(27)) / 26)
+
+# cos(Y) and sin(Y) / Y, each I plus a polynomial of degree 12 in Z = Y^2,
+# cut into three blocks of Horner's rule in Z^4 with each block's I term
+# moved to the block before as a Z^4 term: row 2 b holds cos's block b, row
+# 2 b + 1 sin's, and column c - 1 multiplies Z^c.
+_COS_SIN = np.array([
+    [(-1) ** n / math.factorial(2 * n + odd) for n in range(4 * block + 1, 4 * block + 5)]
+    for block in range(3) for odd in (0, 1)
+])  # fmt: skip
+
+# (n, d, d) real slots of the real kernel's work array per chunk: Y, Z .. Z^4
+# and the six blocks of _COS_SIN.
+_COS_SIN_SLOTS = 11
 
 # Most threads that fill segment_unitaries chunks; it does not set the chunks.
 _WORKERS = (
@@ -372,47 +412,70 @@ def _chunk_bounds(segments: int, row_bytes: int) -> list[tuple[int, int]]:
 
 
 def segment_unitaries(model: SystemModel, pulses: PulseSequence) -> np.ndarray:
-    """(K, d, d) stack of segment propagators, by Taylor scaling and squaring.
+    """(K, d, d) stack of segment propagators U_k = exp(X_k), X_k = +-i dt H_k.
 
-    U_k = exp(X_k) with X_k = +-i dt H_k is the degree-m Taylor polynomial of
-    2^-j_k X_k, squared j_k times (Al-Mohy & Higham, SIAM J. Matrix Anal.
-    Appl. 31 (2009) 970); the polynomial is evaluated by the schemes of
-    Bader, Blanes & Casas (Mathematics 7 (2019) 1174), degree 8 in 3 products
-    and degree 18 in 5.  j_k is the least count with theta_k 2^-j_k within the
-    reach of degree m, theta_k being the segment's norm bound of Routes, so
-    the truncated tail is at most 2^-53 per scaled segment; m is chosen once
-    per call, for the fewest matrix products over all segments.  Each
-    squaring can double the error of the matrix it squares, so U_k is
-    accurate and unitary to about 2^j_k u, u the unit roundoff, which is of
-    order theta_k u: a few u at theta_k ~ 1, and about 1e-11 at the
-    laboratory-frame scale theta_k ~ 1e4, which takes 14 squarings.
+    Both kernels scale X_k by 2^-j_k, take its Taylor series to a degree
+    whose truncated tail is at most 2^-53, and undo the scaling in j_k steps
+    (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31 (2009) 970); j_k is the
+    least count that brings the segment's norm bound theta_k times 2^-j_k
+    within reach of the degree.  Each step can double the error of the
+    matrix it acts on, so U_k is accurate and unitary to about 2^j_k u, u the
+    unit roundoff, which is of order theta_k u: a few u at theta_k ~ 1, and
+    about 1e-11 at the laboratory-frame scale theta_k ~ 1e4.
 
-    ``segment_hamiltonians`` assembles all K segments on the calling thread.
-    Its buffer holds each H_k^T C-ordered, and the chunks overwrite it in
-    place by exp(i scale H_k^T) = U_k^T, so the stack is returned transposed.
-    ``_chunk_bounds`` cuts the stack for rows of a quarter of a segment's
-    share of the work array, so a chunk's work array stays within
-    4 CHUNK_BYTES rather than growing with K, and the chunks are the same for
-    any W.  With more than one chunk and W > 1, a pool of min(W, chunks)
-    threads that lives for this call fills them.  The pool is joined before
-    the call returns or raises, so an error in any chunk is raised only once
-    no thread writes into U.
+    The real kernel takes every model that ``_spin_form`` accepts: a real
+    diagonal drift D, and controls that each drive one spin, as ``build_nmr``
+    gives for any sample, restriction or frozen spins.  With the drive phases
+    rotated out, H_k = P_k R_k P_k† for a diagonal P_k and a real symmetric
+    R_k (``_spin_fill``), so U_k = P_k (cos(s R_k) + i sin(s R_k)) P_k†, with
+    s = -dt forward and +dt reversed.  cos to degree 24 and sin to degree 25
+    take 9 real d x d products, about the price of 2.25 complex ones, and
+    each of the j_k double-angle steps 2 more (``_expm_cos_sin``).  The
+    kernel's bound theta_k = dt (max |D| + sum_b r_b), the r_b being the
+    spins' drive amplitudes, is never above the complex kernel's, and its
+    reach is 2.57; laboratory-frame shifts take 13 steps.
+
+    The complex kernel takes every other model, such as a coupled chain.  It
+    evaluates the degree-m Taylor polynomial of 2^-j_k X_k by the schemes of
+    Bader, Blanes & Casas (Mathematics 7 (2019) 1174), degree 8 in 3 complex
+    products and degree 18 in 5, with theta_k the norm bound of Routes, and
+    squares it j_k times; m is chosen once per call, for the fewest matrix
+    products over all segments.
+
+    For the complex kernel ``segment_hamiltonians`` assembles all K segments
+    on the calling thread.  Its buffer holds each H_k^T C-ordered, and the
+    chunks overwrite it in place by exp(i scale H_k^T) = U_k^T; the real
+    kernel writes each U_k^T into a buffer of the same layout.  So the stack
+    is returned transposed.  ``_chunk_bounds`` cuts the stack for rows of a
+    quarter of a segment's share of the work array, so a chunk's work array
+    stays within 4 CHUNK_BYTES rather than growing with K, and the chunks are
+    the same for any W.  With more than one chunk and W > 1, a pool of
+    min(W, chunks) threads that lives for this call fills them.  The pool is
+    joined before the call returns or raises, so an error in any chunk is
+    raised only once no thread writes into U.
     """
     scale = _SIGN_FACTOR[pulses.sign] * pulses.grid.dt
-    degree, squarings = _scaling_plan(_norm_bounds(model, pulses))
-    u_t = segment_hamiltonians(model, pulses.amplitudes).transpose(0, 2, 1)
+    form = _spin_form(model)
+    if form is None:
+        degree, squarings = _scaling_plan(_norm_bounds(model, pulses))
+        u_t = segment_hamiltonians(model, pulses.amplitudes).transpose(0, 2, 1)
 
-    def fill(chunk):
-        start, stop = chunk
-        _expm_taylor(u_t[start:stop], scale, squarings[start:stop], degree)
+        def fill(chunk):
+            start, stop = chunk
+            _expm_taylor(u_t[start:stop], scale, squarings[start:stop], degree)
+
+        work_bytes = _TAYLOR_SLOTS[degree] * 16
+    else:
+        u_t, fill = _spin_fill(form, pulses, scale)
+        work_bytes = _COS_SIN_SLOTS * 8
 
     # Rows of a quarter of a segment's share of the work array, so the array
-    # stays within 4 CHUNK_BYTES.  4-spin fill (degree 18, nine slots) at
-    # W = 2 by the array's budget, median time and peak RSS growth over 20
-    # gradients: 9 CHUNK_BYTES 26 ms, +28 MB; 4.5: 25 ms, +17 MB; 4: 25 ms,
-    # +14 MB; 3: 28 ms; 1.8: 33 ms; 1: 39 ms.  Shorter chunks make more numpy
-    # calls, over which the threads contend for the GIL.
-    chunks = _chunk_bounds(len(u_t), _TAYLOR_SLOTS[degree] * 4 * model.dim**2)
+    # stays within 4 CHUNK_BYTES.  The complex kernel's 4-spin fill (degree
+    # 18, nine slots) at W = 2 by the array's budget, median time and peak
+    # RSS growth over 20 gradients: 9 CHUNK_BYTES 26 ms, +28 MB; 4.5: 25 ms,
+    # +17 MB; 4: 25 ms, +14 MB; 3: 28 ms; 1.8: 33 ms; 1: 39 ms.  Shorter
+    # chunks make more numpy calls, over which the threads contend for the GIL.
+    chunks = _chunk_bounds(len(u_t), work_bytes * model.dim**2 // 4)
     lanes = min(_WORKERS, len(chunks))
     if lanes == 1:
         for chunk in chunks:
@@ -432,12 +495,17 @@ def _scaling_plan(theta: np.ndarray) -> tuple[int, np.ndarray]:
     """
     best = None
     for degree, products in _TAYLOR_PRODUCTS.items():
-        mantissa, exponent = np.frexp(theta / _TAYLOR_REACH[degree])
-        squarings = np.maximum(0, exponent - (mantissa == 0.5))
+        squarings = _halvings(theta, _TAYLOR_REACH[degree])
         cost = len(theta) * products + int(squarings.sum())
         if best is None or cost <= best[0]:
             best = cost, degree, squarings
     return best[1], best[2]
+
+
+def _halvings(theta: np.ndarray, reach: float) -> np.ndarray:
+    """Least j_k >= 0 with theta_k 2^-j_k <= reach: max(0, ceil(log2(theta_k / reach)))."""
+    mantissa, exponent = np.frexp(theta / reach)
+    return np.maximum(0, exponent - (mantissa == 0.5))
 
 
 def _combine(coef: np.ndarray, powers: np.ndarray, out: np.ndarray) -> None:
@@ -498,6 +566,130 @@ def _expm_taylor(h: np.ndarray, scale: float, squarings: np.ndarray, degree: int
             result[more] = np.matmul(part, part, out=spare[: len(part)])
     if result is not h:
         h[...] = result
+
+
+def _spin_form(model: SystemModel) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+    """(diagonal, bits, drive, z) when every H_k is P_k R_k P_k† with R_k real, else None.
+
+    That holds when, on the model's ``pattern``, the drift is real and
+    diagonal, and each control a, for one bit b of the basis index, holds
+    z_a at every (i, i ^ b) with bit b of i clear, conj(z_a) at every one
+    with it set, and nothing else: a drive on one spin, z = pi for pi X,
+    -i pi for pi Y and i for the chain's i(a - a†).  ``bits`` lists the
+    distinct bits and ``drive[a]`` indexes control a's bit there.  The check
+    is exact, so a model that is not of this form takes the complex kernel,
+    whatever its platform.
+    """
+    rows, cols, drift, controls = model.pattern
+    d = model.dim
+    on_diagonal = rows == cols
+    if d & (d - 1) or drift[~on_diagonal].any() or drift.imag.any():
+        return None
+    flips, z = [], []
+    for values in controls:
+        nonzero = values != 0
+        flip = rows[nonzero] ^ cols[nonzero]
+        bit = int(flip[0]) if len(flip) == d else 0
+        if not bit or bit & (bit - 1) or (flip != bit).any():
+            return None
+        values, low = values[nonzero], (rows[nonzero] & bit) == 0
+        if (values[low] != values[low][0]).any() or (values[~low] != values[low][0].conj()).any():
+            return None
+        flips.append(bit)
+        z.append(values[low][0])
+    diagonal = np.zeros(d)
+    diagonal[rows[on_diagonal]] = drift[on_diagonal].real
+    bits, drive = np.unique(np.array(flips, dtype=np.int64), return_inverse=True)
+    return diagonal, bits, drive.reshape(-1), np.array(z, dtype=complex)
+
+
+def _spin_fill(form, pulses: PulseSequence, scale: float):
+    """(U^T buffer, chunk filler) of the real kernel, for a model of ``_spin_form``.
+
+    The controls on bit b add up to w_b = sum_a u_a z_a = r_b e^(-i phi_b)
+    above the diagonal of X_b's pattern and conj(w_b) below it.  So
+    H_k = P_k R_k P_k†, with R_k = D + sum_b r_b X_b real symmetric and P_k
+    the diagonal phase e^(i phi_b) on each index with bit b set, which
+    commutes with D; then U_k = P_k exp(i scale R_k) P_k†.  Here, for all K
+    segments at once: the norm bounds theta_k = dt (max |D| + sum_b r_b),
+    the halvings j_k, the phases and the coefficients of each
+    Y_k = 2^-j_k scale R_k on the basis D, X_b.  A chunk forms its Y_k by one
+    real GEMM against that basis, ``_expm_cos_sin`` writes exp(i scale R_k)
+    into U, and the phases turn it into U_k^T = conj(P_k) exp(i scale R_k) P_k,
+    R_k being symmetric.
+    """
+    diagonal, bits, drive, z = form
+    amps = pulses.amplitudes
+    k, d = len(amps), len(diagonal)
+    w = np.zeros((k, len(bits)), dtype=complex)
+    for a, b in enumerate(drive):
+        w[:, b] += amps[:, a] * z[a]
+    r = np.abs(w)
+    turn = np.divide(w, r, out=np.ones_like(w), where=r > 0).conj()  # e^(i phi_b)
+    theta = pulses.grid.dt * (np.abs(diagonal).max() + r.sum(axis=1))
+    halvings = _halvings(theta, _COS_SIN_REACH)
+    coef = np.column_stack([np.ones(k), r]) * (scale * np.ldexp(1.0, -halvings))[:, None]
+    index = np.arange(d)
+    basis = np.zeros((1 + len(bits), d, d))
+    basis[0, index, index] = diagonal
+    phase = np.ones((k, d), dtype=complex)
+    for j, bit in enumerate(bits):
+        basis[1 + j, index, index ^ bit] = 1.0
+        phase.reshape(k, -1, 2, bit)[:, :, 1] *= turn[:, j, None, None]
+    basis = basis.reshape(len(basis), -1)
+    u_t = np.empty((k, d, d), dtype=complex)
+
+    def fill(chunk):
+        start, stop = chunk
+        y = (coef[start:stop] @ basis).reshape(-1, d, d)
+        out = u_t[start:stop]
+        _expm_cos_sin(y, halvings[start:stop], out)
+        out *= phase[start:stop, :, None].conj()
+        out *= phase[start:stop, None, :]
+
+    return u_t, fill
+
+
+def _expm_cos_sin(y: np.ndarray, halvings: np.ndarray, out: np.ndarray) -> None:
+    """Write cos(2^j_k Y_k) + i sin(2^j_k Y_k) into out, for a real (n, d, d) chunk y of Y_k.
+
+    Each Y_k is within _COS_SIN_REACH.  Z = Y^2, Z^2, Z^3 and Z^4 take four
+    real matrix products; one GEMM combines them into the six blocks of
+    _COS_SIN, Horner's rule in Z^4 takes two products each for cos(Y) and
+    sin(Y) / Y, run as one stacked call per step, and S = Y (sin(Y) / Y) one
+    more: nine in all.  Then the k-th pair is doubled j_k times, C <- 2 C^2 - I
+    and S <- 2 S C, two products per step.  Each matrix gets the same
+    arithmetic whatever chunk it is in.
+    """
+    n, d, _ = y.shape
+    work = np.empty((_COS_SIN_SLOTS - 1, n, d, d))
+    z, b = work[:4], work[4:]
+    np.matmul(y, y, out=z[0])
+    np.matmul(z[0], z[0], out=z[1])
+    np.matmul(z[1], z[0], out=z[2])
+    np.matmul(z[1], z[1], out=z[3])
+    np.matmul(_COS_SIN, z.reshape(4, -1), out=b.reshape(6, -1))
+    b[:2].reshape(2, n, d * d)[:, :, :: d + 1] += 1.0
+    np.matmul(z[3], b[4:], out=z[:2])
+    z[:2] += b[2:4]
+    np.matmul(z[3], z[:2], out=b[4:])
+    b[4:] += b[:2]  # b[4] = cos(Y), b[5] = sin(Y) / Y
+    np.matmul(y, b[5], out=b[3])
+
+    def double(products):  # (S C, C C) -> (2 S C, 2 C C - I)
+        products *= 2.0
+        products[1].reshape(-1, d * d)[:, :: d + 1] -= 1.0
+        return products
+
+    pair, spare = b[3:5], z[:2]  # (S, C)
+    for done in range(int(halvings.max(initial=0))):
+        more = halvings > done
+        if more.all():
+            pair, spare = double(np.matmul(pair, pair[1], out=spare)), pair
+        else:
+            part = pair[:, more]
+            pair[:, more] = double(np.matmul(part, part[1]))
+    out.real, out.imag = pair[1], pair[0]
 
 
 def _norm_bounds(model: SystemModel, pulses: PulseSequence) -> np.ndarray:

@@ -4,6 +4,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,7 @@ from qoc.hamiltonians import (
     SystemModel,
     build_nmr,
     build_sc,
+    frozen_subsystem_hamiltonian,
     sample_registry,
 )
 from qoc.linalg import StateVector, expm_hermitian, ground_state
@@ -77,6 +79,20 @@ def most_per_chunk(row_bytes):
 
 def rel_err(got, want):
     return np.linalg.norm(got - want) / max(np.linalg.norm(want), 1e-300)
+
+
+def catalogue_nmr(name, size, fraction, frame=None, sign=SIGN_FORWARD):
+    """Model of a catalogue spin sample, with seed-0 pulses over ``fraction`` of
+    the box at its reference dt and GRAPE budget; ``frame`` sets every shift."""
+    registry = sample_registry()
+    sample = registry.get(name)
+    model = build_nmr(sample if frame is None else sample.with_shifts(frame))
+    schedule = registry.reference_schedule("nmr", size)
+    seq = random_initial_pulses(
+        PulseGrid(schedule["dt"], schedule["grape"]), model.channel_labels,
+        (-NMR_AMPLITUDE_BOUND_HZ, NMR_AMPLITUDE_BOUND_HZ), 0, sign, fraction=fraction,
+    )
+    return model, seq
 
 
 class TestPropagate:
@@ -440,6 +456,153 @@ class TestChunkedUnitaries:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * ws.unitaries.nbytes
+
+
+def kernels_run(monkeypatch, model, seq):
+    """The dense-fill kernels that segment_unitaries runs, and the stack it returns."""
+    logs = {name: ChunkLog(monkeypatch, kernel=name) for name in ("_expm_taylor", "_expm_cos_sin")}
+    u = segment_unitaries(model, seq)
+    return {name for name, log in logs.items() if log.started}, u
+
+
+class TestRealKernel:
+    """The dense fill's kernel for a real diagonal drift and drives on single spins."""
+
+    @staticmethod
+    def expand():
+        """Coefficients of C + i S in Y, by exact arithmetic on the stored float
+        coefficients: C = I + B0 + Z^4 (B1 + Z^4 B2) over cos's blocks, and
+        S = Y (I + B0 + Z^4 (B1 + Z^4 B2)) over sin's, Z = Y^2."""
+        terms = [Fraction(0)] * 27
+        for odd in (0, 1):
+            rows = [[Fraction(c) for c in pulses._COS_SIN[2 * block + odd]] for block in range(3)]
+            poly = [Fraction(0)] * 13  # in Z
+            for block in (2, 1, 0):
+                # poly <- block + Z^4 poly: the block's columns multiply Z^1 .. Z^4
+                poly = [Fraction(0)] * 4 + poly[:9]
+                for c, value in enumerate(rows[block], start=1):
+                    poly[c] += value
+            poly[0] += 1
+            for n, value in enumerate(poly):
+                terms[2 * n + odd] += value * (1j if odd else 1)
+        return terms
+
+    def test_blocks_are_exactly_the_taylor_polynomials_of_cos_and_sin(self):
+        # C + i S = sum_k (iY)^k / k! to degree 25: cos to 24, sin to 25.
+        terms = self.expand()
+        assert max(k for k, c in enumerate(terms) if c) == 25
+        for k in range(26):
+            assert abs(terms[k] * math.factorial(k) / 1j**k - 1) <= 8 * np.finfo(float).eps
+
+    def test_reach_meets_the_tail_rule(self):
+        # cos's leading omitted term theta^26 / 26! reaches 2^-53 at the reach,
+        # to roundoff; sin's theta^27 / 27! is smaller still.
+        reach = pulses._COS_SIN_REACH
+        tail = lambda theta: theta**26 / math.factorial(26)
+        assert tail(reach * (1 - 1e-12)) <= 2.0**-53 < tail(reach * (1 + 1e-12))
+        assert 2.56 < pulses._COS_SIN_REACH < 2.57
+
+    @pytest.mark.parametrize("halvings", [0, 3])
+    def test_kernel_evaluates_the_taylor_polynomials(self, halvings):
+        # Y = N / 2^j, N the nilpotent shift: row 0 of cos(N) + i sin(N) lists
+        # the coefficients.  Double-angle steps change only terms of degree
+        # 26 and up, so its entries 0 .. 25 hold them either way.
+        d = 30
+        shift = np.eye(d, k=1)
+        y = np.stack([shift * 2.0**-halvings, np.zeros((d, d))])
+        out = np.empty((2, d, d), dtype=complex)
+        pulses._expm_cos_sin(y, np.array([halvings, 3]), out)
+        want = np.array([1j**k / math.factorial(k) for k in range(26)])
+        got = out[0, 0]
+        assert np.abs(got.real[:26:2] / want.real[::2] - 1).max() <= 4e-15
+        assert np.abs(got.imag[1:26:2] / want.imag[1::2] - 1).max() <= 4e-15
+        assert not got.real[1:26:2].any() and not got.imag[:26:2].any()
+        if not halvings:  # degrees 24 and 25 exactly
+            assert not got[26:].any()
+        assert np.array_equal(out[1], np.eye(d))  # Y = 0, doubled three times
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda sample: build_nmr(sample),
+            lambda sample: build_nmr(sample.restricted(range(1, sample.size))),
+            lambda sample: frozen_subsystem_hamiltonian(sample, [0]),
+        ],
+        ids=["full", "restricted", "frozen"],
+    )
+    @pytest.mark.parametrize("name", sorted(sample_registry().nmr))
+    def test_every_catalogue_spin_model_takes_the_real_kernel(self, name, make, monkeypatch):
+        model = make(sample_registry().get(name))
+        seq = random_initial_pulses(
+            PulseGrid(5e-6, 3), model.channel_labels,
+            (-NMR_AMPLITUDE_BOUND_HZ, NMR_AMPLITUDE_BOUND_HZ), 0, SIGN_FORWARD,
+        )
+        kernels, u = kernels_run(monkeypatch, model, seq)
+        assert kernels == {"_expm_cos_sin"}
+        eye = np.eye(model.dim)
+        assert np.abs(u.conj().transpose(0, 2, 1) @ u - eye).max() <= 1e-13
+
+    def test_dense_drift_and_coupled_chain_take_the_complex_kernel(self, monkeypatch, rng):
+        # toy_model is labelled "nmr", but its drift is dense: the operators
+        # choose the kernel, not the platform.
+        chain = build_sc(sample_registry().get("sc-chain-12"), sites=range(3))
+        for model in (toy_model(rng), chain):
+            seq = toy_sequence(rng, model, 3, 0.1, SIGN_FORWARD)
+            assert kernels_run(monkeypatch, model, seq)[0] == {"_expm_taylor"}
+
+    def test_uncoupled_chain_takes_the_real_kernel_with_its_own_drive_phases(self, rng):
+        # The chain's y drive is i(a - a†), the opposite sign of a spin's Y.
+        sample = sample_registry().get("sc-chain-12")
+        model = build_sc(sample, coupling_mask=[False, False], sites=range(3))
+        assert pulses._spin_form(model) is not None
+        seq = toy_sequence(rng, model, 20, 0.5, SIGN_REVERSED)
+        TestChunkedUnitaries.assert_accurate_and_unitary(model, seq)
+
+    @pytest.mark.parametrize("sign", [SIGN_FORWARD, SIGN_REVERSED])
+    @pytest.mark.parametrize(
+        "name, size, fraction, frame",
+        [
+            ("diethyl-fluoromalonate-2q", 2, 1.0, None),  # laboratory frame
+            ("diethyl-fluoromalonate-3q", 3, 0.1, 0.0),  # on resonance
+            ("iodotrifluoroethylene", 4, 0.1, None),
+            ("iodotrifluoroethylene", 4, 1.0, None),
+            ("bromotrifluorobenzene", 5, 0.1, None),
+        ],
+        ids=["nmr2-laboratory", "nmr3-on-resonance", "nmr4-0.1", "nmr4-1.0", "nmr5"],
+    )
+    def test_accurate_unitary_and_equal_to_the_complex_kernel(
+        self, name, size, fraction, frame, sign, monkeypatch
+    ):
+        model, seq = catalogue_nmr(name, size, fraction, frame, sign)
+        TestChunkedUnitaries.assert_accurate_and_unitary(model, seq)
+        real = segment_unitaries(model, seq)
+        monkeypatch.setattr(pulses, "_spin_form", lambda model: None)
+        # The complex kernel squares 14 times at laboratory-frame shifts, so
+        # the two agree to 1e-13 theta_k there, as each does with the oracle.
+        bound = 1e-13 * np.maximum(1.0, pulses._norm_bounds(model, seq))
+        assert np.all(np.abs(real - segment_unitaries(model, seq)).max(axis=(1, 2)) <= bound)
+
+    @staticmethod
+    def halvings(model, seq, monkeypatch):
+        """Double-angle steps per segment of the real kernel's plan; W = 1 keeps
+        the chunks in order."""
+        steps = []
+        real = pulses._expm_cos_sin
+        spy = lambda y, halvings, out: steps.extend(halvings.tolist()) or real(y, halvings, out)
+        monkeypatch.setattr(pulses, "_expm_cos_sin", spy)
+        monkeypatch.setattr(pulses, "_WORKERS", 1)
+        segment_unitaries(model, seq)
+        return np.array(steps)
+
+    # At the GRAPE start the norm bound stays within reach: no double-angle
+    # step, so nine real products per segment against the complex kernel's
+    # seven complex ones.  Full-box pulses take one step, two products more.
+    @pytest.mark.parametrize("fraction, steps", [(0.1, 0), (1.0, 1)])
+    def test_catalogue_nmr4_plan_takes_nine_products_per_segment(
+        self, fraction, steps, monkeypatch
+    ):
+        halvings = self.halvings(*catalogue_nmr("iodotrifluoroethylene", 4, fraction), monkeypatch)
+        assert len(halvings) == 1760 and set(halvings) == {steps}
 
 
 @pytest.fixture
@@ -894,7 +1057,8 @@ def workers(monkeypatch):
 
 
 class ChunkLog:
-    """Wrap ``pulses._expm_taylor``, which each chunk of the dense fill calls once.
+    """Wrap ``pulses.<kernel>``, which each chunk of the dense fill calls once:
+    ``_expm_taylor`` for the complex kernel, ``_expm_cos_sin`` for the real one.
 
     Records the threads that fill chunks and the chunks' lengths.  The
     ``fail_at``-th chunk to start raises; every other chunk first sleeps
@@ -902,10 +1066,10 @@ class ChunkLog:
     finished.
     """
 
-    def __init__(self, monkeypatch, fail_at=None, delay=0.0):
+    def __init__(self, monkeypatch, fail_at=None, delay=0.0, kernel="_expm_taylor"):
         self.threads, self.lengths, self.started, self.busy = set(), [], 0, 0
         lock = threading.Lock()
-        real = pulses._expm_taylor
+        real = getattr(pulses, kernel)
 
         def expm(*args):
             with lock:
@@ -923,7 +1087,7 @@ class ChunkLog:
                 with lock:
                     self.busy -= 1
 
-        monkeypatch.setattr(pulses, "_expm_taylor", expm)
+        monkeypatch.setattr(pulses, kernel, expm)
 
 
 def _fill_in_child(model, seq, expected):
@@ -964,6 +1128,59 @@ class TestParallelChunks:
         parallel = segment_unitaries(model, seq)
         workers(1)
         assert np.array_equal(parallel, segment_unitaries(model, seq))
+
+    # The real kernel's chunk rows on the 4-spin sample: a quarter of one
+    # segment's share of its work array.
+    NMR4_ROW_BYTES = pulses._COS_SIN_SLOTS * 8 * 16**2 // 4
+
+    @staticmethod
+    def nmr4(rng, segments, zero=0):
+        """The 4-spin sample at its reference dt, full-box random pulses, the
+        first ``zero`` segments at zero amplitude."""
+        model, seq = catalogue_nmr("iodotrifluoroethylene", 4, 1.0)
+        amps = rng.uniform(-NMR_AMPLITUDE_BOUND_HZ, NMR_AMPLITUDE_BOUND_HZ, (segments, 8))
+        amps[:zero] = 0.0
+        return model, replace(seq, grid=PulseGrid(seq.grid.dt, segments), amplitudes=amps)
+
+    @pytest.mark.parametrize("sign", [SIGN_FORWARD, SIGN_REVERSED])
+    def test_real_kernel_bit_identical_for_any_worker_count(self, sign, workers, rng):
+        n = most_per_chunk(self.NMR4_ROW_BYTES)
+        assert 1 < n < 200
+        for segments in (1, 2, 2 * n - 1, 2 * n, 3 * n + 1, 1760):
+            model, seq = self.nmr4(rng, segments)
+            seq = replace(seq, sign=sign)
+            u = {}
+            for count in (1, 2, 3):
+                workers(count)
+                u[count] = segment_unitaries(model, seq)
+            assert np.array_equal(u[1], u[2]) and np.array_equal(u[1], u[3])
+
+    def test_real_kernel_bit_identical_when_segment_norms_jump(self, workers, monkeypatch, rng):
+        # Zero amplitudes, then full-box ones: only the full-box segments take
+        # a double-angle step, and the chunk that holds the jump steps only
+        # some of its segments.
+        model, seq = self.nmr4(rng, 1760, zero=880)
+        halvings = TestRealKernel.halvings(model, seq, monkeypatch)
+        assert not halvings[:880].any() and halvings[880:].all()
+        chunks = pulses._chunk_bounds(1760, self.NMR4_ROW_BYTES)
+        assert any(start < 880 < stop for start, stop in chunks)
+        u = {}
+        for count in (1, 2, 3):
+            workers(count)
+            u[count] = segment_unitaries(model, seq)
+        assert np.array_equal(u[1], u[2]) and np.array_equal(u[1], u[3])
+
+    def test_real_kernel_chunks_run_on_the_pool(self, workers, monkeypatch, rng):
+        model, seq = self.nmr4(rng, 1760)
+        lengths = {}
+        for count in (1, 2):
+            workers(count)
+            log = ChunkLog(monkeypatch, kernel="_expm_cos_sin")
+            segment_unitaries(model, seq)
+            lengths[count] = sorted(log.lengths)
+            assert (log.threads == {threading.get_ident()}) == (count == 1)
+        assert lengths[1] == lengths[2] and sum(lengths[1]) == 1760
+        assert max(lengths[1]) == most_per_chunk(self.NMR4_ROW_BYTES)
 
     @pytest.mark.parametrize(
         "segments, row_bytes, lengths",
