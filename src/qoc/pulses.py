@@ -108,31 +108,34 @@ do not grow with K, and none outlive it.
 Parallelism
 -----------
 Once the amplitudes are fixed the segment exponentials are independent, so
-on the dense route ``segment_unitaries`` fills its chunks on up to W
-threads, W being the number of CPUs in the process's affinity mask
-(restrict a process with ``taskset`` to run several side by side).  W sets
-only how many threads run, not how the segments are cut.  The threads
-belong to a pool that the call starts and joins before it returns or
-raises; the matmul and elementwise calls release the GIL.  For the complex
-kernel all K segments are assembled on the calling thread before the pool
-starts, in blocks whose bounds depend on the pattern and K only, the
-degree is chosen once per call and the squarings once per segment.  The
-real kernel works out every segment's drive amplitudes, phases and
-double-angle steps on the calling thread, and a chunk builds its R_k by a
-GEMM in which each entry has one nonzero term, exact in any chunk.  So
-every matrix gets the same arithmetic whatever chunk holds it, and U is
-bit-identical for any W.  With W = 1, or a single chunk, no thread starts.
-The pool buys less on the real kernel: on 2 cores, one BLAS thread, the
-4-spin fill (K = 1760) took a median 8.9 ms at W = 1 and at W = 2 from
-the seed-0 GRAPE start, and 9.9 against 8.3 ms with full-box pulses, where
-the complex kernel took 27-28 against 21-23 ms.  The module keeps no state
+on the dense route ``segment_unitaries`` fills its chunks on up to W lanes,
+W being the number of CPUs in the process's affinity mask (restrict a
+process with ``taskset`` to run several side by side).  W sets only how
+many lanes run, not how the segments are cut.  The calling thread is one
+lane and the threads of a pool that the call starts, and joins before it
+returns or raises, are the others; each lane takes the next chunk from one
+shared queue, so none waits while chunks remain.  The matmul and
+elementwise calls release the GIL.  For the complex kernel all K segments
+are assembled on the calling thread before the lanes start, in blocks whose
+bounds depend on the pattern and K only, the degree is chosen once per call
+and the squarings once per segment.  The real kernel works out every
+segment's drive amplitudes, phases and double-angle steps on the calling
+thread, and a chunk builds its R_k by a GEMM in which each entry has one
+nonzero term, exact in any chunk.  So every matrix gets the same arithmetic
+whatever chunk and lane hold it, and U is bit-identical for any W and any
+order in which the lanes take the chunks.  With W = 1, or a single chunk,
+no thread starts.  On 2 shared cores, one BLAS thread, the 4-spin fill
+(K = 1760, medians of 100 calls in three runs) took 6.9-7.1 ms at W = 2
+against 9.2-10.3 ms at W = 1 from the seed-0 GRAPE start, and 7.9-8.2
+against 10.1-10.8 ms with full-box pulses.  The module keeps no state
 between calls, so a forked child needs no hook, and each concurrent caller
-starts up to W threads of its own.  The action route's sweeps are chains
-of dependent matvecs and start no thread.  They want one BLAS thread, which
-the library leaves callers to set: on 2 cores one 6-qubit chain gradient
-(d = 64, K = 1400, full-box pulses) took a median 0.29 s under OpenBLAS's
-default two and 0.09 s under one; under two, cProfile put 0.19 s of it in
-the sweeps' Taylor terms and 0.07 s in the contraction's small GEMMs.
+starts up to W - 1 threads of its own.  The action route's sweeps are
+chains of dependent matvecs and start no thread.  They want one BLAS
+thread, which the library leaves callers to set: on 2 cores one 6-qubit
+chain gradient (d = 64, K = 1400, full-box pulses) took a median 0.29 s
+under OpenBLAS's default two and 0.09 s under one; under two, cProfile put
+0.19 s of it in the sweeps' Taylor terms and 0.07 s in the contraction's
+small GEMMs.
 """
 
 from __future__ import annotations
@@ -140,6 +143,7 @@ from __future__ import annotations
 import math
 import operator
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from types import MappingProxyType
@@ -254,7 +258,8 @@ _COS_SIN = np.array([
 # and the six blocks of _COS_SIN.
 _COS_SIN_SLOTS = 11
 
-# Most threads that fill segment_unitaries chunks; it does not set the chunks.
+# Most lanes, the calling thread among them, that fill segment_unitaries
+# chunks; it does not set the chunks.
 _WORKERS = (
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 )
@@ -449,10 +454,12 @@ def segment_unitaries(model: SystemModel, pulses: PulseSequence) -> np.ndarray:
     is returned transposed.  ``_chunk_bounds`` cuts the stack for rows of a
     quarter of a segment's share of the work array, so a chunk's work array
     stays within 4 CHUNK_BYTES rather than growing with K, and the chunks are
-    the same for any W.  With more than one chunk and W > 1, a pool of
-    min(W, chunks) threads that lives for this call fills them.  The pool is
-    joined before the call returns or raises, so an error in any chunk is
-    raised only once no thread writes into U.
+    the same for any W.  With more than one chunk and W > 1, the calling
+    thread and a pool of min(W, chunks) - 1 threads that lives for this call
+    fill them, each taking the next chunk from one shared queue
+    (``_fill_chunks``).  Once a chunk raises no lane starts another, and the
+    pool is joined before the first error is raised, so no thread writes
+    into U once the call has returned or raised.
     """
     scale = _SIGN_FACTOR[pulses.sign] * pulses.grid.dt
     form = _spin_form(model)
@@ -476,14 +483,44 @@ def segment_unitaries(model: SystemModel, pulses: PulseSequence) -> np.ndarray:
     # +17 MB; 4: 25 ms, +14 MB; 3: 28 ms; 1.8: 33 ms; 1: 39 ms.  Shorter
     # chunks make more numpy calls, over which the threads contend for the GIL.
     chunks = _chunk_bounds(len(u_t), work_bytes * model.dim**2 // 4)
+    _fill_chunks(fill, chunks)
+    return u_t.transpose(0, 2, 1)
+
+
+def _fill_chunks(fill, chunks: list[tuple[int, int]]) -> None:
+    """Call fill(chunk) once for each chunk, on min(W, chunks) lanes.
+
+    The calling thread is one lane, and a pool of the other lanes' threads
+    lives for this call.  Each lane takes the next chunk from one shared
+    queue until it is empty, or until a chunk has raised.  The pool is
+    joined before the first error is raised, so no thread outlives the call
+    and none still writes into U.
+    """
     lanes = min(_WORKERS, len(chunks))
     if lanes == 1:
         for chunk in chunks:
             fill(chunk)
-    else:
-        with ThreadPoolExecutor(lanes, thread_name_prefix="qoc-segments") as pool:
-            list(pool.map(fill, chunks))  # raises the first chunk error
-    return u_t.transpose(0, 2, 1)
+        return
+    queue, errors, lock = iter(chunks), [], threading.Lock()
+
+    def lane():
+        while True:
+            with lock:
+                chunk = None if errors else next(queue, None)
+            if chunk is None:
+                return
+            try:
+                fill(chunk)
+            except BaseException as error:  # raised below, once every lane has returned
+                with lock:
+                    errors.append(error)
+
+    with ThreadPoolExecutor(lanes - 1, thread_name_prefix="qoc-segments") as pool:
+        for _ in range(lanes - 1):
+            pool.submit(lane)
+        lane()
+    if errors:
+        raise errors[0]
 
 
 def _scaling_plan(theta: np.ndarray) -> tuple[int, np.ndarray]:
@@ -632,11 +669,10 @@ def _spin_fill(form, pulses: PulseSequence, scale: float):
     index = np.arange(d)
     basis = np.zeros((1 + len(bits), d, d))
     basis[0, index, index] = diagonal
-    phase = np.ones((k, d), dtype=complex)
     for j, bit in enumerate(bits):
         basis[1 + j, index, index ^ bit] = 1.0
-        phase.reshape(k, -1, 2, bit)[:, :, 1] *= turn[:, j, None, None]
     basis = basis.reshape(len(basis), -1)
+    phase = _drive_phases(turn, bits, d)
     u_t = np.empty((k, d, d), dtype=complex)
 
     def fill(chunk):
@@ -648,6 +684,25 @@ def _spin_fill(form, pulses: PulseSequence, scale: float):
         out *= phase[start:stop, None, :]
 
     return u_t, fill
+
+
+def _drive_phases(turn: np.ndarray, bits: np.ndarray, d: int) -> np.ndarray:
+    """(K, d) diagonals of the P_k: at index i, the product of turn[:, j] over bits[j] set in i.
+
+    Built by doubling, one bit b at a time in ascending order: the indices
+    with bit b set take the phases of those below b times turn_b, so every
+    product runs over its set bits in ascending order.  A bit that no
+    control drives copies them.
+    """
+    phase = np.empty((len(turn), d), dtype=complex)
+    phase[:, 0] = 1.0
+    column = {bit: j for j, bit in enumerate(bits.tolist())}
+    for bit in (1 << i for i in range(d.bit_length() - 1)):
+        if bit in column:
+            np.multiply(phase[:, :bit], turn[:, column[bit], None], out=phase[:, bit : 2 * bit])
+        else:
+            phase[:, bit : 2 * bit] = phase[:, :bit]
+    return phase
 
 
 def _expm_cos_sin(y: np.ndarray, halvings: np.ndarray, out: np.ndarray) -> None:

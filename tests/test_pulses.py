@@ -95,6 +95,24 @@ def catalogue_nmr(name, size, fraction, frame=None, sign=SIGN_FORWARD):
     return model, seq
 
 
+def catalogue_sc(name, size, fraction, frame=None):
+    """Model of a catalogue qubit chain on ``size`` sites, with seed-0 pulses
+    over ``fraction`` of the box at its reference dt and GRAPE budget;
+    ``frame`` sets every idle frequency."""
+    registry = sample_registry()
+    sample = registry.get(name)
+    if frame is not None:
+        sample = sample.with_idle_frequencies(frame)
+    model = build_sc(sample, sites=range(size))
+    schedule = registry.reference_schedule("sc", size)
+    seq = random_initial_pulses(
+        PulseGrid(schedule["dt"], schedule["grape"]), model.channel_labels,
+        (-SC_AMPLITUDE_BOUND_RAD_PER_NS, SC_AMPLITUDE_BOUND_RAD_PER_NS), 0, SIGN_FORWARD,
+        fraction=fraction,
+    )
+    return model, seq
+
+
 class TestPropagate:
     def test_identity_when_everything_zero(self):
         sample = NmrSample(name="one", spins=(("A", 0.0),), couplings={})
@@ -367,21 +385,8 @@ class TestChunkedUnitaries:
         catalogue sample, at its reference dt and GRAPE budget, with seed-0
         pulses over ``fraction`` of the box; ``frame`` sets every shift or idle
         frequency."""
-        registry = sample_registry()
-        sample = registry.get(name)
-        if isinstance(sample, NmrSample):
-            platform, bound = "nmr", NMR_AMPLITUDE_BOUND_HZ
-            model = build_nmr(sample if frame is None else sample.with_shifts(frame))
-        else:
-            platform, bound = "sc", SC_AMPLITUDE_BOUND_RAD_PER_NS
-            if frame is not None:
-                sample = sample.with_idle_frequencies(frame)
-            model = build_sc(sample, sites=range(size))
-        schedule = registry.reference_schedule(platform, size)
-        seq = random_initial_pulses(
-            PulseGrid(schedule["dt"], schedule["grape"]), model.channel_labels, (-bound, bound), 0,
-            SIGN_FORWARD, fraction=fraction,
-        )
+        spins = isinstance(sample_registry().get(name), NmrSample)
+        model, seq = (catalogue_nmr if spins else catalogue_sc)(name, size, fraction, frame)
         assert not pulses._action_is_cheaper(model, pulses._taylor_plan(model, seq))
         degree, squarings = pulses._scaling_plan(pulses._norm_bounds(model, seq))
         products = len(squarings) * pulses._TAYLOR_PRODUCTS[degree] + squarings.sum()
@@ -581,6 +586,34 @@ class TestRealKernel:
         # the two agree to 1e-13 theta_k there, as each does with the oracle.
         bound = 1e-13 * np.maximum(1.0, pulses._norm_bounds(model, seq))
         assert np.all(np.abs(real - segment_unitaries(model, seq)).max(axis=(1, 2)) <= bound)
+
+    @pytest.mark.parametrize(
+        "make, driven",
+        [
+            (lambda registry: build_nmr(registry.get("iodotrifluoroethylene")), 4),
+            (lambda registry: frozen_subsystem_hamiltonian(
+                registry.get("iodotrifluoroethylene"), [0]
+            ), 3),
+            (lambda registry: build_sc(
+                registry.get("sc-chain-12"), coupling_mask=[False, False], sites=range(3)
+            ), 3),
+        ],
+        ids=["nmr4", "nmr4-frozen", "sc3-uncoupled"],
+    )
+    def test_drive_phases_by_doubling_equal_the_per_bit_loop(self, make, driven, rng):
+        # The loop multiplies each index's phase by turn_b for every set bit
+        # b, in ascending order, as doubling does: the same bits.  A frozen
+        # spin's bit is driven by no control.
+        model = make(sample_registry())
+        bits = pulses._spin_form(model)[1]
+        assert len(bits) == driven
+        k, d = 1760, model.dim
+        turn = np.exp(1j * rng.uniform(-np.pi, np.pi, (k, len(bits))))
+        turn[:5] = 1.0  # segments whose drives are all off
+        want = np.ones((k, d), dtype=complex)
+        for j, bit in enumerate(bits):
+            want.reshape(k, -1, 2, bit)[:, :, 1] *= turn[:, j, None, None]
+        assert np.array_equal(pulses._drive_phases(turn, bits, d), want)
 
     @staticmethod
     def halvings(model, seq, monkeypatch):
@@ -1060,16 +1093,25 @@ class ChunkLog:
     """Wrap ``pulses.<kernel>``, which each chunk of the dense fill calls once:
     ``_expm_taylor`` for the complex kernel, ``_expm_cos_sin`` for the real one.
 
-    Records the threads that fill chunks and the chunks' lengths.  The
-    ``fail_at``-th chunk to start raises; every other chunk first sleeps
-    ``delay`` seconds.  ``busy`` counts chunks that have started and not yet
-    finished.
+    Records the threads that fill chunks and the chunks' lengths.  The first
+    ``meet`` chunks to start wait until all of them have started; a lane
+    holds one chunk at a time, so they run on ``meet`` distinct threads.
+    Then the ``fail_at``-th chunk to start raises, or with ``fail_at`` set
+    to "caller" or "pool" every chunk on the thread that built the log or
+    on any other thread; every other chunk first sleeps ``delay`` seconds.
+    ``busy`` counts chunks that have started and not yet finished.
     """
 
-    def __init__(self, monkeypatch, fail_at=None, delay=0.0, kernel="_expm_taylor"):
+    def __init__(self, monkeypatch, fail_at=None, delay=0.0, meet=1, kernel="_expm_taylor"):
         self.threads, self.lengths, self.started, self.busy = set(), [], 0, 0
+        self.caller = threading.get_ident()
         lock = threading.Lock()
+        meeting = threading.Barrier(meet, timeout=30)
         real = getattr(pulses, kernel)
+
+        def fails(index):
+            on_caller = threading.get_ident() == self.caller
+            return index == fail_at or fail_at == ("caller" if on_caller else "pool")
 
         def expm(*args):
             with lock:
@@ -1079,7 +1121,9 @@ class ChunkLog:
                 self.threads.add(threading.get_ident())
                 self.lengths.append(len(args[0]))
             try:
-                if index == fail_at:
+                if index < meet:
+                    meeting.wait()
+                if fails(index):
                     raise DecompositionError("injected", 1.0)
                 time.sleep(delay)
                 return real(*args)
@@ -1170,15 +1214,33 @@ class TestParallelChunks:
             u[count] = segment_unitaries(model, seq)
         assert np.array_equal(u[1], u[2]) and np.array_equal(u[1], u[3])
 
+    def test_complex_kernel_on_the_catalogue_chain_bit_identical_for_any_worker_count(
+        self, workers, monkeypatch
+    ):
+        # sc4 at idle frequency 0, full box: the catalogue chain that the
+        # dense route's complex kernel fills, in several chunks.
+        model, seq = catalogue_sc("sc-chain-12", 4, 1.0, frame=0.0)
+        assert propagate(model, seq, ground_state(model.site_dims))[1].unitaries is not None
+        u = {}
+        for count in (1, 2, 3):
+            workers(count)
+            log = ChunkLog(monkeypatch, meet=count)
+            u[count] = segment_unitaries(model, seq)
+            assert len(log.threads) == count and len(log.lengths) > count
+        assert np.array_equal(u[1], u[2]) and np.array_equal(u[1], u[3])
+        TestChunkedUnitaries.assert_accurate_and_unitary(model, seq)
+
     def test_real_kernel_chunks_run_on_the_pool(self, workers, monkeypatch, rng):
+        # The caller is one of the W lanes; its first chunk waits for the
+        # pool lane's, so it cannot drain the queue alone.
         model, seq = self.nmr4(rng, 1760)
         lengths = {}
         for count in (1, 2):
             workers(count)
-            log = ChunkLog(monkeypatch, kernel="_expm_cos_sin")
+            log = ChunkLog(monkeypatch, meet=count, kernel="_expm_cos_sin")
             segment_unitaries(model, seq)
             lengths[count] = sorted(log.lengths)
-            assert (log.threads == {threading.get_ident()}) == (count == 1)
+            assert log.caller in log.threads and len(log.threads) == count
         assert lengths[1] == lengths[2] and sum(lengths[1]) == 1760
         assert max(lengths[1]) == most_per_chunk(self.NMR4_ROW_BYTES)
 
@@ -1221,11 +1283,18 @@ class TestParallelChunks:
 
     @pytest.mark.parametrize("count, segments", [(1, 1760), (2, 1)])
     def test_single_lane_starts_no_thread(self, count, segments, workers, monkeypatch, rng):
+        # The caller fills every chunk under a pool too, so only a pool that
+        # is never made shows that no thread starts.
         model = toy_model(rng, n_sites=4)
         workers(count)
         log = ChunkLog(monkeypatch)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a single lane started a pool")
+
+        monkeypatch.setattr(pulses, "ThreadPoolExecutor", no_pool)
         segment_unitaries(model, toy_sequence(rng, model, segments, 0.3, SIGN_FORWARD))
-        assert log.threads == {threading.get_ident()}
+        assert log.threads == {log.caller}
 
     @pytest.mark.parametrize("count", [1, 3])
     def test_assembled_once_on_the_calling_thread(self, count, workers, monkeypatch, rng):
@@ -1245,16 +1314,22 @@ class TestParallelChunks:
         segment_unitaries(model, seq)
         assert threads == [threading.get_ident()]
 
-    def test_helper_error_reaches_caller(self, workers, monkeypatch, rng):
-        # The second chunk fails at once while the other lane sleeps in its
-        # chunks; the error must wait until no thread writes into U.
+    @pytest.mark.parametrize("failing", ["pool", "caller"])
+    def test_lane_error_raised_after_the_other_lane_finishes(
+        self, failing, workers, monkeypatch, rng
+    ):
+        # One lane's chunk fails at once while the other lane sleeps in its
+        # chunk: the error must wait until no thread writes into U, and
+        # neither lane starts a chunk after it.
         model = toy_model(rng, n_sites=4)
         seq = toy_sequence(rng, model, 1760, 0.3, SIGN_FORWARD)
         workers(2)
-        log = ChunkLog(monkeypatch, fail_at=1, delay=0.05)
+        log = ChunkLog(monkeypatch, fail_at=failing, delay=0.1, meet=2)
+        before = threading.active_count()
         with pytest.raises(DecompositionError, match="injected"):
             segment_unitaries(model, seq)
-        assert log.busy == 0
+        assert log.busy == 0 and log.started == 2
+        assert threading.active_count() == before
 
     @pytest.mark.parametrize("fails", [False, True])
     @pytest.mark.parametrize("count", [2, 3])
@@ -1262,7 +1337,7 @@ class TestParallelChunks:
         model = toy_model(rng, n_sites=4)
         seq = toy_sequence(rng, model, 1760, 0.3, SIGN_FORWARD)
         workers(count)
-        log = ChunkLog(monkeypatch, fail_at=3 if fails else None)
+        log = ChunkLog(monkeypatch, fail_at=3 if fails else None, meet=count)
         before = threading.active_count()
         if fails:
             with pytest.raises(DecompositionError, match="injected"):
@@ -1270,7 +1345,8 @@ class TestParallelChunks:
         else:
             segment_unitaries(model, seq)
         assert threading.active_count() == before
-        assert log.threads - {threading.get_ident()}  # the chunks did run on a pool
+        # The chunks ran on the caller and a pool of W - 1 threads.
+        assert log.caller in log.threads and len(log.threads) == count
 
     def test_concurrent_callers_get_the_serial_result(self, workers, rng):
         # More threads than cores and frequent switches: every caller must
