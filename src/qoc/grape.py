@@ -1,16 +1,15 @@
 """Baseline gradient-based pulse search for |0...0> -> target transfers.
 
-One forward-sign pulse sequence, every channel inside ``bounds``, is
-optimized from |0...0> against the overlap infidelity.  Non-convergence
-is a first-class outcome recorded in the result, never an exception:
-benchmark sweeps need failed seeds as data.
+One forward-sign pulse sequence is optimized from |0...0> against the
+overlap infidelity inside the amplitude box, the rf or drive limit.
+Non-convergence is a first-class outcome recorded in the result, never an
+exception: benchmark sweeps need failed seeds as data.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import logging
-import math
 import operator
 from dataclasses import dataclass
 
@@ -18,7 +17,7 @@ import numpy as np
 
 from .hamiltonians import SystemModel
 from .linalg import StateVector, ground_state
-from .optimize import OptimizationReport, OptimizerConfig, minimize
+from .optimize import OptimizationReport, OptimizerConfig, _box, minimize
 from .pulses import (
     SIGN_FORWARD,
     PulseGrid,
@@ -38,7 +37,9 @@ __all__ = ["GrapeProblem", "GrapeResult", "run_grape"]
 class GrapeProblem:
     """|0...0> -> ``target`` on ``grid``, with every channel inside ``bounds``.
 
-    ``optimizer.bounds`` is None or equal to ``bounds``; ``seed`` draws the start.
+    ``bounds`` is a box as ``OptimizerConfig.bounds`` takes, but not None.
+    ``optimizer.bounds`` is None or equal to it; the stored ``optimizer``
+    carries it.  ``seed`` draws the start.
     """
 
     model: SystemModel
@@ -54,13 +55,13 @@ class GrapeProblem:
             raise ValueError("target state must be normalized")
         if target.site_dims != dims:
             raise ValueError(f"target sites {target.site_dims} do not match the model's {dims}")
-        lo, hi = self.bounds
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-            raise ValueError(f"amplitude bounds must be finite with lo <= hi, got {self.bounds}")
-        solver_bounds = self.optimizer.bounds  # run_grape replaces them by self.bounds
-        if solver_bounds is not None and solver_bounds != (lo, hi):
-            raise ValueError(f"optimizer bounds {solver_bounds} conflict with bounds {self.bounds}")
-        if operator.index(self.seed) < 0:  # TypeError if not an integer
+        box, solver = _box(self.bounds), self.optimizer
+        if solver.bounds not in (None, box):
+            raise ValueError(f"optimizer bounds {solver.bounds} conflict with bounds {box}")
+        object.__setattr__(self, "bounds", box)
+        object.__setattr__(self, "optimizer", dataclasses.replace(solver, bounds=box))
+        object.__setattr__(self, "seed", operator.index(self.seed))  # TypeError if not an integer
+        if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
@@ -95,8 +96,7 @@ def run_grape(problem: GrapeProblem) -> GrapeResult:
         cost, grad, _ = infidelity_value_and_gradient(model, seq, initial, problem.target)
         return cost, grad.reshape(-1)
 
-    config = dataclasses.replace(problem.optimizer, bounds=problem.bounds)
-    x_star, report = minimize(cost_and_grad, guess.amplitudes.reshape(-1), config)
+    x_star, report = minimize(cost_and_grad, guess.amplitudes.reshape(-1), problem.optimizer)
     pulses = guess.with_amplitudes(x_star.reshape(shape))
 
     # Re-simulate so the reported fidelity is what a fresh play-out of the

@@ -29,6 +29,7 @@ only propagates or takes gradients never loads ``scipy.optimize``.
 
 from __future__ import annotations
 
+import math
 import numbers
 import operator
 import time
@@ -53,11 +54,23 @@ PROBE_STEP = 0.1  # first step of the restart probe, halved until the cost drops
 PROBE_HALVINGS = 30  # steps the restart probe tries before it gives up
 
 
+def _box(bounds) -> tuple[float, float]:
+    """(lo, hi) as Python floats: TypeError unless each is a real number,
+    ValueError unless there are two, both finite, with lo <= hi.
+    """
+    box = tuple(bounds)
+    if not all(isinstance(b, numbers.Real) for b in box):
+        raise TypeError(f"bounds must be real numbers, got {bounds}")
+    if len(box) != 2 or not -math.inf < box[0] <= box[1] < math.inf:
+        raise ValueError(f"bounds must be two finite numbers with lo <= hi, got {bounds}")
+    return float(box[0]), float(box[1])
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Stop below ``tolerance`` or after ``max_iterations`` quasi-Newton
-    iterations; ``bounds``, one (lo, hi) pair of real numbers kept as Python
-    floats, apply to every element when given.
+    iterations; every element stays in the box ``bounds``, (lo, hi): two
+    finite real numbers, or None for no box.
 
     The module constants above fix every other setting of the search.
     """
@@ -69,15 +82,11 @@ class OptimizerConfig:
     def __post_init__(self):
         if not (0.0 < self.tolerance < float("inf")):
             raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
-        if operator.index(self.max_iterations) < 1:  # TypeError if not an integer
+        object.__setattr__(self, "max_iterations", operator.index(self.max_iterations))
+        if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.bounds is not None:
-            if not all(isinstance(b, numbers.Real) for b in self.bounds):
-                raise TypeError(f"bounds must be two real numbers, got {self.bounds}")
-            lo, hi = map(float, self.bounds)
-            if not lo <= hi:
-                raise ValueError(f"invalid bounds {self.bounds}")
-            object.__setattr__(self, "bounds", (lo, hi))
+            object.__setattr__(self, "bounds", _box(self.bounds))
 
 
 @dataclass
@@ -168,8 +177,8 @@ def minimize(
     start = time.perf_counter()
     x0 = np.asarray(x0, dtype=np.float64).reshape(-1)
     bounds = config.bounds
-    if bounds is not None and (np.any(x0 < bounds[0]) or np.any(x0 > bounds[1])):
-        raise ValueError("x0 violates the bounds")
+    if not (np.all(np.isfinite(x0)) and np.array_equal(_clip(x0, bounds), x0)):
+        raise ValueError("x0 must be finite and inside the bounds")
     options = {"maxcor": MEMORY_PAIRS, "ftol": RELATIVE_COST_TOLERANCE, "gtol": GRADIENT_TOLERANCE}
 
     objective = _Objective(cost_and_grad)

@@ -155,6 +155,7 @@ from scipy.linalg.blas import zgemv
 from .errors import ContractError
 from .hamiltonians import SystemModel
 from .linalg import StateVector, _bipartition_matrix
+from .optimize import _box
 
 __all__ = [
     "SIGN_FORWARD",
@@ -285,14 +286,14 @@ class PulseGrid:
 class PulseSequence:
     """K x A real control amplitudes on a grid, with a sign convention tag.
 
-    The sequence keeps a read-only copy of the amplitudes it is given.
+    The sequence keeps a read-only copy of the amplitudes it is given.  It
+    holds no amplitude box; the search's ``OptimizerConfig.bounds`` is one.
     """
 
     grid: PulseGrid
     amplitudes: np.ndarray
     channels: tuple[str, ...]
     sign: str
-    bounds: tuple[float, float] = (-np.inf, np.inf)
 
     def __post_init__(self):
         amps = np.array(self.amplitudes, dtype=np.float64)
@@ -310,11 +311,6 @@ class PulseSequence:
             raise ValueError(f"sign must be forward or reversed, got {self.sign!r}")
         if not np.all(np.isfinite(amps)):
             raise ValueError("amplitudes must be finite")
-        lo, hi = self.bounds
-        if not (lo <= hi):
-            raise ValueError(f"invalid bounds {self.bounds}")
-        if amps.size and (amps.min() < lo or amps.max() > hi):
-            raise ValueError("amplitudes exceed the configured box bounds")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "channels", tuple(self.channels))
@@ -974,11 +970,7 @@ def random_initial_pulses(
 ) -> PulseSequence:
     """Uniform random amplitudes in ``fraction`` of the box about its centre, seeded."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    lo, hi = bounds
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError(f"a random start needs finite bounds, got {bounds}")
-    if not lo <= hi:
-        raise ValueError(f"bounds must have lo <= hi, got {bounds}")
+    lo, hi = _box(bounds)
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"fraction must be finite and within [0, 1], got {fraction}")
     centre, half = (lo + hi) / 2, (hi - lo) / 2
@@ -986,6 +978,4 @@ def random_initial_pulses(
         centre - fraction * half, centre + fraction * half, size=(grid.segments, len(channels))
     )
     np.clip(amps, lo, hi, out=amps)  # centre ± half may round an ulp past an edge
-    return PulseSequence(
-        grid=grid, amplitudes=amps, channels=tuple(channels), sign=sign, bounds=bounds
-    )
+    return PulseSequence(grid=grid, amplitudes=amps, channels=tuple(channels), sign=sign)

@@ -1,9 +1,11 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
+from qoc import grape
 from qoc.grape import GrapeProblem, GrapeResult, run_grape
 from qoc.hamiltonians import (
     NMR_AMPLITUDE_BOUND_HZ,
@@ -14,7 +16,13 @@ from qoc.hamiltonians import (
 )
 from qoc.linalg import StateVector, ground_state
 from qoc.optimize import OptimizerConfig
-from qoc.pulses import PulseGrid, propagate, state_infidelity
+from qoc.pulses import (
+    SIGN_FORWARD,
+    PulseGrid,
+    propagate,
+    random_initial_pulses,
+    state_infidelity,
+)
 from qoc.targets import ghz
 
 from conftest import SX, SZ
@@ -51,6 +59,40 @@ def test_records_with_arrays_compare_and_hash_by_identity():
     ):
         assert first == first and first != second
         assert len({first, second}) == 2
+
+
+@pytest.mark.parametrize(
+    "bounds, error",
+    [
+        pytest.param((-math.inf, math.inf), ValueError, id="inf-inf"),
+        pytest.param((-1.0, math.inf), ValueError, id="inf-hi"),
+        pytest.param((math.nan, 1.0), ValueError, id="nan-lo"),
+        pytest.param((2.0, -2.0), ValueError, id="lo-above-hi"),
+        pytest.param((1.0,), ValueError, id="one"),
+        pytest.param((-1.0, 0.0, 1.0), ValueError, id="three"),
+        pytest.param(("0", "1"), TypeError, id="strings"),
+        pytest.param((0.0, None), TypeError, id="none-hi"),
+        # Arrays used to pass OptimizerConfig's ordering check and fail inside
+        # the backend with "can only convert an array of size 1 to a Python scalar".
+        pytest.param((np.zeros(2), np.ones(2)), TypeError, id="arrays"),
+        pytest.param((np.zeros(1), 1.0), TypeError, id="array-lo"),
+    ],
+)
+def test_every_entry_point_rejects_a_bad_box_alike(bounds, error):
+    entry_points = [
+        lambda: OptimizerConfig(bounds=bounds),
+        lambda: GrapeProblem(
+            single_channel_qubit(), ground_state((2,)), PulseGrid(1e-5, 5),
+            OptimizerConfig(tolerance=1e-3), bounds,
+        ),
+        lambda: random_initial_pulses(PulseGrid(1.0, 3), ("a",), bounds, 0, SIGN_FORWARD),
+    ]
+    messages = set()
+    for build in entry_points:
+        with pytest.raises(error) as raised:
+            build()
+        messages.add(str(raised.value))
+    assert len(messages) == 1  # one rule, worded once
 
 
 class TestRunGrape:
@@ -149,8 +191,17 @@ class TestRunGrape:
         assert result.converged
         assert result.fidelity >= 0.997
 
-    def test_box_without_zero_returns_a_result(self):
-        # Bounds that exclude 0 are valid.
+    def test_box_without_zero_returns_a_result(self, monkeypatch):
+        # Bounds that exclude 0 are valid, and every sequence the search
+        # evaluates lies inside them.
+        seen = []
+
+        def recorded(model, seq, *args):
+            seen.append(seq.amplitudes)
+            return infidelity(model, seq, *args)
+
+        infidelity = grape.infidelity_value_and_gradient
+        monkeypatch.setattr(grape, "infidelity_value_and_gradient", recorded)
         sample = sample_registry().get("diethyl-fluoromalonate-3q").with_shifts(0.0)
         problem = GrapeProblem(
             model=build_nmr(sample),
@@ -161,9 +212,9 @@ class TestRunGrape:
         )
         result = run_grape(problem)
         assert isinstance(result, GrapeResult)
-        amps = result.pulses.amplitudes
-        assert amps.min() >= 1.0 and amps.max() <= 2e4
-        assert result.report.evaluations > 0
+        for amps in [result.pulses.amplitudes, *seen]:
+            assert amps.min() >= 1.0 and amps.max() <= 2e4
+        assert len(seen) == result.report.evaluations > 0
 
     def test_determinism_same_seed(self):
         model = single_channel_qubit()
@@ -211,19 +262,6 @@ class TestRunGrape:
         with pytest.raises(ValueError, match="finite"):
             StateVector(amps, (2,) * 4)
 
-    @pytest.mark.parametrize(
-        "bounds", [(-math.inf, math.inf), (-1e4, math.inf), (math.nan, 1e4), (2e4, -2e4)]
-    )
-    def test_non_finite_bounds_rejected(self, bounds):
-        with pytest.raises(ValueError, match="finite"):
-            GrapeProblem(
-                model=single_channel_qubit(),
-                target=ground_state((2,)),
-                grid=PulseGrid(1e-5, 5),
-                optimizer=OptimizerConfig(tolerance=1e-3),
-                bounds=bounds,
-            )
-
     @pytest.mark.parametrize("seed, error", [(-1, ValueError), (1.5, TypeError), ("0", TypeError)])
     def test_bad_seed_rejected(self, seed, error):
         with pytest.raises(error):
@@ -235,6 +273,21 @@ class TestRunGrape:
                 bounds=(-1e4, 1e4),
                 seed=seed,
             )
+
+    def test_numpy_integer_seed_stored_as_int(self):
+        # An np.int64 seed used to come back in GrapeResult.seed, which
+        # json.dumps cannot write.
+        problem = GrapeProblem(
+            model=single_channel_qubit(),
+            target=ground_state((2,)),
+            grid=PulseGrid(1e-5, 5),
+            optimizer=OptimizerConfig(tolerance=1e-3),
+            bounds=(-1e4, 1e4),
+            seed=np.int64(3),
+        )
+        result = run_grape(problem)
+        assert type(problem.seed) is int and type(result.seed) is int
+        assert json.loads(json.dumps({"seed": result.seed})) == {"seed": 3}
 
     def test_model_without_controls_reports_non_convergence(self):
         # A drift that cannot reach the target and nothing to optimize: the
@@ -265,4 +318,5 @@ class TestRunGrape:
             GrapeProblem(optimizer=OptimizerConfig(tolerance=1e-3, bounds=(-1.0, 1.0)), **kwargs)
         for same in (None, (-1e4, 1e4)):
             problem = GrapeProblem(optimizer=OptimizerConfig(tolerance=1e-3, bounds=same), **kwargs)
+            assert problem.optimizer.bounds == problem.bounds == (-1e4, 1e4)
             assert run_grape(problem).converged

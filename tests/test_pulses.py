@@ -60,13 +60,7 @@ def toy_model(rng, n_sites=2, n_channels=3):
 
 def toy_sequence(rng, model, segments, dt, sign, scale=2.0):
     amps = rng.uniform(-scale, scale, (segments, model.num_channels))
-    return PulseSequence(
-        PulseGrid(dt=dt, segments=segments),
-        amps,
-        model.channel_labels,
-        sign,
-        bounds=(-scale, scale),
-    )
+    return PulseSequence(PulseGrid(dt=dt, segments=segments), amps, model.channel_labels, sign)
 
 
 def most_per_chunk(row_bytes):
@@ -658,9 +652,7 @@ class TestActionRoute:
         """Random amplitudes, with dt such that max_k dt ||H_k||_2 = theta."""
         amps = toy_sequence(rng, model, segments, 1.0, sign).amplitudes
         norm = max(np.linalg.norm(h, 2) for h in pulses.segment_hamiltonians(model, amps))
-        return PulseSequence(
-            PulseGrid(theta / norm, segments), amps, model.channel_labels, sign, (-2.0, 2.0)
-        )
+        return PulseSequence(PulseGrid(theta / norm, segments), amps, model.channel_labels, sign)
 
     @staticmethod
     def chunk_lengths(model, segments):
@@ -1473,11 +1465,7 @@ class TestGradients:
         err = rel_err(grad, fd)
 
         refined = PulseSequence(
-            PulseGrid(dt / 2.0, 8),
-            np.repeat(seq.amplitudes, 2, axis=0),
-            seq.channels,
-            sign,
-            seq.bounds,
+            PulseGrid(dt / 2.0, 8), np.repeat(seq.amplitudes, 2, axis=0), seq.channels, sign
         )
         _, grad2, _ = value_and_grad(refined)
 
@@ -1611,21 +1599,12 @@ class TestPulseFiles:
         seq = random_initial_pulses(grid, ("a", "b"), (-10.0, 10.0), rng, SIGN_FORWARD)
         assert np.abs(seq.amplitudes).max() <= 1.0
 
-    @pytest.mark.parametrize("bounds", [(-np.inf, np.inf), (-1.0, np.inf), (np.nan, 1.0)])
-    def test_random_start_needs_finite_bounds(self, bounds, rng):
-        with pytest.raises(ValueError, match="finite"):
-            random_initial_pulses(PulseGrid(1.0, 3), ("a",), bounds, rng, SIGN_FORWARD)
-
     @pytest.mark.parametrize("fraction", [np.nan, np.inf, 1.5, -0.5])
     def test_random_start_fraction_within_unit_interval(self, fraction, rng):
         with pytest.raises(ValueError, match="fraction"):
             random_initial_pulses(
                 PulseGrid(1.0, 3), ("a",), (-1.0, 1.0), rng, SIGN_FORWARD, fraction=fraction
             )
-
-    def test_random_start_needs_ordered_bounds(self, rng):
-        with pytest.raises(ValueError, match="bounds must have lo <= hi"):
-            random_initial_pulses(PulseGrid(1.0, 3), ("a",), (1.0, -1.0), rng, SIGN_FORWARD)
 
     @pytest.mark.parametrize(
         "fraction, bounds", [(0.0, (-1.0, 1.0)), (1.0, (-1.0, 1.0)), (1.0, (2.0, 2.0))]
@@ -1658,28 +1637,22 @@ class TestPulseFiles:
         assert np.array_equal(seq.amplitudes, want)
 
     @pytest.mark.parametrize(
-        "amps, channels, sign, bounds, message",
+        "amps, channels, sign, message",
         [
-            (np.zeros(2), ("a",), SIGN_FORWARD, (-1.0, 1.0), "must be K x A"),
-            (np.zeros((3, 1)), ("a",), SIGN_FORWARD, (-1.0, 1.0), "amplitude rows 3 != grid segments 2"),
-            (np.zeros((2, 2)), ("a",), SIGN_FORWARD, (-1.0, 1.0), "amplitude columns 2 != channel count 1"),
-            (np.zeros((2, 1)), ("a",), "backward", (-1.0, 1.0), "sign must be forward or reversed"),
-            (np.zeros((2, 1)), ("a",), SIGN_FORWARD, (1.0, -1.0), "invalid bounds"),
+            (np.zeros(2), ("a",), SIGN_FORWARD, "must be K x A"),
+            (np.zeros((3, 1)), ("a",), SIGN_FORWARD, "amplitude rows 3 != grid segments 2"),
+            (np.zeros((2, 2)), ("a",), SIGN_FORWARD, "amplitude columns 2 != channel count 1"),
+            (np.zeros((2, 1)), ("a",), "backward", "sign must be forward or reversed"),
         ],
-        ids=["shape", "rows", "columns", "sign", "lo-above-hi"],
+        ids=["shape", "rows", "columns", "sign"],
     )
-    def test_malformed_sequence_rejected(self, amps, channels, sign, bounds, message):
+    def test_malformed_sequence_rejected(self, amps, channels, sign, message):
         with pytest.raises(ValueError, match=message):
-            PulseSequence(PulseGrid(dt=1.0, segments=2), amps, channels, sign, bounds)
-
-    def test_bounds_enforced(self):
-        grid = PulseGrid(dt=1.0, segments=1)
-        with pytest.raises(ValueError):
-            PulseSequence(grid, np.array([[5.0]]), ("a",), SIGN_FORWARD, bounds=(-1, 1))
+            PulseSequence(PulseGrid(dt=1.0, segments=2), amps, channels, sign)
 
     def test_amplitudes_are_a_read_only_copy(self):
         a = np.zeros((2, 1))
-        seq = PulseSequence(PulseGrid(1e-3, 2), a, ("x",), SIGN_FORWARD, (-1.0, 1.0))
+        seq = PulseSequence(PulseGrid(1e-3, 2), a, ("x",), SIGN_FORWARD)
         later = seq.with_amplitudes(a)
         a[0, 0] = 5.0
         assert seq.amplitudes[0, 0] == later.amplitudes[0, 0] == 0.0
@@ -1692,8 +1665,6 @@ class TestPulseFiles:
         grid = PulseGrid(dt=1.0, segments=2)
         with pytest.raises(ValueError, match="finite"):
             PulseSequence(grid, np.array([[0.5], [bad]]), ("a",), SIGN_FORWARD)
-        with pytest.raises(ValueError, match="finite"):
-            PulseSequence(grid, np.array([[0.5], [bad]]), ("a",), SIGN_FORWARD, bounds=(-1, 1))
 
     @pytest.mark.parametrize("dt", [np.inf, np.nan, 0.0, -1.0])
     def test_bad_segment_duration_rejected(self, dt):
