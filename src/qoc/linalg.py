@@ -1,4 +1,4 @@
-"""State vectors, the Hermiticity check and exponentials of Hermitian matrices.
+"""State vectors and the Hermiticity check.
 
 States live on a tensor product of finite-dimensional sites; site 0 is the
 leftmost (most significant) factor, matching ``numpy.kron`` ordering.  The
@@ -20,13 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DecompositionError
-
-__all__ = [
-    "StateVector",
-    "ground_state",
-    "expm_hermitian",
-]
+__all__ = ["StateVector", "ground_state"]
 
 HERMITICITY_TOL = 1e-12
 
@@ -100,23 +94,6 @@ def ground_state(site_dims: Sequence[int]) -> StateVector:
     amps = np.zeros(math.prod(dims), dtype=np.complex128)
     amps[0] = 1.0
     return StateVector(amps, dims)
-
-
-def expm_hermitian(h: np.ndarray, scale: float) -> np.ndarray:
-    """exp(i * scale * H) via the eigendecomposition of Hermitian H.
-
-    ``h`` is one matrix or a ``(..., d, d)`` stack, exponentiated matrix by
-    matrix.  The eigen route keeps the result unitary to roundoff; ``scale``
-    carries the sign convention (e.g. -dt for forward time evolution).
-    """
-    m = np.asarray(h, dtype=np.complex128)
-    try:
-        w, v = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:
-        residual = float(np.abs(m - m.conj().swapaxes(-1, -2)).max())
-        raise DecompositionError(f"eigendecomposition failed: {exc}", residual) from exc
-    phases = np.exp(1j * scale * w)
-    return (v * phases[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def _bipartition_matrix(state: StateVector, keep: Iterable[int]) -> tuple[np.ndarray, list[int]]:

@@ -1,26 +1,25 @@
 """Box-bounded minimization given a cost-and-gradient callable.
 
-The workhorse is the limited-memory quasi-Newton method with gradient
-projection (scipy's L-BFGS-B backend) plus three extra behaviours the pulse
+Each search is one run of the limited-memory quasi-Newton method with
+gradient projection (scipy's L-BFGS-B backend), plus two behaviours the pulse
 engines rely on:
 
 * early termination as soon as the cost drops below the configured
   tolerance (the natural stopping rule for transfer problems),
 * a diagnostic error carrying the offending iterate when the cost or
   gradient goes non-finite, and a ``ContractError`` when the gradient's
-  size is not the parameter count,
-* one projected steepest-descent restart after a line-search failure; only
-  when it lowers the cost does the backend run a second, last time.
+  size is not the parameter count.
 
-The start, each quasi-Newton iterate and an improving restart step are
-accepted when their cost falls below the last accepted one; the last
-accepted point is returned, so ``cost_trace[-1]`` is the cost there (the
-backend's ``res.fun``, after a line-search failure not always the cost at
-any point, is not read).  Its gradient is kept with it, so the restart needs
-no evaluation to find its direction.  Besides that point, only the latest
-evaluation is remembered, in a memo.  The two answer the points the backend
-asks for again without running the callable: each iterate handed to the
-callback and, after a failed line search, the backend's last iterate.
+Every other stop, a failed line search included, is returned as data.  The
+start and each quasi-Newton iterate are accepted when their cost falls below
+the last accepted one; the last accepted point is returned, so
+``cost_trace[-1]`` is the cost there (the backend's ``res.fun``, after a
+line-search failure not always the cost at any point, is not read).  Its
+gradient is kept with it.  Besides that point, only the latest evaluation is
+remembered, in a memo.  The two answer the points the backend asks for again
+without running the callable: each iterate handed to the callback and, once
+a line search's trial steps shrink until they round back to its start, that
+start, which is the best point.
 
 The search is deterministic given the same inputs.  The backend is imported
 on the first call of ``minimize``, not with this module, so a process that
@@ -50,8 +49,6 @@ TERMINATION_LINE_SEARCH = "line-search-failure"
 MEMORY_PAIRS = 10  # correction pairs the quasi-Newton backend keeps
 RELATIVE_COST_TOLERANCE = 0.0  # its relative cost-decrease stop, switched off
 GRADIENT_TOLERANCE = 1e-9  # its flat-gradient stop, on the largest projected component
-PROBE_STEP = 0.1  # first step of the restart probe, halved until the cost drops
-PROBE_HALVINGS = 30  # steps the restart probe tries before it gives up
 
 
 def _box(bounds) -> tuple[float, float]:
@@ -82,6 +79,7 @@ class OptimizerConfig:
     def __post_init__(self):
         if not (0.0 < self.tolerance < float("inf")):
             raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
+        object.__setattr__(self, "tolerance", float(self.tolerance))
         object.__setattr__(self, "max_iterations", operator.index(self.max_iterations))
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
@@ -114,7 +112,8 @@ class OptimizationReport:
 
 class _Objective:
     """Finiteness-checked wrapper that remembers its latest evaluation and
-    answers again for the best point too.
+    answers again for the best point too, which the backend's line search
+    asks for once its trial steps round back to their start.
 
     It also keeps the search record: ``report``'s traces and counts, and
     ``best``, the point accepted last.
@@ -179,7 +178,10 @@ def minimize(
     bounds = config.bounds
     if not (np.all(np.isfinite(x0)) and np.array_equal(_clip(x0, bounds), x0)):
         raise ValueError("x0 must be finite and inside the bounds")
-    options = {"maxcor": MEMORY_PAIRS, "ftol": RELATIVE_COST_TOLERANCE, "gtol": GRADIENT_TOLERANCE}
+    options = {
+        "maxcor": MEMORY_PAIRS, "ftol": RELATIVE_COST_TOLERANCE, "gtol": GRADIENT_TOLERANCE,
+        "maxiter": config.max_iterations,
+    }
 
     objective = _Objective(cost_and_grad)
     report = objective.report
@@ -190,22 +192,12 @@ def minimize(
         if objective.accept(xk) < config.tolerance:
             raise StopIteration
 
-    def search():
-        options["maxiter"] = config.max_iterations - report.iterations
-        return _scipy_minimize(
-            objective, objective.best, jac=True, method="L-BFGS-B", callback=callback,
-            bounds=None if bounds is None else [bounds] * x0.size, options=options,
-        )
-
     res = None
     if x0.size and report.cost_trace[-1] >= config.tolerance:
-        res = search()
-        # An abnormal line-search end gets one projected steepest-descent
-        # restart from the best point; the backend runs again if it helps.
-        if res.status not in (0, 1) and report.cost_trace[-1] >= config.tolerance:
-            x, improved = _descent_probe(objective, objective.best, report.cost_trace[-1], bounds)
-            if improved and objective.accept(x) >= config.tolerance:
-                res = search()
+        res = _scipy_minimize(
+            objective, x0, jac=True, method="L-BFGS-B", callback=callback,
+            bounds=None if bounds is None else [bounds] * x0.size, options=options,
+        )
 
     if report.cost_trace[-1] < config.tolerance:
         report.termination, report.message = TERMINATION_TOLERANCE, "cost below tolerance"
@@ -224,15 +216,3 @@ def minimize(
     report.wall_time = time.perf_counter() - start
     return _clip(objective.best, bounds), report
 
-
-def _descent_probe(objective, x, f_ref, bounds):
-    """One backtracking projected-gradient step along ``best_gradient``; (new_x, improved)."""
-    g = objective.best_gradient
-    step = PROBE_STEP
-    for _ in range(PROBE_HALVINGS):
-        candidate = _clip(x - step * g, bounds)
-        f_new, _ = objective(candidate)
-        if f_new < f_ref:
-            return candidate, True
-        step *= 0.5
-    return x, False

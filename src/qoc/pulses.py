@@ -276,6 +276,8 @@ class PulseGrid:
     def __post_init__(self):
         if not (0.0 < self.dt < math.inf):
             raise ValueError(f"segment duration must be positive and finite, got {self.dt}")
+        # A float32 dt would make the sweeps' Horner coefficients complex64.
+        object.__setattr__(self, "dt", float(self.dt))
         # TypeError for a count that is not an integer, as range(2.5) raises.
         object.__setattr__(self, "segments", operator.index(self.segments))
         if self.segments < 1:

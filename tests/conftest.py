@@ -43,6 +43,18 @@ def kron(a: StateVector, b: StateVector) -> StateVector:
     return StateVector(np.kron(a.amplitudes, b.amplitudes), a.site_dims + b.site_dims)
 
 
+def expm_hermitian(h: np.ndarray, scale: float) -> np.ndarray:
+    """exp(i * scale * H) via the eigendecomposition of Hermitian H: the
+    propagator oracle.
+
+    ``h`` is one matrix or a ``(..., d, d)`` stack, exponentiated matrix by
+    matrix.  The eigen route keeps the result unitary to roundoff; ``scale``
+    carries the sign convention (e.g. -dt for forward time evolution).
+    """
+    w, v = np.linalg.eigh(np.asarray(h, dtype=np.complex128))
+    return (v * np.exp(1j * scale * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+
 def finite_difference_gradient(cost, amplitudes: np.ndarray, step: float) -> np.ndarray:
     """Central differences of a cost over a K x A amplitude matrix."""
     if not (step > 0.0):

@@ -289,6 +289,22 @@ class TestRunGrape:
         assert type(problem.seed) is int and type(result.seed) is int
         assert json.loads(json.dumps({"seed": result.seed})) == {"seed": 3}
 
+    def test_numpy_float_tolerance_gives_a_python_bool(self):
+        # A float32 tolerance used to make converged a numpy.bool, which
+        # json.dumps cannot write.
+        problem = GrapeProblem(
+            model=single_channel_qubit(),
+            target=ground_state((2,)),
+            grid=PulseGrid(1e-5, 5),
+            optimizer=OptimizerConfig(tolerance=np.float32(1e-3)),
+            bounds=(-1e4, 1e4),
+            seed=3,
+        )
+        result = run_grape(problem)
+        assert type(problem.optimizer.tolerance) is float
+        assert type(result.converged) is bool
+        assert json.dumps(result.converged) in ("true", "false")
+
     def test_model_without_controls_reports_non_convergence(self):
         # A drift that cannot reach the target and nothing to optimize: the
         # search used to raise inside the backend.

@@ -25,10 +25,10 @@ from qoc.hamiltonians import (
     frozen_subsystem_hamiltonian,
     sample_registry,
 )
-from qoc.linalg import expm_hermitian, ground_state
+from qoc.linalg import ground_state
 from qoc.pulses import SIGN_FORWARD, PulseGrid, PulseSequence, propagate
 
-from conftest import SX, SY, SZ, kron, random_state
+from conftest import SX, SY, SZ, expm_hermitian, kron, random_state
 
 
 def two_spin_sample(j=47.6, shifts=(0.0, 0.0)):

@@ -3,15 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from qoc.linalg import (
-    StateVector,
-    _bipartition_matrix,
-    expm_hermitian,
-    ground_state,
-)
+from qoc.linalg import StateVector, _bipartition_matrix, ground_state
 from qoc.pulses import ground_leakage, subsystem_impurity
 
-from conftest import SX, SZ, ghz_amplitudes, kron, random_state, w3_amplitudes
+from conftest import SX, SZ, expm_hermitian, ghz_amplitudes, kron, random_state, w3_amplitudes
 
 
 def brute_force_reduced(amps, site_dims, keep):

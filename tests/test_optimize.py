@@ -5,7 +5,6 @@ import weakref
 import numpy as np
 import pytest
 
-from qoc import optimize
 from qoc.errors import ContractError, OptimizationError
 from qoc.optimize import OptimizerConfig, minimize
 
@@ -165,48 +164,54 @@ class TestMinimize:
         assert calls == []
 
 
-class TestRestart:
-    # From -1.9 the restart probe's first step, 0.1 * 5.8, leaves the box
-    # unless it is projected back.
-    @pytest.mark.parametrize("x0", [0.0, -1.9])
-    def test_wrong_sign_gradient_ends_in_line_search_failure(self, monkeypatch, x0):
-        # The gradient points uphill, so the quasi-Newton line search fails and
-        # the one projected-gradient restart finds no decrease either.
-        # The probe starts from the best point's stored gradient, so it must
-        # not evaluate that point again.
+class TestLineSearchFailure:
+    # Each search is one backend run, so a failed line search ends it and is
+    # returned as data.
+
+    @pytest.fixture
+    def backend_runs(self, monkeypatch):
+        # minimize imports the backend when it is called, so this wraps it.
+        import scipy.optimize
+
         runs = []
-        probes = []
+        backend = scipy.optimize.minimize
+
+        def counted(*args, **kwargs):
+            runs.append(1)
+            return backend(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "minimize", counted)
+        return runs
+
+    # From -1.9 the descent direction reaches the box's edge after 0.1.
+    @pytest.mark.parametrize("x0", [0.0, -1.9])
+    def test_wrong_sign_gradient_ends_in_line_search_failure(self, backend_runs, x0):
+        # The gradient points uphill, so the quasi-Newton line search fails.
+        # However often the backend asks for its start again, the callable
+        # runs there once.
+        runs = []
 
         def recorded(x):
             runs.append(x.copy())
             return uphill(x)
 
-        def counted_probe(objective, x, *args):
-            before = len(runs)
-            out = probe(objective, x, *args)
-            probes.append(out[1])
-            assert not any(np.array_equal(r, x) for r in runs[before:])
-            return out
-
-        probe = optimize._descent_probe
-        monkeypatch.setattr(optimize, "_descent_probe", counted_probe)
         cfg = OptimizerConfig(tolerance=1e-8, max_iterations=50, bounds=(-2.0, 2.0))
-        x, report = minimize(recorded, np.full(3, x0), cfg)
+        start = np.full(3, x0)
+        x, report = minimize(recorded, start, cfg)
         assert report.termination == "line-search-failure"
-        assert probes == [False]
-        assert np.all(x >= -2.0) and np.all(x <= 2.0)
+        assert backend_runs == [1]
+        assert np.array_equal(x, start) and report.cost_trace == [uphill(start)[0]]
         assert all(np.all(r >= -2.0) and np.all(r <= 2.0) for r in runs)
+        assert sum(np.array_equal(r, start) for r in runs) == 1
         assert report.evaluations == len(runs)
 
     # The gradient of |x - 1|^2 plus 100 times itself turned by 90 degrees
-    # fails the line search at once, but its projection onto -t still descends,
-    # so the restart probe finds a lower cost.  From [-1.5, 0.1] the backend
-    # stops at its start point and reports a cost there 1.4e-13 below the true
-    # one; the probe must be measured against the true cost.
+    # fails the line search at once.  From [-1.5, 0.1] the backend stops at
+    # its start point and reports a cost there 1.4e-13 below the true one;
+    # the report must carry the true cost.
     @pytest.mark.parametrize("x0", [[-1.5, 0.1], [0.0, 0.3]], ids=["phantom-cost", "plain"])
-    def test_improving_probe_keeps_one_record(self, monkeypatch, x0):
+    def test_spiral_gradient_runs_the_backend_once(self, backend_runs, x0):
         calls = []
-        probes = []
 
         def cost(x):
             return float(np.sum((x - 1.0) ** 2))
@@ -216,32 +221,32 @@ class TestRestart:
             t = 2.0 * (x - 1.0)
             return cost(x), t + 100.0 * np.array([-t[1], t[0]])
 
-        def recorded_probe(objective, x, f_ref, bounds):
-            assert f_ref == cost(x)
-            out = probe(objective, x, f_ref, bounds)
-            probes.append(out[1])
-            return out
-
-        probe = optimize._descent_probe
-        monkeypatch.setattr(optimize, "_descent_probe", recorded_probe)
         cfg = OptimizerConfig(tolerance=1e-8, max_iterations=50, bounds=(-2.0, 2.0))
         x, report = minimize(spiral, np.array(x0), cfg)
         assert report.termination == "line-search-failure"
-        assert probes == [True]
+        assert backend_runs == [1]
         assert np.all(np.diff(report.cost_trace) < 0.0)
         assert report.cost_trace[-1] == cost(x)
         assert report.evaluations == len(calls)
 
+    @pytest.mark.parametrize(
+        "x0, runs", [([0.9] * 3, []), ([0.0] * 3, [1])], ids=["below", "above"]
+    )
+    def test_backend_runs_only_above_tolerance(self, backend_runs, x0, runs):
+        _, report = minimize(quadratic_shifted, np.array(x0), OptimizerConfig(tolerance=0.5))
+        assert report.termination == "tolerance"
+        assert backend_runs == runs
+
 
 class TestEvaluatedPoints:
-    # The callable never sees a point outside the box: not a quasi-Newton
-    # trial step, not a restart probe step.  The rosenbrock box holds
-    # neither 0 nor the unbounded minimum (1, 1).
+    # The callable never sees a point outside the box, not even a
+    # quasi-Newton trial step.  The rosenbrock box holds neither 0 nor the
+    # unbounded minimum (1, 1).
     @pytest.mark.parametrize(
         "fn, x0, bounds",
         [(rosenbrock, [1.9, 1.3], (1.2, 2.0)), (uphill, [0.0] * 3, (-2.0, 2.0)),
          (uphill, [-1.9] * 3, (-2.0, 2.0))],
-        ids=["box-without-zero", "restart", "restart-near-edge"],
+        ids=["box-without-zero", "line-search-failure", "line-search-failure-near-edge"],
     )
     def test_every_evaluated_point_lies_in_the_box(self, fn, x0, bounds):
         seen = []
@@ -280,6 +285,10 @@ class TestConfigValidation:
             OptimizerConfig(max_iterations=2.5)
         budget = OptimizerConfig(max_iterations=np.int64(3)).max_iterations
         assert budget == 3 and type(budget) is int
+
+    def test_tolerance_kept_as_python_float(self):
+        tolerance = OptimizerConfig(tolerance=np.float32(3e-3)).tolerance
+        assert tolerance == float(np.float32(3e-3)) and type(tolerance) is float
 
     def test_bounds_kept_as_python_floats(self):
         bounds = OptimizerConfig(bounds=(np.float32(-1.5), 2)).bounds

@@ -12,7 +12,7 @@ import pytest
 from scipy.linalg.blas import zgemv
 
 from qoc import pulses
-from qoc.errors import ContractError, DecompositionError
+from qoc.errors import ContractError
 from qoc.hamiltonians import (
     NMR_AMPLITUDE_BOUND_HZ,
     SC_AMPLITUDE_BOUND_RAD_PER_NS,
@@ -23,7 +23,7 @@ from qoc.hamiltonians import (
     frozen_subsystem_hamiltonian,
     sample_registry,
 )
-from qoc.linalg import StateVector, expm_hermitian, ground_state
+from qoc.linalg import StateVector, ground_state
 from qoc.pulses import (
     _SIGN_FACTOR,
     SIGN_FORWARD,
@@ -41,7 +41,14 @@ from qoc.pulses import (
     subsystem_impurity,
 )
 
-from conftest import finite_difference_gradient, ghz_amplitudes, kron, random_state, w3_amplitudes
+from conftest import (
+    expm_hermitian,
+    finite_difference_gradient,
+    ghz_amplitudes,
+    kron,
+    random_state,
+    w3_amplitudes,
+)
 
 
 def unit_norm_hermitian(rng, d):
@@ -1081,6 +1088,10 @@ def workers(monkeypatch):
     return lambda count: monkeypatch.setattr(pulses, "_WORKERS", count)
 
 
+class InjectedError(Exception):
+    """A chunk's failure, raised by ``ChunkLog`` on purpose."""
+
+
 class ChunkLog:
     """Wrap ``pulses.<kernel>``, which each chunk of the dense fill calls once:
     ``_expm_taylor`` for the complex kernel, ``_expm_cos_sin`` for the real one.
@@ -1116,7 +1127,7 @@ class ChunkLog:
                 if index < meet:
                     meeting.wait()
                 if fails(index):
-                    raise DecompositionError("injected", 1.0)
+                    raise InjectedError("injected")
                 time.sleep(delay)
                 return real(*args)
             finally:
@@ -1318,7 +1329,7 @@ class TestParallelChunks:
         workers(2)
         log = ChunkLog(monkeypatch, fail_at=failing, delay=0.1, meet=2)
         before = threading.active_count()
-        with pytest.raises(DecompositionError, match="injected"):
+        with pytest.raises(InjectedError, match="injected"):
             segment_unitaries(model, seq)
         assert log.busy == 0 and log.started == 2
         assert threading.active_count() == before
@@ -1332,7 +1343,7 @@ class TestParallelChunks:
         log = ChunkLog(monkeypatch, fail_at=3 if fails else None, meet=count)
         before = threading.active_count()
         if fails:
-            with pytest.raises(DecompositionError, match="injected"):
+            with pytest.raises(InjectedError, match="injected"):
                 segment_unitaries(model, seq)
         else:
             segment_unitaries(model, seq)
@@ -1680,6 +1691,19 @@ class TestPulseFiles:
     def test_segment_count_at_least_one(self, segments):
         with pytest.raises(ValueError, match="segment count"):
             PulseGrid(dt=1.0, segments=segments)
+
+    def test_float32_segment_duration_kept_as_python_float(self):
+        # A float32 dt made the action route's Horner coefficients complex64:
+        # on sc6 the final state's norm was then off by 1.8e-11.
+        model, seq = catalogue_sc("sc-chain-12", 6, 1.0, frame=0.0)
+        dt, segments = np.float32(seq.grid.dt), seq.grid.segments
+        grid = PulseGrid(dt, segments)
+        assert type(grid.dt) is float
+        psi0 = ground_state(model.site_dims)
+        final32, ws = propagate(model, replace(seq, grid=grid), psi0)
+        final, _ = propagate(model, replace(seq, grid=PulseGrid(float(dt), segments)), psi0)
+        assert ws.unitaries is None
+        assert np.array_equal(final32.amplitudes, final.amplitudes)
 
     def test_numpy_integer_segment_count_accepted(self):
         grid = PulseGrid(dt=1.0, segments=np.int64(3))
