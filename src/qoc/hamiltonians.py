@@ -33,9 +33,10 @@ A ``SystemModel`` stores each operator once, read-only and checked finite
 and Hermitian at construction: the (d, d) ``drift`` and the (A, d, d)
 ``control_stack``, whose channel a is ``channel_labels[a]``.  Its
 ``pattern``, their nonzeros with each operator's values, is all the pulse
-engine reads.  Each builder lists its drift terms and its x and y drives;
-``_model`` forms each term as one Kronecker chain over sites, and embeds and
-labels both drives on every site.
+engine reads, together with what the model derives from it once, on first
+use: ``operator_norms`` and ``spin_form``.  Each builder lists its drift
+terms and its x and y drives; ``_model`` forms each term as one Kronecker
+chain over sites, and embeds and labels both drives on every site.
 """
 
 from __future__ import annotations
@@ -228,7 +229,8 @@ class SystemModel:
     platform "nmr" or "sc".  ``coupling_mask``, when given, is kept as a
     tuple of one bool per boundary between neighbouring sites.  Arrays that
     are already complex128 are kept, not copied, and made read-only.
-    ``pattern`` is their sparse form.
+    ``pattern`` is their sparse form, and ``operator_norms`` and
+    ``spin_form`` what the pulse engine derives from it once per model.
     """
 
     drift: np.ndarray
@@ -293,6 +295,68 @@ class SystemModel:
         for array in pattern:
             array.flags.writeable = False
         return pattern
+
+    @cached_property
+    def operator_norms(self) -> tuple[np.floating, np.ndarray]:
+        """(||drift||_1, read-only (A,) ||H_a||_1), each the largest column sum of |entries|.
+
+        Read from ``pattern``, built once, on first use.  Column sums of the
+        pattern values add in row order, as over a dense column: the same bits.
+        """
+        _, cols, drift, controls = self.pattern
+        norms = [np.bincount(cols, np.abs(v), minlength=self.dim).max() for v in (drift, *controls)]
+        control_norms = np.array(norms[1:])
+        control_norms.flags.writeable = False
+        return norms[0], control_norms
+
+    @cached_property
+    def spin_form(self) -> tuple[np.ndarray, ...] | None:
+        """(diagonal, bits, drive, z, basis), read-only, when every H_k is
+        P_k R_k P_k† with P_k diagonal and R_k real symmetric; else None.
+
+        That holds when, on ``pattern``, the drift is real and diagonal, and
+        each control a, for one bit b of the basis index, holds z_a at every
+        (i, i ^ b) with bit b of i clear, conj(z_a) at every one with it
+        set, and nothing else: a drive on one spin, z = pi for pi X, -i pi
+        for pi Y and i for the chain's i(a - a†).  ``bits`` lists the
+        distinct bits, ``drive[a]`` indexes control a's bit there, and
+        ``basis`` holds the flattened (d, d) real matrices D (the drift's
+        ``diagonal``) and then X_b, 1 at every (i, i ^ b), for each bit b.
+        The check is exact, so a model that is not of this form takes the
+        pulse engine's complex kernel, whatever its platform.  Built once,
+        on first use.
+        """
+        rows, cols, drift, controls = self.pattern
+        d = self.dim
+        on_diagonal = rows == cols
+        if d & (d - 1) or drift[~on_diagonal].any() or drift.imag.any():
+            return None
+        flips, z = [], []
+        for values in controls:
+            nonzero = values != 0
+            flip = rows[nonzero] ^ cols[nonzero]
+            bit = int(flip[0]) if len(flip) == d else 0
+            if not bit or bit & (bit - 1) or (flip != bit).any():
+                return None
+            values, low = values[nonzero], (rows[nonzero] & bit) == 0
+            z_a = values[low][0]
+            if (values[low] != z_a).any() or (values[~low] != z_a.conj()).any():
+                return None
+            flips.append(bit)
+            z.append(z_a)
+        diagonal = np.zeros(d)
+        diagonal[rows[on_diagonal]] = drift[on_diagonal].real
+        bits, drive = np.unique(np.array(flips, dtype=np.int64), return_inverse=True)
+        index = np.arange(d)
+        basis = np.zeros((1 + len(bits), d, d))
+        basis[0, index, index] = diagonal
+        for j, bit in enumerate(bits):
+            basis[1 + j, index, index ^ bit] = 1.0
+        z = np.array(z, dtype=complex)
+        form = (diagonal, bits, drive.reshape(-1), z, basis.reshape(len(basis), -1))
+        for array in form:
+            array.flags.writeable = False
+        return form
 
     @property
     def dim(self) -> int:

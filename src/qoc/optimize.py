@@ -1,14 +1,26 @@
 """Box-bounded minimization given a cost-and-gradient callable.
 
 Each search is one run of the limited-memory quasi-Newton method with
-gradient projection (scipy's L-BFGS-B backend), plus two behaviours the pulse
-engines rely on:
+gradient projection (scipy's L-BFGS-B backend), plus three behaviours the
+pulse engines rely on:
 
 * early termination as soon as the cost drops below the configured
   tolerance (the natural stopping rule for transfer problems),
 * a diagnostic error carrying the offending iterate when the cost or
   gradient goes non-finite, and a ``ContractError`` when the gradient's
-  size is not the parameter count.
+  size is not the parameter count,
+* a first step in the box's units.  With a box on every variable the
+  backend's first trial point is x0 - g0, in the caller's units, and so is
+  every trial after a skipped correction pair; on the 4-spin sample that
+  moved the largest amplitude by 4e-6 Hz, and the line search then spent
+  12 to 14 evaluations growing the step 4-fold at a time.  So the backend
+  sees kappa f and kappa g, with kappa = f0 / |g0|_2^2, Polyak's step to
+  the minimum 0 of every qoc cost (Polyak, Introduction to Optimization,
+  1987), capped so that the first trial moves no variable by more than
+  FIRST_STEP_CAP of the box's half-width.  Its flat-gradient stop is scaled
+  by kappa too, so it still reads GRADIENT_TOLERANCE in the caller's units.
+  The quasi-Newton steps after an accepted pair do not depend on kappa.
+  Without a box, or with a flat start, kappa is 1.
 
 Every other stop, a failed line search included, is returned as data.  The
 start and each quasi-Newton iterate are accepted when their cost falls below
@@ -49,6 +61,13 @@ TERMINATION_LINE_SEARCH = "line-search-failure"
 MEMORY_PAIRS = 10  # correction pairs the quasi-Newton backend keeps
 RELATIVE_COST_TOLERANCE = 0.0  # its relative cost-decrease stop, switched off
 GRADIENT_TOLERANCE = 1e-9  # its flat-gradient stop, on the largest projected component
+# Largest move of the first trial point, as a fraction of the box's half-width.
+# Uncapped, the Polyak step moved at most 1.85% of it on the spin samples
+# (GRAPE on 3 and 4 spins and the 4-spin disentangling searches, seeds 0-4),
+# but up to 43% on the 4-qubit chain to GHZ(4) and 2.4 to 5.5 half-widths
+# in the 6-qubit chain's first iGRAPE stage, which then ended 500 iterations
+# at 1.19e-5 instead of 4.16e-7 (seed 1).  So the cap binds on the chains only.
+FIRST_STEP_CAP = 0.02
 
 
 def _box(bounds) -> tuple[float, float]:
@@ -163,6 +182,18 @@ def _clip(x: np.ndarray, bounds) -> np.ndarray:
     return x if bounds is None else np.clip(x, *bounds)
 
 
+def _first_step_scale(f0: float, g0: np.ndarray, bounds) -> float:
+    """kappa = min(f0 / |g0|_2^2, FIRST_STEP_CAP h / |g0|_inf), h the box's
+    half-width; 1 without a box, or when kappa is not positive and finite.
+    """
+    if bounds is None:
+        return 1.0
+    half_width = (bounds[1] - bounds[0]) / 2.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        kappa = min(f0 / (g0 @ g0), FIRST_STEP_CAP * half_width / np.abs(g0).max())
+    return float(kappa) if 0.0 < kappa < math.inf else 1.0
+
+
 def minimize(
     cost_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
     x0: Sequence[float],
@@ -171,18 +202,13 @@ def minimize(
     """Minimize under box bounds; stop at tolerance, flat gradient, or budget."""
     # Imported here, not at module level: scipy.optimize costs a fresh process
     # about 0.25 s and 20 MB that propagation and gradients never use.
-    from scipy.optimize import minimize as _scipy_minimize
+    from scipy.optimize import Bounds, minimize as _scipy_minimize
 
     start = time.perf_counter()
     x0 = np.asarray(x0, dtype=np.float64).reshape(-1)
     bounds = config.bounds
     if not (np.all(np.isfinite(x0)) and np.array_equal(_clip(x0, bounds), x0)):
         raise ValueError("x0 must be finite and inside the bounds")
-    options = {
-        "maxcor": MEMORY_PAIRS, "ftol": RELATIVE_COST_TOLERANCE, "gtol": GRADIENT_TOLERANCE,
-        "maxiter": config.max_iterations,
-    }
-
     objective = _Objective(cost_and_grad)
     report = objective.report
     objective.accept(x0)
@@ -194,9 +220,19 @@ def minimize(
 
     res = None
     if x0.size and report.cost_trace[-1] >= config.tolerance:
+        kappa = _first_step_scale(report.cost_trace[-1], objective.best_gradient, bounds)
+
+        def scaled(x):
+            f, g = objective(x)
+            return kappa * f, kappa * g
+
+        options = {
+            "maxcor": MEMORY_PAIRS, "ftol": RELATIVE_COST_TOLERANCE,
+            "gtol": GRADIENT_TOLERANCE * kappa, "maxiter": config.max_iterations,
+        }
         res = _scipy_minimize(
-            objective, x0, jac=True, method="L-BFGS-B", callback=callback,
-            bounds=None if bounds is None else [bounds] * x0.size, options=options,
+            scaled, x0, jac=True, method="L-BFGS-B", callback=callback,
+            bounds=None if bounds is None else Bounds(*bounds), options=options,
         )
 
     if report.cost_trace[-1] < config.tolerance:

@@ -22,7 +22,9 @@ factor dt Im(weight A).
 
 Every pass over the operators reads only the model's ``pattern``, the
 union of the nonzeros of the drift and of every control with each
-operator's values there, never the dense operators.  A dense model has all
+operator's values there, never the dense operators.  What depends on the
+operators alone, their norms and the real kernel's form, the model derives
+from it once (``operator_norms``, ``spin_form``).  A dense model has all
 d^2 entries on it; the qubit chain's single-qubit drives and couplings
 leave 544 of 4096 at 6 qubits and 2944 of 65536 at 8.
 
@@ -426,7 +428,7 @@ def segment_unitaries(model: SystemModel, pulses: PulseSequence) -> np.ndarray:
     unit roundoff, which is of order theta_k u: a few u at theta_k ~ 1, and
     about 1e-11 at the laboratory-frame scale theta_k ~ 1e4.
 
-    The real kernel takes every model that ``_spin_form`` accepts: a real
+    The real kernel takes every model that has a ``spin_form``: a real
     diagonal drift D, and controls that each drive one spin, as ``build_nmr``
     gives for any sample, restriction or frozen spins.  With the drive phases
     rotated out, H_k = P_k R_k P_k† for a diagonal P_k and a real symmetric
@@ -460,7 +462,7 @@ def segment_unitaries(model: SystemModel, pulses: PulseSequence) -> np.ndarray:
     into U once the call has returned or raised.
     """
     scale = _SIGN_FACTOR[pulses.sign] * pulses.grid.dt
-    form = _spin_form(model)
+    form = model.spin_form
     if form is None:
         degree, squarings = _scaling_plan(_norm_bounds(model, pulses))
         u_t = segment_hamiltonians(model, pulses.amplitudes).transpose(0, 2, 1)
@@ -603,43 +605,8 @@ def _expm_taylor(h: np.ndarray, scale: float, squarings: np.ndarray, degree: int
         h[...] = result
 
 
-def _spin_form(model: SystemModel) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
-    """(diagonal, bits, drive, z) when every H_k is P_k R_k P_k† with R_k real, else None.
-
-    That holds when, on the model's ``pattern``, the drift is real and
-    diagonal, and each control a, for one bit b of the basis index, holds
-    z_a at every (i, i ^ b) with bit b of i clear, conj(z_a) at every one
-    with it set, and nothing else: a drive on one spin, z = pi for pi X,
-    -i pi for pi Y and i for the chain's i(a - a†).  ``bits`` lists the
-    distinct bits and ``drive[a]`` indexes control a's bit there.  The check
-    is exact, so a model that is not of this form takes the complex kernel,
-    whatever its platform.
-    """
-    rows, cols, drift, controls = model.pattern
-    d = model.dim
-    on_diagonal = rows == cols
-    if d & (d - 1) or drift[~on_diagonal].any() or drift.imag.any():
-        return None
-    flips, z = [], []
-    for values in controls:
-        nonzero = values != 0
-        flip = rows[nonzero] ^ cols[nonzero]
-        bit = int(flip[0]) if len(flip) == d else 0
-        if not bit or bit & (bit - 1) or (flip != bit).any():
-            return None
-        values, low = values[nonzero], (rows[nonzero] & bit) == 0
-        if (values[low] != values[low][0]).any() or (values[~low] != values[low][0].conj()).any():
-            return None
-        flips.append(bit)
-        z.append(values[low][0])
-    diagonal = np.zeros(d)
-    diagonal[rows[on_diagonal]] = drift[on_diagonal].real
-    bits, drive = np.unique(np.array(flips, dtype=np.int64), return_inverse=True)
-    return diagonal, bits, drive.reshape(-1), np.array(z, dtype=complex)
-
-
 def _spin_fill(form, pulses: PulseSequence, scale: float):
-    """(U^T buffer, chunk filler) of the real kernel, for a model of ``_spin_form``.
+    """(U^T buffer, chunk filler) of the real kernel, for a model's ``spin_form``.
 
     The controls on bit b add up to w_b = sum_a u_a z_a = r_b e^(-i phi_b)
     above the diagonal of X_b's pattern and conj(w_b) below it.  So
@@ -653,7 +620,7 @@ def _spin_fill(form, pulses: PulseSequence, scale: float):
     into U, and the phases turn it into U_k^T = conj(P_k) exp(i scale R_k) P_k,
     R_k being symmetric.
     """
-    diagonal, bits, drive, z = form
+    diagonal, bits, drive, z, basis = form
     amps = pulses.amplitudes
     k, d = len(amps), len(diagonal)
     w = np.zeros((k, len(bits)), dtype=complex)
@@ -664,12 +631,6 @@ def _spin_fill(form, pulses: PulseSequence, scale: float):
     theta = pulses.grid.dt * (np.abs(diagonal).max() + r.sum(axis=1))
     halvings = _halvings(theta, _COS_SIN_REACH)
     coef = np.column_stack([np.ones(k), r]) * (scale * np.ldexp(1.0, -halvings))[:, None]
-    index = np.arange(d)
-    basis = np.zeros((1 + len(bits), d, d))
-    basis[0, index, index] = diagonal
-    for j, bit in enumerate(bits):
-        basis[1 + j, index, index ^ bit] = 1.0
-    basis = basis.reshape(len(basis), -1)
     phase = _drive_phases(turn, bits, d)
     u_t = np.empty((k, d, d), dtype=complex)
 
@@ -746,13 +707,9 @@ def _expm_cos_sin(y: np.ndarray, halvings: np.ndarray, out: np.ndarray) -> None:
 
 
 def _norm_bounds(model: SystemModel, pulses: PulseSequence) -> np.ndarray:
-    """theta_k = dt (||H_drift||_1 + sum_a |u_a(k)| ||H_a||_1) >= dt ||H_k||, per segment.
-
-    Column sums of the pattern values add in row order, as over a dense column: the same bits.
-    """
-    _, cols, drift, controls = model.pattern
-    norms = [np.bincount(cols, np.abs(v), minlength=model.dim).max() for v in (drift, *controls)]
-    return pulses.grid.dt * (norms[0] + np.abs(pulses.amplitudes) @ np.array(norms[1:]))
+    """theta_k = dt (||H_drift||_1 + sum_a |u_a(k)| ||H_a||_1) >= dt ||H_k||, per segment."""
+    drift, controls = model.operator_norms
+    return pulses.grid.dt * (drift + np.abs(pulses.amplitudes) @ controls)
 
 
 def _taylor_plan(model: SystemModel, pulses: PulseSequence) -> tuple[np.ndarray, np.ndarray]:

@@ -249,6 +249,39 @@ class TestSystemModel:
         rows, cols, drift, _ = dataclasses.replace(built, drift=np.zeros((4, 4))).pattern
         assert len(rows) < len(pattern[0]) and np.all(rows != cols) and not drift.any()
 
+    @pytest.mark.parametrize("spins", [True, False], ids=["nmr4", "coupled-sc3"])
+    def test_derived_forms_built_once_read_only_and_equal_to_the_dense_operators(self, spins):
+        registry = sample_registry()
+        model = (
+            build_nmr(registry.get("iodotrifluoroethylene")) if spins
+            else build_sc(registry.get("sc-chain-12"), sites=range(3))
+        )
+        norms, form = model.operator_norms, model.spin_form
+        assert model.operator_norms is norms and model.spin_form is form
+        assert not norms[1].flags.writeable
+        dense = [np.abs(op).sum(axis=0).max() for op in (model.drift, *model.control_stack)]
+        assert norms[0] == dense[0] and np.array_equal(norms[1], dense[1:])
+        if not spins:
+            assert form is None  # the couplings flip two bits at once
+            return
+        assert not any(array.flags.writeable for array in form)
+        diagonal, bits, drive, z, basis = form
+        assert np.array_equal(np.diag(model.drift).real, diagonal) and list(bits) == [1, 2, 4, 8]
+        d = model.dim
+        for a, (b, za) in enumerate(zip(drive, z)):
+            x_b = basis[1 + b].reshape(d, d)
+            upper = np.triu(x_b)
+            assert np.array_equal(model.control_stack[a], za * upper + np.conj(za) * upper.T)
+        assert np.array_equal(basis[0].reshape(d, d), np.diag(diagonal))
+
+    def test_copies_derive_their_own_forms(self):
+        built = build_nmr(two_spin_sample())
+        norms, form = built.operator_norms, built.spin_form
+        for model in (pickle.loads(pickle.dumps(built)), dataclasses.replace(built, coupling_mask=None)):
+            assert model.operator_norms[1] is not norms[1]
+            assert np.array_equal(model.operator_norms[1], norms[1])
+            assert all(a is not b and np.array_equal(a, b) for a, b in zip(model.spin_form, form))
+
     def test_models_built_separately_compare_unequal_and_hash(self):
         # Equal fields, but the arrays among them have no single truth value:
         # models compare and hash by identity.

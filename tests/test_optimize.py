@@ -5,8 +5,9 @@ import weakref
 import numpy as np
 import pytest
 
+from qoc import optimize
 from qoc.errors import ContractError, OptimizationError
-from qoc.optimize import OptimizerConfig, minimize
+from qoc.optimize import FIRST_STEP_CAP, GRADIENT_TOLERANCE, OptimizerConfig, minimize
 
 
 def quadratic_shifted(x):
@@ -264,6 +265,129 @@ class TestEvaluatedPoints:
             assert report.termination == "line-search-failure"
         else:
             assert x[0] == lo  # the bound is active at the returned point
+
+
+def recording(fn):
+    """fn, plus the list of (point, cost, gradient) of every call."""
+    calls = []
+
+    def recorded(x):
+        f, g = fn(x)
+        calls.append((x.copy(), f, g))
+        return f, g
+
+    return recorded, calls
+
+
+def flat_at_zero(x):
+    """(x.x - 1)^2, whose gradient vanishes at 0, which is no minimum."""
+    return float((x @ x - 1.0) ** 2), 4.0 * (x @ x - 1.0) * x
+
+
+def offset_quadratic(centre):
+    return lambda x: (float(np.sum((x - centre) ** 2)), 2.0 * (x - centre))
+
+
+class TestFirstStepScale:
+    # The backend sees kappa f and kappa g, kappa = min(f0 / |g0|_2^2,
+    # FIRST_STEP_CAP h / |g0|_inf) with h the box's half-width, so its first
+    # trial point is clip(x0 - kappa g0).  Everything reported stays in the
+    # callable's units.
+
+    @pytest.mark.parametrize(
+        "centre, x0, bounds, capped",
+        [
+            # Polyak's step would move x[1] by 0.5, a quarter of h = 2.  The
+            # first variable sits on its bound and its step is clipped.
+            ([-3.0, 1.0], [-2.0, 0.0], (-2.0, 2.0), True),
+            # Polyak's step moves 0.05, within 2% of h = 10: to halfway.
+            ([0.1, -0.05, 0.0], [0.0, 0.0, 0.0], (-10.0, 10.0), False),
+        ],
+        ids=["cap-binds", "polyak"],
+    )
+    def test_first_trial_point_is_the_scaled_projected_step(self, centre, x0, bounds, capped):
+        fn, calls = recording(offset_quadratic(np.array(centre)))
+        cfg = OptimizerConfig(tolerance=1e-30, max_iterations=20, bounds=bounds)
+        x0 = np.array(x0)
+        minimize(fn, x0, cfg)
+        _, f0, g0 = calls[0]
+        polyak = f0 / (g0 @ g0)
+        cap = FIRST_STEP_CAP * (bounds[1] - bounds[0]) / 2 / np.abs(g0).max()
+        assert (cap < polyak) == capped
+        want = np.clip(x0 - min(polyak, cap) * g0, *bounds)
+        assert np.array_equal(calls[0][0], x0)
+        np.testing.assert_allclose(calls[1][0], want, rtol=1e-12, atol=0.0)
+
+    def test_report_and_best_point_in_the_callables_units(self, monkeypatch):
+        kept = []
+
+        class Kept(optimize._Objective):
+            def __init__(self, fn):
+                super().__init__(fn)
+                kept.append(self)
+
+        monkeypatch.setattr(optimize, "_Objective", Kept)
+        fn, calls = recording(rosenbrock)
+        cfg = OptimizerConfig(tolerance=1e-30, max_iterations=60, bounds=(-2.0, 2.0))
+        x, report = minimize(fn, np.array([-1.2, 1.0]), cfg)
+        # kappa is 1.9e-4 here (the cap binds), so a scaled value would show.
+        returned = {f: g for _, f, g in calls}
+        assert len(report.cost_trace) > 10
+        for f, norm in zip(report.cost_trace, report.gradient_norm_trace):
+            assert f in returned and norm == np.abs(returned[f]).max()
+        at_best = [(f, g) for p, f, g in calls if np.array_equal(p, x)]
+        assert at_best and all(f == report.cost_trace[-1] for f, _ in at_best)
+        assert np.array_equal(kept[0].best_gradient, at_best[0][1])
+
+    def test_flat_gradient_stop_reads_the_callables_gradient(self):
+        # Boxed Rosenbrock from the usual start: kappa = 1.9e-4.  Unscaled,
+        # the backend's stop would come once |g|_inf fell below
+        # GRADIENT_TOLERANCE / kappa = 5.4e-6, at 1.4e-6 here.
+        cfg = OptimizerConfig(tolerance=1e-30, max_iterations=500, bounds=(-2.0, 2.0))
+        _, report = minimize(rosenbrock, np.array([-1.2, 1.0]), cfg)
+        norms = report.gradient_norm_trace
+        assert report.termination == "gradient"
+        assert norms[-1] <= GRADIENT_TOLERANCE < min(norms[:-1])
+
+    @pytest.mark.parametrize(
+        "fn, x0, bounds",
+        [
+            (rosenbrock, [-1.2, 1.0], None),
+            (quadratic_shifted, [0.0] * 4, None),
+            (flat_at_zero, [0.0] * 3, (-2.0, 2.0)),
+        ],
+        ids=["rosenbrock-no-box", "quadratic-no-box", "flat-start-in-box"],
+    )
+    def test_unit_scale_without_a_box_or_at_a_flat_start(self, fn, x0, bounds, monkeypatch):
+        cfg = OptimizerConfig(tolerance=1e-30, max_iterations=100, bounds=bounds)
+        recorded, calls = recording(fn)
+        x, report = minimize(recorded, np.array(x0), cfg)
+        # The same search in the backend's own units throughout.
+        monkeypatch.setattr(optimize, "_first_step_scale", lambda *args: 1.0)
+        recorded, unit_calls = recording(fn)
+        unit_x, unit_report = minimize(recorded, np.array(x0), cfg)
+        assert len(calls) == len(unit_calls)
+        assert all(np.array_equal(a[0], b[0]) for a, b in zip(calls, unit_calls))
+        assert np.array_equal(x, unit_x) and report.cost_trace == unit_report.cost_trace
+
+    @pytest.mark.parametrize(
+        "f0, g0, bounds, kappa",
+        [
+            (1.0, np.array([3.0, 4.0]), None, 1.0),
+            (1.0, np.zeros(2), (-1.0, 1.0), 1.0),
+            (0.0, np.array([3.0, 4.0]), (-1.0, 1.0), 1.0),
+            (-1.0, np.array([3.0, 4.0]), (-1.0, 1.0), 1.0),
+            (1.0, np.array([3.0, 4.0]), (0.5, 0.5), 1.0),
+            # |g0|^2 underflows to 0, so Polyak's step is infinite: the cap holds it.
+            (1.0, np.array([1e-200, 0.0]), (-1.0, 1.0), FIRST_STEP_CAP / 1e-200),
+            (1.0, np.array([3.0, 4.0]), (-1.0, 1.0), FIRST_STEP_CAP / 4.0),
+            (1e-4, np.array([3.0, 4.0]), (-1.0, 1.0), 1e-4 / 25.0),
+        ],
+        ids=["no-box", "flat", "zero-cost", "negative-cost", "point-box", "underflow",
+             "capped", "polyak"],
+    )
+    def test_scale_rule(self, f0, g0, bounds, kappa):
+        assert optimize._first_step_scale(f0, g0, bounds) == kappa
 
 
 class TestConfigValidation:

@@ -560,7 +560,7 @@ class TestRealKernel:
         # The chain's y drive is i(a - a†), the opposite sign of a spin's Y.
         sample = sample_registry().get("sc-chain-12")
         model = build_sc(sample, coupling_mask=[False, False], sites=range(3))
-        assert pulses._spin_form(model) is not None
+        assert model.spin_form is not None
         seq = toy_sequence(rng, model, 20, 0.5, SIGN_REVERSED)
         TestChunkedUnitaries.assert_accurate_and_unitary(model, seq)
 
@@ -582,7 +582,7 @@ class TestRealKernel:
         model, seq = catalogue_nmr(name, size, fraction, frame, sign)
         TestChunkedUnitaries.assert_accurate_and_unitary(model, seq)
         real = segment_unitaries(model, seq)
-        monkeypatch.setattr(pulses, "_spin_form", lambda model: None)
+        monkeypatch.setattr(SystemModel, "spin_form", property(lambda model: None))
         # The complex kernel squares 14 times at laboratory-frame shifts, so
         # the two agree to 1e-13 theta_k there, as each does with the oracle.
         bound = 1e-13 * np.maximum(1.0, pulses._norm_bounds(model, seq))
@@ -606,7 +606,7 @@ class TestRealKernel:
         # b, in ascending order, as doubling does: the same bits.  A frozen
         # spin's bit is driven by no control.
         model = make(sample_registry())
-        bits = pulses._spin_form(model)[1]
+        bits = model.spin_form[1]
         assert len(bits) == driven
         k, d = 1760, model.dim
         turn = np.exp(1j * rng.uniform(-np.pi, np.pi, (k, len(bits))))
@@ -963,6 +963,21 @@ class Untouchable:
 
 
 class TestPatternOnly:
+    def test_model_only_work_is_derived_once_per_model(self):
+        # The real kernel's form and basis and the operator norms are kept on
+        # the model: later fills and route plans never read the pattern again.
+        nmr = catalogue_nmr("iodotrifluoroethylene", 4, 0.1)
+        chain = catalogue_sc("sc-chain-12", 2, 0.1, frame=0.0)
+
+        def work():
+            plans = pulses._taylor_plan(*nmr), pulses._taylor_plan(*chain)
+            return [segment_unitaries(*nmr), *plans[0], *plans[1]]
+
+        want = work()
+        for model, _ in (nmr, chain):
+            object.__setattr__(model, "pattern", Untouchable())
+        assert all(np.array_equal(a, b) for a, b in zip(work(), want))
+
     @staticmethod
     def results(model, forward, reversed_, psi0, target):
         """Final state, forward states and U stack of propagate and of each gradient call."""
