@@ -34,14 +34,16 @@ and Hermitian at construction: the (d, d) ``drift`` and the (A, d, d)
 ``control_stack``, whose channel a is ``channel_labels[a]``.  Its
 ``pattern``, their nonzeros with each operator's values, is all the pulse
 engine reads, together with what the model derives from it once, on first
-use: ``operator_norms`` and ``spin_form``.  Each builder lists its drift
-terms and its x and y drives; ``_model`` forms each term as one Kronecker
-chain over sites, and embeds and labels both drives on every site.
+use: ``operator_norms``, ``drive_pairs``, ``driven_entries`` and
+``spin_form``.  Each builder lists its drift terms and its x and y drives;
+``_model`` forms each term as one Kronecker chain over sites, and embeds and
+labels both drives on every site.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import operator
@@ -229,8 +231,9 @@ class SystemModel:
     platform "nmr" or "sc".  ``coupling_mask``, when given, is kept as a
     tuple of one bool per boundary between neighbouring sites.  Arrays that
     are already complex128 are kept, not copied, and made read-only.
-    ``pattern`` is their sparse form, and ``operator_norms`` and
-    ``spin_form`` what the pulse engine derives from it once per model.
+    ``pattern`` is their sparse form, and ``operator_norms``,
+    ``drive_pairs``, ``driven_entries`` and ``spin_form`` what the pulse
+    engine derives from it once per model.
     """
 
     drift: np.ndarray
@@ -302,12 +305,56 @@ class SystemModel:
 
         Read from ``pattern``, built once, on first use.  Column sums of the
         pattern values add in row order, as over a dense column: the same bits.
+        The two controls of a ``drive_pairs`` pair have equal norms, and the
+        pulse engine's norm bound counts a pair's norm once, times
+        hypot(u_a, u_b), rather than each control's times |u|.
         """
         _, cols, drift, controls = self.pattern
         norms = [np.bincount(cols, np.abs(v), minlength=self.dim).max() for v in (drift, *controls)]
         control_norms = np.array(norms[1:])
         control_norms.flags.writeable = False
         return norms[0], control_norms
+
+    @cached_property
+    def drive_pairs(self) -> np.ndarray:
+        """Read-only (P, 2) channel indices (a, b), a < b, of the drive pairs.
+
+        Controls a and b pair when, at every ``pattern`` entry, control b's
+        value is +i or -i times control a's, so the two have the same
+        nonzeros; each control is in at most one pair, the first it forms.
+        Every entry of u_a H_a + u_b H_b then has modulus
+        hypot(u_a, u_b) |(H_a)_ij|, so that is its exact 1-norm.  A spin's or
+        a chain site's x and y drives pair.  The comparison is exact, as
+        multiplying by +-i is.  Built once, on first use.
+        """
+        controls = self.pattern[3]
+        pairs, paired = [], set()
+        for a, b in itertools.combinations(range(len(controls)), 2):
+            if a in paired or b in paired:
+                continue
+            turned = 1j * controls[a]
+            if np.all((controls[b] == turned) | (controls[b] == -turned)):
+                pairs.append((a, b))
+                paired.update((a, b))
+        pairs = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+        pairs.flags.writeable = False
+        return pairs
+
+    @cached_property
+    def driven_entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """(driven (nnz,) bool, control values (A, p) C-ordered), read-only.
+
+        ``driven`` marks the p ``pattern`` entries where some control is
+        nonzero, and the control values are the pattern's on them.  Only
+        the drift is nonzero on the others, so every H_k holds the drift's
+        values there.  Built once, on first use.
+        """
+        controls = self.pattern[3]
+        driven = (controls != 0).any(axis=0)
+        values = np.ascontiguousarray(controls[:, driven])
+        for array in (driven, values):
+            array.flags.writeable = False
+        return driven, values
 
     @cached_property
     def spin_form(self) -> tuple[np.ndarray, ...] | None:

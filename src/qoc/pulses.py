@@ -23,10 +23,12 @@ factor dt Im(weight A).
 Every pass over the operators reads only the model's ``pattern``, the
 union of the nonzeros of the drift and of every control with each
 operator's values there, never the dense operators.  What depends on the
-operators alone, their norms and the real kernel's form, the model derives
-from it once (``operator_norms``, ``spin_form``).  A dense model has all
-d^2 entries on it; the qubit chain's single-qubit drives and couplings
-leave 544 of 4096 at 6 qubits and 2944 of 65536 at 8.
+operators alone, the model derives from it once: their norms
+(``operator_norms``), the x/y drive pairs (``drive_pairs``), the entries
+that some control touches (``driven_entries``) and the real kernel's form
+(``spin_form``).  A dense model has all d^2 entries on it; the qubit
+chain's single-qubit drives and couplings leave 544 of 4096 at 6 qubits,
+384 of them driven, and 2944 of 65536 at 8.
 
 Routes
 ------
@@ -34,14 +36,22 @@ Routes
 call from its inputs; both give the same states to roundoff.  One loop,
 ``_sweep``, walks the segments forward or backward on either route.
 
-Both routes assemble H_k by ``_hamiltonian_chunks``, at O(A nnz) per
-segment for the nnz pattern entries: one real GEMM per block of segments
-computes H_k on the pattern, and the rest of each H_k stays zero.  The
-dense route's real kernel is the exception: it builds a real matrix per
+Both routes assemble H_k by ``_hamiltonian_chunks``, at O(A p) per segment
+for the p pattern entries that some control touches: one real GEMM per
+block of segments computes H_k there, the pattern's other entries hold the
+drift's values, written once per call, and the rest of each H_k stays zero.
+The dense route's real kernel is the exception: it builds a real matrix per
 segment itself.  Both routes truncate Taylor series under one rule.  The
-bound theta_k = dt (||H_drift||_1 + sum_a |u_a(k)| ||H_a||_1) >= dt ||H_k||_2
-scales each segment to a norm theta that degree m reaches, meaning that the
-leading tail term theta^(m+1) / (m+1)! is at most 2^-53.
+bound
+
+    theta_k = dt (||H_drift||_1 + sum_(a, b) hypot(u_a(k), u_b(k)) ||H_a||_1
+                  + sum_c |u_c(k)| ||H_c||_1) >= dt ||H_k||_1 >= dt ||H_k||_2,
+
+(a, b) running over the model's ``drive_pairs`` and c over the other
+controls, scales each segment to a norm theta that degree m reaches,
+meaning that the leading tail term theta^(m+1) / (m+1)! is at most 2^-53.
+A pair's term is the exact 1-norm of u_a H_a + u_b H_b, whose every entry
+has modulus hypot(u_a, u_b) |(H_a)_ij|.
 
 - Dense: ``segment_unitaries`` fills the stack of propagators by one of two
   kernels, chosen from the model's operators.  The real kernel takes a real
@@ -78,7 +88,7 @@ dt ||H_k|| ~ 1e-4 and 8 on the 6-qubit chain; the real kernel takes 9 real
 ones on the 4-spin NMR sample, each about a quarter of a complex one, and
 35 at laboratory-frame shifts.
 Small d, or a large dt ||H_k||, goes dense: the 4-spin NMR sample
-(d = 16) needs 50 to 70 matvecs per segment and sweep.  The qubit chain at
+(d = 16) needs 48 to 65 matvecs per segment and sweep.  The qubit chain at
 full-box amplitudes goes by action from d = 32 on.  The action route runs
 on the calling thread only.
 
@@ -92,20 +102,22 @@ by chunk in reverse.  Every chunked loop below cuts its segments by one
 rule, ``_chunk_bounds``: equal chunks, whatever W is, each holding within
 CHUNK_BYTES the one array a thread has in flight or, in the dense fill, a
 quarter of its work array.  No pass copies or gathers the operators: each
-reads the model's stored (A, nnz) control values, and assembly computes an
-(n, nnz) block of values at a time.  On the action route one chunk of H_k
-is in flight, in a buffer zeroed once per sweep and reused by every chunk,
-so a chunk is valid until the next one.  On the dense route each busy
-thread has one work array in flight.  The complex kernel's, beside U that
-first holds the H_k, has up to 9 complex (n, d, d) slots
-(``_TAYLOR_SLOTS``): the stacked powers of its chunk's X, their linear
-combinations and a spare for the squarings.  The real kernel's has 11 real
-slots (``_COS_SIN_SLOTS``), 88 bytes per matrix entry against 144: R_k,
-its powers and the six blocks of its Horner scheme, which then hold cos,
-sin and the double-angle steps; U is written once, from them.  The gradient
-contraction forms the products conj(bw_k[i]) fw_k[j] on the pattern for one
-chunk of segments at a time, an (n, nnz) array.  The transients of a call
-do not grow with K, and none outlive it.
+reads the (A, p) control values that the model stores on its p driven
+entries, and assembly computes an (n, p) block of values for n segments at
+a time.  On the action route one chunk of H_k is in flight, in a buffer
+that is zeroed, and given the drift's values on the pattern entries no
+control touches, once per sweep and reused by every chunk, so a chunk is
+valid until the next one.  On the dense route each busy thread has one
+work array in flight.  The complex kernel's, beside U that first holds the
+H_k, has up to 9 complex (n, d, d) slots (``_TAYLOR_SLOTS``): the stacked
+powers of its chunk's X, their linear combinations and a spare for the
+squarings.  The real kernel's has 11 real slots (``_COS_SIN_SLOTS``), 88
+bytes per matrix entry against 144: R_k, its powers and the six blocks of
+its Horner scheme, which then hold cos, sin and the double-angle steps; U
+is written once, from them.  The gradient contraction forms the products
+conj(bw_k[i]) fw_k[j] on the driven entries for one chunk of n segments at
+a time, an (n, p) array.  The transients of a call do not grow with K, and
+none outlive it.
 
 Parallelism
 -----------
@@ -369,33 +381,43 @@ def segment_hamiltonians(model: SystemModel, amplitudes: np.ndarray) -> np.ndarr
 def _hamiltonian_chunks(model: SystemModel, amplitudes: np.ndarray, chunks):
     """Yield (start, H_start ... H_stop-1) for each (start, stop) in ``chunks``.
 
-    Only the nnz entries on the model's ``pattern`` are computed.  Its stored
-    (A, nnz) control values, viewed as interleaved float64 (re, im) pairs so
-    that the real amplitudes are not promoted to complex, go into one real
-    GEMM per block of segments, plus the drift's values: O(A nnz) per
-    segment, in blocks of one ``_chunk_bounds`` cut for (nnz,) complex rows.
-    They are scattered into a buffer, zeroed once per call, that holds H_k^T
-    in C order, so each yielded H_k is Fortran-ordered, as zgemv takes it
-    without a copy.  The entries off the pattern never change, so every
-    chunk reuses that buffer: a yielded chunk is valid until the next one is
-    asked for.
+    Only the entries on the model's ``pattern`` are computed, into a buffer
+    that holds H_k^T in C order, so each yielded H_k is Fortran-ordered, as
+    zgemv takes it without a copy.  The buffer is zeroed once per call, and
+    the pattern entries that no control touches, where every H_k holds the
+    drift's value, are written into it once per call too.  The p entries
+    that some control touches (``driven_entries``) change with the
+    amplitudes: their (A, p) control values, viewed as interleaved float64
+    (re, im) pairs so that the real amplitudes are not promoted to complex,
+    go into one real GEMM per block of segments, plus the drift's values
+    if the drift is nonzero on any of them: O(A p) per segment, in blocks of
+    one ``_chunk_bounds`` cut for (p,) complex rows.  Each value is the same
+    length-A dot product plus drift as a GEMM over all the pattern entries
+    would give.  Every chunk reuses the buffer: a yielded chunk is valid
+    until the next one is asked for.
     """
     d = model.dim
-    rows, cols, drift, controls = model.pattern
+    rows, cols, drift, _ = model.pattern
+    driven, controls = model.driven_entries
     controls = controls.view(np.float64)
-    row_bytes = 16 * max(1, len(rows))
+    flat = cols * d + rows  # index of each pattern entry in a row of buf
+    driven_drift = drift[driven]
+    add_drift = driven_drift.any()
+    row_bytes = 16 * max(1, len(driven_drift))
     chunks = [(start, stop, _chunk_bounds(stop - start, row_bytes)) for start, stop in chunks]
     longest = max((stop - start for start, stop, _ in chunks), default=0)
     buf = np.zeros((longest, d * d), dtype=complex)
+    buf[:, flat[~driven]] = drift[~driven]
     block = max((b - a for _, _, blocks in chunks for a, b in blocks), default=0)
-    # Flat indices of a block's values in its rows of buf; a shorter block
-    # takes a prefix.
-    scatter = (np.arange(block)[:, None] * (d * d) + (cols * d + rows)).reshape(-1)
+    # Flat indices of a block's driven values in its rows of buf; a shorter
+    # block takes a prefix.
+    scatter = (np.arange(block)[:, None] * (d * d) + flat[driven]).reshape(-1)
     for start, stop, blocks in chunks:
         h_t = buf[: stop - start]
         for a, b in blocks:
             values = (amplitudes[start + a : start + b] @ controls).view(complex)
-            values += drift
+            if add_drift:
+                values += driven_drift
             h_t[a:b].reshape(-1)[scatter[: values.size]] = values.reshape(-1)
         yield start, h_t.reshape(-1, d, d).transpose(0, 2, 1)
 
@@ -437,8 +459,9 @@ def segment_unitaries(model: SystemModel, pulses: PulseSequence) -> np.ndarray:
     take 9 real d x d products, about the price of 2.25 complex ones, and
     each of the j_k double-angle steps 2 more (``_expm_cos_sin``).  The
     kernel's bound theta_k = dt (max |D| + sum_b r_b), the r_b being the
-    spins' drive amplitudes, is never above the complex kernel's, and its
-    reach is 2.57; laboratory-frame shifts take 13 steps.
+    spins' drive amplitudes, is never above the complex kernel's, and equals
+    it when each spin's x and y drives pair, as ``build_nmr`` gives; its
+    reach is 2.57, and laboratory-frame shifts take 13 steps.
 
     The complex kernel takes every other model, such as a coupled chain.  It
     evaluates the degree-m Taylor polynomial of 2^-j_k X_k by the schemes of
@@ -651,17 +674,20 @@ def _drive_phases(turn: np.ndarray, bits: np.ndarray, d: int) -> np.ndarray:
     Built by doubling, one bit b at a time in ascending order: the indices
     with bit b set take the phases of those below b times turn_b, so every
     product runs over its set bits in ascending order.  A bit that no
-    control drives copies them.
+    control drives copies them.  The phases are built in a C-ordered (d, K)
+    array, so that each doubling writes one contiguous block, and returned
+    as its (K, d) transpose.
     """
-    phase = np.empty((len(turn), d), dtype=complex)
-    phase[:, 0] = 1.0
+    phase = np.empty((d, len(turn)), dtype=complex)
+    phase[0] = 1.0
+    turn = turn.T
     column = {bit: j for j, bit in enumerate(bits.tolist())}
     for bit in (1 << i for i in range(d.bit_length() - 1)):
         if bit in column:
-            np.multiply(phase[:, :bit], turn[:, column[bit], None], out=phase[:, bit : 2 * bit])
+            np.multiply(phase[:bit], turn[column[bit]], out=phase[bit : 2 * bit])
         else:
-            phase[:, bit : 2 * bit] = phase[:, :bit]
-    return phase
+            phase[bit : 2 * bit] = phase[:bit]
+    return phase.T
 
 
 def _expm_cos_sin(y: np.ndarray, halvings: np.ndarray, out: np.ndarray) -> None:
@@ -707,9 +733,20 @@ def _expm_cos_sin(y: np.ndarray, halvings: np.ndarray, out: np.ndarray) -> None:
 
 
 def _norm_bounds(model: SystemModel, pulses: PulseSequence) -> np.ndarray:
-    """theta_k = dt (||H_drift||_1 + sum_a |u_a(k)| ||H_a||_1) >= dt ||H_k||, per segment."""
+    """theta_k of Routes, >= dt ||H_k||_1 >= dt ||H_k||_2, per segment.
+
+    Each of the model's ``drive_pairs`` (a, b) counts hypot(u_a, u_b) in
+    u_a's place and 0 in u_b's, as ||H_a||_1 = ||H_b||_1; every other control
+    counts |u_c|.  Without pairs this is dt (||H_drift||_1 +
+    sum_a |u_a(k)| ||H_a||_1), by the same GEMV.
+    """
     drift, controls = model.operator_norms
-    return pulses.grid.dt * (drift + np.abs(pulses.amplitudes) @ controls)
+    amps = pulses.amplitudes
+    magnitudes = np.abs(amps)
+    first, second = model.drive_pairs.T
+    magnitudes[:, first] = np.hypot(amps[:, first], amps[:, second])
+    magnitudes[:, second] = 0.0
+    return pulses.grid.dt * (drift + magnitudes @ controls)
 
 
 def _taylor_plan(model: SystemModel, pulses: PulseSequence) -> tuple[np.ndarray, np.ndarray]:
@@ -861,15 +898,18 @@ def ground_leakage(state: StateVector, frozen: Iterable[int]) -> float:
 
 
 def _gradient_terms(ws: Workspace, adjoint: np.ndarray) -> np.ndarray:
-    """A[k, a] = <bw_k| H_a |fw_k>, summed over the model's ``pattern`` only.
+    """A[k, a] = <bw_k| H_a |fw_k>, summed over the entries some control touches.
 
-    With (i, j) running over the nnz pattern entries, A[k, a] is the sum of
-    conj(bw_k[i]) fw_k[j] (H_a)_ij: the products of the gathered states form
-    an (n, nnz) array per ``_chunk_bounds`` chunk of segments, and one
-    (n, nnz) @ (nnz, A) GEMM against the controls' stored values contracts it.
+    With (i, j) running over the p ``driven_entries`` of the model's
+    pattern, the only entries where any (H_a)_ij is nonzero, A[k, a] is the
+    sum of conj(bw_k[i]) fw_k[j] (H_a)_ij: the products of the gathered
+    states form an (n, p) array per ``_chunk_bounds`` chunk of n segments,
+    and one (n, p) @ (p, A) GEMM against the controls' values contracts it.
     """
     model = ws.model
-    rows, cols, _, controls = model.pattern
+    rows, cols, _, _ = model.pattern
+    driven, controls = model.driven_entries
+    rows, cols = rows[driven], cols[driven]
     fw = ws.forward[1:]  # state after segment k, k = 1..K
     bw = ws.backward_adjoint(adjoint)
     terms = np.empty((len(fw), model.num_channels), dtype=complex)

@@ -277,10 +277,73 @@ class TestSystemModel:
     def test_copies_derive_their_own_forms(self):
         built = build_nmr(two_spin_sample())
         norms, form = built.operator_norms, built.spin_form
+        pairs, driven = built.drive_pairs, built.driven_entries
         for model in (pickle.loads(pickle.dumps(built)), dataclasses.replace(built, coupling_mask=None)):
             assert model.operator_norms[1] is not norms[1]
             assert np.array_equal(model.operator_norms[1], norms[1])
             assert all(a is not b and np.array_equal(a, b) for a, b in zip(model.spin_form, form))
+            assert model.drive_pairs is not pairs and np.array_equal(model.drive_pairs, pairs)
+            entries = model.driven_entries
+            assert all(a is not b and np.array_equal(a, b) for a, b in zip(entries, driven))
+
+    @pytest.mark.parametrize(
+        "build, pairs",
+        [
+            (lambda registry: build_sc(registry.get("sc-chain-12"), sites=range(6)), 6),
+            (lambda registry: build_sc(
+                dataclasses.replace(registry.get("sc-chain-12"), truncation=3), sites=range(2)
+            ), 2),
+            (lambda registry: build_nmr(registry.get("iodotrifluoroethylene")), 4),
+            (lambda registry: frozen_subsystem_hamiltonian(
+                registry.get("iodotrifluoroethylene"), [0]
+            ), 3),
+        ],
+        ids=["sc6", "sc2-three-level", "nmr4", "nmr4-frozen"],
+    )
+    def test_each_sites_x_and_y_drives_pair(self, build, pairs):
+        model = build(sample_registry())
+        found = model.drive_pairs
+        assert model.drive_pairs is found and not found.flags.writeable
+        assert found.tolist() == [[2 * j, 2 * j + 1] for j in range(pairs)]
+        for a, b in found:  # +-i times x's value at each entry, by the dense operators
+            x, y = model.control_stack[a], model.control_stack[b]
+            assert np.all((y == 1j * x) | (y == -1j * x))
+
+    @pytest.mark.parametrize("case", ["random", "y doubled", "y support differs"])
+    def test_other_controls_do_not_pair(self, case):
+        # The y drive of spin 0 is spoiled; spin 1's drives still pair.
+        model = build_nmr(two_spin_sample())
+        stack = model.control_stack.copy()
+        if case == "random":
+            rng = np.random.default_rng(4)
+            for a in range(2):
+                m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+                stack[a] = m + m.conj().T
+        elif case == "y doubled":
+            stack[1] *= 2.0
+        else:
+            stack[1, 0, 2] = stack[1, 2, 0] = 0.0  # spin 0 is the high bit
+        spoiled = SystemModel(model.drift, stack, model.channel_labels, model.site_dims, "nmr")
+        assert model.drive_pairs.tolist() == [[0, 1], [2, 3]]
+        assert spoiled.drive_pairs.tolist() == [[2, 3]]
+
+    @pytest.mark.parametrize("spins, driven, nnz", [(True, 64, 80), (False, 384, 544)],
+                             ids=["nmr4", "sc6-idle-0"])
+    def test_driven_entries_are_where_some_control_is_nonzero(self, spins, driven, nnz):
+        registry = sample_registry()
+        model = (
+            build_nmr(registry.get("iodotrifluoroethylene")) if spins
+            else build_sc(registry.get("sc-chain-12").with_idle_frequencies(0.0), sites=range(6))
+        )
+        rows, _, drift, controls = model.pattern
+        mask, values = model.driven_entries
+        assert model.driven_entries[0] is mask
+        assert not mask.flags.writeable and not values.flags.writeable
+        assert values.flags.c_contiguous
+        assert len(rows) == nnz and mask.sum() == driven
+        assert np.array_equal(values, controls[:, mask])
+        assert not controls[:, ~mask].any() and np.all(drift[~mask] != 0)
+        assert np.all((values != 0).any(axis=0))
 
     def test_models_built_separately_compare_unequal_and_hash(self):
         # Equal fields, but the arrays among them have no single truth value:

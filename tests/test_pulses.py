@@ -240,6 +240,9 @@ class TestSegmentHamiltonians:
     @staticmethod
     def pattern_model(rng, case):
         """A 5-site model whose operators' nonzeros are laid out as ``case`` says."""
+        if case == "chain":  # 6 sites: hops on the 160 entries that no drive touches
+            return build_sc(sample_registry().get("sc-chain-12").with_idle_frequencies(0.0),
+                            sites=range(6))
         toy = toy_model(rng, n_sites=5)
         drift, stack, labels = toy.drift, toy.control_stack, toy.channel_labels
         if case == "no controls":
@@ -255,7 +258,7 @@ class TestSegmentHamiltonians:
         return SystemModel(drift, stack, labels, toy.site_dims, "nmr")
 
     @pytest.mark.parametrize("segments", [1, 257])
-    @pytest.mark.parametrize("case", ["no controls", "all zero", "dense", "disjoint"])
+    @pytest.mark.parametrize("case", ["no controls", "all zero", "dense", "disjoint", "chain"])
     def test_equals_the_full_gemm_on_any_pattern(self, case, segments, rng):
         model = self.pattern_model(rng, case)
         d = model.dim
@@ -290,6 +293,72 @@ class TestSegmentHamiltonians:
         amps = rng.uniform(-2.0, 2.0, (5, model.num_channels))
         first = pulses.segment_hamiltonians(model, amps)
         assert not np.shares_memory(first, pulses.segment_hamiltonians(model, amps))
+
+
+class TestNormBounds:
+    @staticmethod
+    def case(name, fraction, sign):
+        """(model, first 200 segments of its seed-0 pulses over ``fraction`` of the box)."""
+        if name == "toy":
+            model = toy_model(np.random.default_rng(5), n_sites=3)
+            seq = toy_sequence(np.random.default_rng(6), model, 200, 0.3, sign, scale=fraction)
+            return model, seq
+        if name == "nmr4":
+            model, seq = catalogue_nmr("iodotrifluoroethylene", 4, fraction, sign=sign)
+        else:
+            sample = sample_registry().get("sc-chain-12").with_idle_frequencies(0.0)
+            if name == "sc2-three-level":
+                sample = replace(sample, truncation=3)
+            model = build_sc(sample, sites=range(int(name[2])))
+            dt = sample_registry().reference_schedule("sc", 6)["dt"]
+            seq = random_initial_pulses(
+                PulseGrid(dt, 200), model.channel_labels,
+                (-SC_AMPLITUDE_BOUND_RAD_PER_NS, SC_AMPLITUDE_BOUND_RAD_PER_NS), 0, sign,
+                fraction=fraction,
+            )
+        amps = seq.amplitudes[:200]
+        return model, PulseSequence(PulseGrid(seq.grid.dt, len(amps)), amps, seq.channels, sign)
+
+    @staticmethod
+    def norms(model, seq):
+        """dt ||H_k||_1 and dt ||H_k||_2 of each segment."""
+        h = pulses.segment_hamiltonians(model, seq.amplitudes)
+        one = np.abs(h).sum(axis=1).max(axis=1)
+        return seq.grid.dt * one, seq.grid.dt * np.linalg.norm(h, 2, axis=(1, 2))
+
+    @pytest.mark.parametrize("sign", [SIGN_FORWARD, SIGN_REVERSED])
+    @pytest.mark.parametrize("fraction", [0.1, 1.0])
+    @pytest.mark.parametrize("name", ["sc6", "sc2-three-level", "nmr4", "toy"])
+    def test_bound_holds_both_norms(self, name, fraction, sign):
+        # On sc6 and nmr4 every column of H_k carries every pair's full
+        # drive, so theta_k equals dt ||H_k||_1 in exact arithmetic (see
+        # below); a few ulps of roundoff may fall either way.
+        model, seq = self.case(name, fraction, sign)
+        theta = pulses._norm_bounds(model, seq)
+        one, two = self.norms(model, seq)
+        slack = 1 + 8 * np.finfo(float).eps
+        assert np.all(theta * slack >= one) and np.all(theta * slack >= two)
+
+    @pytest.mark.parametrize("fraction", [0.1, 1.0])
+    @pytest.mark.parametrize("name", ["sc6", "nmr4"])
+    def test_pairs_make_the_bound_the_exact_one_norm(self, name, fraction):
+        # |u_x| + |u_y| in place of hypot(u_x, u_y) would overshoot by up to 41%.
+        model, seq = self.case(name, fraction, SIGN_FORWARD)
+        one, _ = self.norms(model, seq)
+        assert np.abs(pulses._norm_bounds(model, seq) / one - 1).max() <= 1e-14
+
+    @pytest.mark.parametrize("name", ["toy", "sc6-y-doubled"])
+    def test_without_pairs_the_bound_sums_every_control(self, name):
+        if name == "toy":
+            model, seq = self.case("toy", 1.0, SIGN_FORWARD)
+        else:
+            sc6, seq = self.case("sc6", 1.0, SIGN_FORWARD)
+            stack = sc6.control_stack * np.array([1.0, 2.0] * 6)[:, None, None]
+            model = SystemModel(sc6.drift, stack, sc6.channel_labels, sc6.site_dims, "sc")
+        assert not len(model.drive_pairs)
+        drift, controls = model.operator_norms
+        want = seq.grid.dt * (drift + np.abs(seq.amplitudes) @ controls)
+        assert np.array_equal(pulses._norm_bounds(model, seq), want)
 
 
 class TestChunkedUnitaries:
@@ -402,10 +471,10 @@ class TestChunkedUnitaries:
     @pytest.mark.parametrize(
         "name, size, fraction, frame, degree, per_segment",
         [
-            ("bromotrifluorobenzene", 5, 0.1, None, 18, 16436 / 2400),
+            ("bromotrifluorobenzene", 5, 0.1, None, 18, 15273 / 2400),
             ("diethyl-fluoromalonate-2q", 2, 0.1, None, 18, 19),  # laboratory frame
-            ("diethyl-fluoromalonate-3q", 3, 0.1, 0.0, 8, 3.91),  # on resonance
-            ("sc-chain-12", 4, 1.0, 0.0, 8, 3.822),  # idle frequencies 0
+            ("diethyl-fluoromalonate-3q", 3, 0.1, 0.0, 8, 3.64),  # on resonance
+            ("sc-chain-12", 4, 1.0, 0.0, 8, 3.385),  # idle frequencies 0
             ("sc-chain-12", 6, 1.0, None, 18, 8),  # catalogue frequencies
         ],
         ids=["nmr5", "nmr2-laboratory", "nmr3-on-resonance", "sc4-idle-0", "sc6"],
