@@ -32,12 +32,13 @@ rejected when a sample is constructed.
 A ``SystemModel`` stores each operator once, read-only and checked finite
 and Hermitian at construction: the (d, d) ``drift`` and the (A, d, d)
 ``control_stack``, whose channel a is ``channel_labels[a]``.  Its
-``pattern``, their nonzeros with each operator's values, is all the pulse
-engine reads, together with what the model derives from it once, on first
-use: ``operator_norms``, ``drive_pairs``, ``driven_entries`` and
-``spin_form``.  Each builder lists its drift terms and its x and y drives;
-``_model`` forms each term as one Kronecker chain over sites, and embeds and
-labels both drives on every site.
+``pattern`` is their one sparse form: the union of their nonzeros, with the
+drift's values on all of them and the controls' on the driven ones, those
+where some control is nonzero.  It is all the pulse engine reads, together
+with what the model derives from it once, on first use: ``operator_norms``,
+``drive_pairs`` and ``spin_form``.  Each builder lists its drift terms and
+its x and y drives; ``_model`` forms each term as one Kronecker chain over
+sites, and embeds and labels both drives on every site.
 """
 
 from __future__ import annotations
@@ -231,9 +232,9 @@ class SystemModel:
     platform "nmr" or "sc".  ``coupling_mask``, when given, is kept as a
     tuple of one bool per boundary between neighbouring sites.  Arrays that
     are already complex128 are kept, not copied, and made read-only.
-    ``pattern`` is their sparse form, and ``operator_norms``,
-    ``drive_pairs``, ``driven_entries`` and ``spin_form`` what the pulse
-    engine derives from it once per model.
+    ``pattern`` is their one sparse form, the controls' values held on the
+    driven entries only, and ``operator_norms``, ``drive_pairs`` and
+    ``spin_form`` what the pulse engine derives from it once per model.
     """
 
     drift: np.ndarray
@@ -282,19 +283,25 @@ class SystemModel:
         return SystemModel, tuple(getattr(self, f.name) for f in dataclasses.fields(self))
 
     @cached_property
-    def pattern(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(rows, cols, drift values (nnz,), control values (A, nnz) C-ordered), read-only.
+    def pattern(self) -> tuple[np.ndarray, ...]:
+        """(rows, cols, drift values (nnz,), driven (nnz,) bool, control values
+        (A, p) C-ordered), read-only: the model's one sparse form.
 
         The entries where the drift or any control is nonzero, in the C order
-        of H^T, off which every H_k is zero.  Built once, on first use, with no
-        A d^2 temporary; a copy or an unpickled model builds its own.
+        of H^T, off which every H_k is zero.  ``driven`` marks the p of them
+        where some control is nonzero, and the control values are given on
+        those only: on the others every control is zero, so every H_k holds
+        the drift's value there, and a zero adds nothing to a norm, a pair
+        test or a contraction.  Built once, on first use, with no A d^2
+        temporary; a copy or an unpickled model builds its own.
         """
-        mask = self.drift.T != 0
+        touched = np.zeros(self.drift.shape, dtype=bool)
         for op in self.control_stack:
-            mask |= op.T != 0
-        cols, rows = np.nonzero(mask)
-        controls = np.ascontiguousarray(self.control_stack[:, rows, cols])
-        pattern = (rows, cols, self.drift[rows, cols], controls)
+            touched |= op.T != 0
+        cols, rows = np.nonzero(touched | (self.drift.T != 0))
+        driven = touched[cols, rows]
+        controls = np.ascontiguousarray(self.control_stack[:, rows[driven], cols[driven]])
+        pattern = (rows, cols, self.drift[rows, cols], driven, controls)
         for array in pattern:
             array.flags.writeable = False
         return pattern
@@ -309,25 +316,27 @@ class SystemModel:
         pulse engine's norm bound counts a pair's norm once, times
         hypot(u_a, u_b), rather than each control's times |u|.
         """
-        _, cols, drift, controls = self.pattern
-        norms = [np.bincount(cols, np.abs(v), minlength=self.dim).max() for v in (drift, *controls)]
-        control_norms = np.array(norms[1:])
+        _, cols, drift, driven, controls = self.pattern
+        driven_cols = cols[driven]
+        control_norms = np.array(
+            [np.bincount(driven_cols, np.abs(v), minlength=self.dim).max() for v in controls]
+        )
         control_norms.flags.writeable = False
-        return norms[0], control_norms
+        return np.bincount(cols, np.abs(drift), minlength=self.dim).max(), control_norms
 
     @cached_property
     def drive_pairs(self) -> np.ndarray:
         """Read-only (P, 2) channel indices (a, b), a < b, of the drive pairs.
 
-        Controls a and b pair when, at every ``pattern`` entry, control b's
-        value is +i or -i times control a's, so the two have the same
-        nonzeros; each control is in at most one pair, the first it forms.
-        Every entry of u_a H_a + u_b H_b then has modulus
+        Controls a and b pair when, at every driven ``pattern`` entry,
+        control b's value is +i or -i times control a's, so the two have the
+        same nonzeros; each control is in at most one pair, the first it
+        forms.  Every entry of u_a H_a + u_b H_b then has modulus
         hypot(u_a, u_b) |(H_a)_ij|, so that is its exact 1-norm.  A spin's or
         a chain site's x and y drives pair.  The comparison is exact, as
         multiplying by +-i is.  Built once, on first use.
         """
-        controls = self.pattern[3]
+        controls = self.pattern[4]
         pairs, paired = [], set()
         for a, b in itertools.combinations(range(len(controls)), 2):
             if a in paired or b in paired:
@@ -339,22 +348,6 @@ class SystemModel:
         pairs = np.array(pairs, dtype=np.intp).reshape(-1, 2)
         pairs.flags.writeable = False
         return pairs
-
-    @cached_property
-    def driven_entries(self) -> tuple[np.ndarray, np.ndarray]:
-        """(driven (nnz,) bool, control values (A, p) C-ordered), read-only.
-
-        ``driven`` marks the p ``pattern`` entries where some control is
-        nonzero, and the control values are the pattern's on them.  Only
-        the drift is nonzero on the others, so every H_k holds the drift's
-        values there.  Built once, on first use.
-        """
-        controls = self.pattern[3]
-        driven = (controls != 0).any(axis=0)
-        values = np.ascontiguousarray(controls[:, driven])
-        for array in (driven, values):
-            array.flags.writeable = False
-        return driven, values
 
     @cached_property
     def spin_form(self) -> tuple[np.ndarray, ...] | None:
@@ -373,19 +366,21 @@ class SystemModel:
         pulse engine's complex kernel, whatever its platform.  Built once,
         on first use.
         """
-        rows, cols, drift, controls = self.pattern
+        rows, cols, drift, driven, controls = self.pattern
         d = self.dim
         on_diagonal = rows == cols
         if d & (d - 1) or drift[~on_diagonal].any() or drift.imag.any():
             return None
+        driven_rows, driven_cols = rows[driven], cols[driven]
         flips, z = [], []
         for values in controls:
             nonzero = values != 0
-            flip = rows[nonzero] ^ cols[nonzero]
+            row = driven_rows[nonzero]
+            flip = row ^ driven_cols[nonzero]
             bit = int(flip[0]) if len(flip) == d else 0
             if not bit or bit & (bit - 1) or (flip != bit).any():
                 return None
-            values, low = values[nonzero], (rows[nonzero] & bit) == 0
+            values, low = values[nonzero], (row & bit) == 0
             z_a = values[low][0]
             if (values[low] != z_a).any() or (values[~low] != z_a.conj()).any():
                 return None

@@ -20,15 +20,16 @@ serves all three ``*_value_and_gradient`` functions: it checks the sign,
 calls ``propagate``, contracts A[k, a] = <bw_k| H_a |fw_k> and returns
 factor dt Im(weight A).
 
-Every pass over the operators reads only the model's ``pattern``, the
-union of the nonzeros of the drift and of every control with each
-operator's values there, never the dense operators.  What depends on the
-operators alone, the model derives from it once: their norms
-(``operator_norms``), the x/y drive pairs (``drive_pairs``), the entries
-that some control touches (``driven_entries``) and the real kernel's form
-(``spin_form``).  A dense model has all d^2 entries on it; the qubit
-chain's single-qubit drives and couplings leave 544 of 4096 at 6 qubits,
-384 of them driven, and 2944 of 65536 at 8.
+Every pass over the operators reads only the model's ``pattern``, its one
+sparse form, never the dense operators: the union of the nonzeros of the
+drift and of every control, the drift's values on all of them, a mask of
+the driven ones, where some control is nonzero, and the controls' values
+on those.  What depends on the operators alone, the model derives from it
+once: their norms (``operator_norms``), the x/y drive pairs
+(``drive_pairs``) and the real kernel's form (``spin_form``).  A dense
+model has all d^2 entries on it; the qubit chain's single-qubit drives and
+couplings leave 544 of 4096 at 6 qubits, 384 of them driven, and 2944 of
+65536 at 8.
 
 Routes
 ------
@@ -386,7 +387,7 @@ def _hamiltonian_chunks(model: SystemModel, amplitudes: np.ndarray, chunks):
     zgemv takes it without a copy.  The buffer is zeroed once per call, and
     the pattern entries that no control touches, where every H_k holds the
     drift's value, are written into it once per call too.  The p entries
-    that some control touches (``driven_entries``) change with the
+    that some control touches, the pattern's driven ones, change with the
     amplitudes: their (A, p) control values, viewed as interleaved float64
     (re, im) pairs so that the real amplitudes are not promoted to complex,
     go into one real GEMM per block of segments, plus the drift's values
@@ -397,8 +398,7 @@ def _hamiltonian_chunks(model: SystemModel, amplitudes: np.ndarray, chunks):
     until the next one is asked for.
     """
     d = model.dim
-    rows, cols, drift, _ = model.pattern
-    driven, controls = model.driven_entries
+    rows, cols, drift, driven, controls = model.pattern
     controls = controls.view(np.float64)
     flat = cols * d + rows  # index of each pattern entry in a row of buf
     driven_drift = drift[driven]
@@ -900,15 +900,14 @@ def ground_leakage(state: StateVector, frozen: Iterable[int]) -> float:
 def _gradient_terms(ws: Workspace, adjoint: np.ndarray) -> np.ndarray:
     """A[k, a] = <bw_k| H_a |fw_k>, summed over the entries some control touches.
 
-    With (i, j) running over the p ``driven_entries`` of the model's
-    pattern, the only entries where any (H_a)_ij is nonzero, A[k, a] is the
-    sum of conj(bw_k[i]) fw_k[j] (H_a)_ij: the products of the gathered
-    states form an (n, p) array per ``_chunk_bounds`` chunk of n segments,
-    and one (n, p) @ (p, A) GEMM against the controls' values contracts it.
+    With (i, j) running over the p driven entries of the model's ``pattern``,
+    the only entries where any (H_a)_ij is nonzero, A[k, a] is the sum of
+    conj(bw_k[i]) fw_k[j] (H_a)_ij: the products of the gathered states form
+    an (n, p) array per ``_chunk_bounds`` chunk of n segments, and one
+    (n, p) @ (p, A) GEMM against the controls' values contracts it.
     """
     model = ws.model
-    rows, cols, _, _ = model.pattern
-    driven, controls = model.driven_entries
+    rows, cols, _, driven, controls = model.pattern
     rows, cols = rows[driven], cols[driven]
     fw = ws.forward[1:]  # state after segment k, k = 1..K
     bw = ws.backward_adjoint(adjoint)

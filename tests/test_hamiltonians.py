@@ -222,19 +222,36 @@ class TestSystemModel:
             assert np.array_equal(model.control_stack, built.control_stack)
             assert model.channel_labels == built.channel_labels
 
-    def test_pattern_built_once_read_only_and_equal_to_the_dense_operators(self):
-        model = build_sc(sample_registry().get("sc-chain-12"), sites=range(3))
+    @pytest.mark.parametrize(
+        "build, nnz, driven",
+        [
+            (lambda registry: build_nmr(registry.get("iodotrifluoroethylene")), 80, 64),
+            (lambda registry: build_sc(
+                registry.get("sc-chain-12").with_idle_frequencies(0.0), sites=range(6)
+            ), 544, 384),
+            # |000> has zero energy: one diagonal entry is off the pattern.
+            (lambda registry: build_sc(registry.get("sc-chain-12"), sites=range(3)), 39, 24),
+        ],
+        ids=["nmr4", "sc6-idle-0", "sc3"],
+    )
+    def test_pattern_built_once_read_only_and_equal_to_the_dense_operators(
+        self, build, nnz, driven
+    ):
+        model = build(sample_registry())
         pattern = model.pattern
         assert all(a is b for a, b in zip(model.pattern, pattern))
         assert not any(array.flags.writeable for array in pattern)
-        rows, cols, drift, controls = pattern
-        mask = (model.drift != 0) | (model.control_stack != 0).any(axis=0)
-        want_cols, want_rows = np.nonzero(mask.T)  # the C order of H^T
+        rows, cols, drift, mask, controls = pattern
+        touched = (model.control_stack != 0).any(axis=0)
+        want_cols, want_rows = np.nonzero(((model.drift != 0) | touched).T)  # the C order of H^T
         assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
-        assert len(rows) < model.dim**2
+        assert len(rows) == nnz < model.dim**2
         assert np.array_equal(drift, model.drift[rows, cols])
-        assert np.array_equal(controls, model.control_stack[:, rows, cols])
+        # The controls are given on the driven entries only, where some control is nonzero.
+        assert np.array_equal(mask, touched[rows, cols]) and mask.sum() == driven
+        assert np.array_equal(controls, model.control_stack[:, rows, cols][:, mask])
         assert controls.flags.c_contiguous
+        assert np.all(drift[~mask] != 0)
 
     def test_copies_build_their_own_pattern(self):
         built = build_nmr(two_spin_sample())
@@ -246,8 +263,9 @@ class TestSystemModel:
         ):
             assert all(a is not b and np.array_equal(a, b) for a, b in zip(model.pattern, pattern))
         # The two-spin drift is diagonal and the controls are zero on it.
-        rows, cols, drift, _ = dataclasses.replace(built, drift=np.zeros((4, 4))).pattern
+        rows, cols, drift, driven, _ = dataclasses.replace(built, drift=np.zeros((4, 4))).pattern
         assert len(rows) < len(pattern[0]) and np.all(rows != cols) and not drift.any()
+        assert driven.all()
 
     @pytest.mark.parametrize("spins", [True, False], ids=["nmr4", "coupled-sc3"])
     def test_derived_forms_built_once_read_only_and_equal_to_the_dense_operators(self, spins):
@@ -277,14 +295,12 @@ class TestSystemModel:
     def test_copies_derive_their_own_forms(self):
         built = build_nmr(two_spin_sample())
         norms, form = built.operator_norms, built.spin_form
-        pairs, driven = built.drive_pairs, built.driven_entries
+        pairs = built.drive_pairs
         for model in (pickle.loads(pickle.dumps(built)), dataclasses.replace(built, coupling_mask=None)):
             assert model.operator_norms[1] is not norms[1]
             assert np.array_equal(model.operator_norms[1], norms[1])
             assert all(a is not b and np.array_equal(a, b) for a, b in zip(model.spin_form, form))
             assert model.drive_pairs is not pairs and np.array_equal(model.drive_pairs, pairs)
-            entries = model.driven_entries
-            assert all(a is not b and np.array_equal(a, b) for a, b in zip(entries, driven))
 
     @pytest.mark.parametrize(
         "build, pairs",
@@ -326,24 +342,6 @@ class TestSystemModel:
         spoiled = SystemModel(model.drift, stack, model.channel_labels, model.site_dims, "nmr")
         assert model.drive_pairs.tolist() == [[0, 1], [2, 3]]
         assert spoiled.drive_pairs.tolist() == [[2, 3]]
-
-    @pytest.mark.parametrize("spins, driven, nnz", [(True, 64, 80), (False, 384, 544)],
-                             ids=["nmr4", "sc6-idle-0"])
-    def test_driven_entries_are_where_some_control_is_nonzero(self, spins, driven, nnz):
-        registry = sample_registry()
-        model = (
-            build_nmr(registry.get("iodotrifluoroethylene")) if spins
-            else build_sc(registry.get("sc-chain-12").with_idle_frequencies(0.0), sites=range(6))
-        )
-        rows, _, drift, controls = model.pattern
-        mask, values = model.driven_entries
-        assert model.driven_entries[0] is mask
-        assert not mask.flags.writeable and not values.flags.writeable
-        assert values.flags.c_contiguous
-        assert len(rows) == nnz and mask.sum() == driven
-        assert np.array_equal(values, controls[:, mask])
-        assert not controls[:, ~mask].any() and np.all(drift[~mask] != 0)
-        assert np.all((values != 0).any(axis=0))
 
     def test_models_built_separately_compare_unequal_and_hash(self):
         # Equal fields, but the arrays among them have no single truth value:

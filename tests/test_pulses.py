@@ -1091,7 +1091,8 @@ class TestChunkedContraction:
     @staticmethod
     def pattern_terms(model, fw, bw):
         """A[k, a] = sum over the pattern of conj(bw_k[i]) (H_a)_ij fw_k[j], all segments at once."""
-        rows, cols, _, controls = model.pattern
+        rows, cols = model.pattern[:2]
+        controls = np.ascontiguousarray(model.control_stack[:, rows, cols])
         return (bw[:, rows].conj() * fw[:, cols]) @ controls.T
 
     @pytest.mark.parametrize("sign", [SIGN_FORWARD, SIGN_REVERSED])
