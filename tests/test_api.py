@@ -128,3 +128,33 @@ def test_scipy_optimize_loads_only_when_a_search_runs():
     assert seen["termination"] == "tolerance"
     assert max(abs(v - 1.0) for v in seen["x"]) < 1e-5
     assert seen["after_minimize"] is True
+
+
+# Imports every qoc module, then scipy.linalg.blas; prints what it saw.
+_IMPORT_ONLY = """
+import importlib, json, sys
+for name in %r:
+    importlib.import_module("qoc." + name)
+seen = {"linalg": sorted(m for m in sys.modules if m.startswith("scipy.linalg")),
+        "version": sys.modules["scipy"].__version__}
+import qoc.pulses, scipy.linalg.blas
+seen["same_zgemv"] = qoc.pulses.zgemv is scipy.linalg.blas.zgemv
+print(json.dumps(seen))
+"""
+
+
+def test_scipy_linalg_stays_unloaded_after_import():
+    # pulses loads zgemv from scipy's BLAS extension, not through the
+    # scipy.linalg package, and leaves scipy itself loaded: the benchmark's
+    # environment() reads sys.modules["scipy"].__version__.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(qoc.__file__)))
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", _IMPORT_ONLY % (MODULES,)],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    seen = json.loads(out.splitlines()[-1])
+    assert seen["linalg"] == []
+    assert seen["version"] == importlib.import_module("scipy").__version__
+    assert seen["same_zgemv"] is True

@@ -1,5 +1,6 @@
 import math
 import multiprocessing
+import os
 import sys
 import threading
 import time
@@ -1013,6 +1014,48 @@ class TestSweepReference:
             patch.setattr(pulses, "zgemv", copying)
             got, _, ws = self.sweep(model, seq, psi0, backward)
         assert ws.plan is None and np.array_equal(got, want)
+
+
+class TestZgemvBinding:
+    """``pulses.zgemv`` is bound from scipy's ``_fblas`` extension without the
+    ``scipy.linalg`` package, or from ``scipy.linalg.blas`` where the
+    directory has no such file."""
+
+    @staticmethod
+    def extension_directory():
+        return os.path.dirname(sys.modules["scipy.linalg._fblas"].__file__)
+
+    def test_loader_falls_back_without_an_extension_file(self, tmp_path):
+        assert pulses._load_zgemv(str(tmp_path)) is zgemv
+
+    def test_loader_keeps_the_extension_that_scipy_registered(self):
+        registered = sys.modules["scipy.linalg._fblas"]
+        assert pulses._load_zgemv(self.extension_directory()) is zgemv
+        assert sys.modules["scipy.linalg._fblas"] is registered
+        assert pulses.zgemv is zgemv
+
+    @pytest.mark.parametrize("case", ["nmr4", "sc6-idle0"])
+    def test_results_are_bit_identical_on_either_path(self, case, tmp_path, rng):
+        # nmr4 sweeps dense, sc6 at idle 0 with full-box pulses by action.
+        if case == "nmr4":
+            model, seq = catalogue_nmr("iodotrifluoroethylene", 4, 1.0)
+        else:
+            model, seq = catalogue_sc("sc-chain-12", 6, 1.0, frame=0.0)
+        psi0 = ground_state(model.site_dims)
+        target = random_state(model.site_dims, rng)
+
+        def results():
+            final, ws = propagate(model, seq, psi0)
+            value, grad, _ = infidelity_value_and_gradient(model, seq, psi0, target)
+            return final.amplitudes, value, grad, ws.unitaries is None
+
+        want = results()
+        assert want[-1] == (case == "sc6-idle0")
+        for directory in (self.extension_directory(), str(tmp_path)):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(pulses, "zgemv", pulses._load_zgemv(directory))
+                got = results()
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 class Untouchable:
