@@ -25,29 +25,44 @@ pulse engines rely on:
 Every other stop, a failed line search included, is returned as data.  The
 start and each quasi-Newton iterate are accepted when their cost falls below
 the last accepted one; the last accepted point is returned, so
-``cost_trace[-1]`` is the cost there (the backend's ``res.fun``, after a
-line-search failure not always the cost at any point, is not read).  Its
-gradient is kept with it.  Besides that point, only the latest evaluation is
-remembered, in a memo.  The two answer the points the backend asks for again
-without running the callable: each iterate handed to the callback and, once
-a line search's trial steps shrink until they round back to its start, that
-start, which is the best point.
+``cost_trace[-1]`` is the cost there.  Its gradient is kept with it.
+Besides that point, only the latest evaluation is remembered, in a memo.
+The two answer the points the backend asks for again without running the
+callable: each new iterate and, once a line search's trial steps shrink
+until they round back to its start, that start, which is the best point.
+The callable gets a copy of each point, never the backend's work array.
 
-The search is deterministic given the same inputs.  The backend is imported
-on the first call of ``minimize``, not with this module, so a process that
-only propagates or takes gradients never loads ``scipy.optimize``.
+The search is deterministic given the same inputs.  The backend is scipy's
+compiled L-BFGS-B routine ``setulb``, which asks by reverse communication for
+the cost and gradient at a point (task FG) and reports each new iterate
+(NEW_X); ``_lbfgsb`` answers it with the arguments that
+``scipy.optimize.minimize(method="L-BFGS-B")`` passes, so the iterates are
+the same bit for bit.  ``setulb`` is loaded at import from the file of the
+extension ``scipy/optimize/_lbfgsb``, and ``zgemv`` for the sweeps from
+``scipy/linalg/_fblas``, without either package's init, so a qoc process
+loads none of ``scipy.optimize``, ``scipy.linalg`` and ``scipy.sparse``
+(where scipy has no such file, the module is imported by name).  After
+numpy and ``import scipy``, a fresh process took a median 4 ms and 1.8 MB of
+peak RSS to load the ``_lbfgsb`` file, against 0.65 to 0.69 s and 48 MB for
+``import scipy.optimize`` (seven processes, three times, 2 shared x86-64
+cores, scipy 1.17.1).
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import numbers
 import operator
+import os
+import sys
 import time
 from dataclasses import asdict, dataclass, field
+from importlib.machinery import EXTENSION_SUFFIXES
 from typing import Callable, Sequence
 
 import numpy as np
+import scipy
 
 from .errors import ContractError, OptimizationError
 
@@ -61,6 +76,8 @@ TERMINATION_LINE_SEARCH = "line-search-failure"
 MEMORY_PAIRS = 10  # correction pairs the quasi-Newton backend keeps
 RELATIVE_COST_TOLERANCE = 0.0  # its relative cost-decrease stop, switched off
 GRADIENT_TOLERANCE = 1e-9  # its flat-gradient stop, on the largest projected component
+LINE_SEARCH_STEPS = 20  # trial steps per line search before it fails (scipy's maxls)
+MAX_EVALUATIONS = 15000  # evaluations after which an iteration ends the run (scipy's maxfun)
 # Largest move of the first trial point, as a fraction of the box's half-width.
 # Uncapped, the Polyak step moved at most 1.85% of it on the spin samples
 # (GRAPE on 3 and 4 spins and the 4-spin disentangling searches, seeds 0-4),
@@ -68,6 +85,48 @@ GRADIENT_TOLERANCE = 1e-9  # its flat-gradient stop, on the largest projected co
 # in the 6-qubit chain's first iGRAPE stage, which then ended 500 iterations
 # at 1.19e-5 instead of 4.16e-7 (seed 1).  So the cap binds on the chains only.
 FIRST_STEP_CAP = 0.02
+
+# setulb's task codes: task[0] is what it asks for, task[1] why it stopped.
+_NEW_X, _FG, _CONVERGENCE, _STOP, _ABNORMAL = 1, 3, 4, 5, 8
+_EVALUATION_LIMIT, _ITERATION_LIMIT, _HALT = 502, 504, 505
+# The report's message for each end of a search that is not the tolerance's;
+# setulb's own ends read as scipy words them.
+_MESSAGES = {
+    (_CONVERGENCE, 401): "CONVERGENCE: NORM OF PROJECTED GRADIENT <= PGTOL",
+    (_CONVERGENCE, 402): "CONVERGENCE: RELATIVE REDUCTION OF F <= FACTR*EPSMCH",
+    (_STOP, _ITERATION_LIMIT): "iteration budget exhausted",
+    (_STOP, _EVALUATION_LIMIT): "evaluation budget exhausted",
+    (_ABNORMAL, 0): "ABNORMAL: ",
+}
+
+
+def _load_extension(subpackage: str, stem: str):
+    """scipy's compiled extension ``scipy.<subpackage>.<stem>``, loaded from
+    its file without running the subpackage's init.
+
+    The module gets the name scipy gives it, so that a later import of the
+    subpackage finds it in the interpreter's extension cache.  Its init
+    registers it in ``sys.modules``; the entry is dropped again unless it was
+    there before, since its package is not loaded.  Without such a file the
+    module is imported by name, subpackage and all.
+    """
+    name = f"scipy.{subpackage}.{stem}"
+    for suffix in EXTENSION_SUFFIXES:
+        path = os.path.join(scipy.__path__[0], subpackage, stem + suffix)
+        if os.path.isfile(path):
+            break
+    else:
+        return importlib.import_module(name)
+    registered = name in sys.modules
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    if not registered:
+        sys.modules.pop(name, None)
+    return module
+
+
+setulb = _load_extension("optimize", "_lbfgsb").setulb
 
 
 def _box(bounds) -> tuple[float, float]:
@@ -111,9 +170,8 @@ class OptimizationReport:
     """Accepted-iterate traces, the work done and the reason the run stopped.
 
     ``cost_trace`` falls strictly, and its last entry is the cost at the
-    returned point; the backend's ``res.fun`` is not read.  ``evaluations``
-    counts calls of the cost-and-gradient callable; repeated points answered
-    from the memo are not counted.
+    returned point.  ``evaluations`` counts calls of the cost-and-gradient
+    callable; repeated points answered from the memo are not counted.
     """
 
     cost_trace: list[float] = field(default_factory=list)
@@ -152,7 +210,7 @@ class _Objective:
             return self.memo[1:]
         if self.best is not None and self.best.tobytes() == key:
             return self.report.cost_trace[-1], self.best_gradient
-        f, g = self.fn(x)
+        f, g = self.fn(x.copy())
         self.report.evaluations += 1
         g = np.asarray(g, dtype=np.float64).reshape(-1)
         if g.size != x.size:
@@ -194,17 +252,53 @@ def _first_step_scale(f0: float, g0: np.ndarray, bounds) -> float:
     return float(kappa) if 0.0 < kappa < math.inf else 1.0
 
 
+def _lbfgsb(
+    objective: _Objective, x0: np.ndarray, bounds, kappa: float, config: OptimizerConfig
+) -> tuple[int, int]:
+    """One L-BFGS-B run from x0 on kappa times ``objective``; its final task.
+
+    Every argument is the one ``scipy.optimize.minimize(method="L-BFGS-B")``
+    passes setulb for these options, and it stops where that does: after the
+    iteration that reaches the budget or takes more than MAX_EVALUATIONS
+    evaluations, here also once an accepted cost is below the tolerance.
+    """
+    n, m = x0.size, MEMORY_PAIRS
+    nbd = np.full(n, 0 if bounds is None else 2, dtype=np.int32)
+    lo, hi = (0.0, 0.0) if bounds is None else bounds
+    lower, upper = np.full(n, lo), np.full(n, hi)
+    x, f, g = x0.copy(), 0.0, np.zeros(n)
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, dtype=np.int32)
+    task, ln_task = np.zeros(2, dtype=np.int32), np.zeros(2, dtype=np.int32)
+    lsave, isave, dsave = np.zeros(4, np.int32), np.zeros(44, np.int32), np.zeros(29)
+    factr = RELATIVE_COST_TOLERANCE / np.finfo(float).eps
+    pgtol = GRADIENT_TOLERANCE * kappa
+    evaluations = 0
+    while True:
+        setulb(m, x, lower, upper, nbd, f, g, factr, pgtol, wa, iwa, task, lsave, isave,
+               dsave, LINE_SEARCH_STEPS, ln_task)
+        if task[0] == _FG:
+            f, g = objective(x)
+            f, g = kappa * f, kappa * g
+            evaluations += 1
+        elif task[0] == _NEW_X:
+            objective.report.iterations += 1
+            if objective.accept(x) < config.tolerance:
+                task[:] = _STOP, _HALT
+            elif objective.report.iterations >= config.max_iterations:
+                task[:] = _STOP, _ITERATION_LIMIT
+            elif evaluations > MAX_EVALUATIONS:
+                task[:] = _STOP, _EVALUATION_LIMIT
+        else:
+            return int(task[0]), int(task[1])
+
+
 def minimize(
     cost_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
     x0: Sequence[float],
     config: OptimizerConfig,
 ) -> tuple[np.ndarray, OptimizationReport]:
     """Minimize under box bounds; stop at tolerance, flat gradient, or budget."""
-    # Imported here, not at module level: after ``import qoc``, scipy.optimize
-    # and the scipy.linalg package it loads cost a fresh process about 0.4 s
-    # and 43 MB of peak RSS that propagation and gradients never use.
-    from scipy.optimize import Bounds, minimize as _scipy_minimize
-
     start = time.perf_counter()
     x0 = np.asarray(x0, dtype=np.float64).reshape(-1)
     bounds = config.bounds
@@ -214,42 +308,22 @@ def minimize(
     report = objective.report
     objective.accept(x0)
 
-    def callback(xk):
-        report.iterations += 1
-        if objective.accept(xk) < config.tolerance:
-            raise StopIteration
-
-    res = None
+    task = None
     if x0.size and report.cost_trace[-1] >= config.tolerance:
         kappa = _first_step_scale(report.cost_trace[-1], objective.best_gradient, bounds)
-
-        def scaled(x):
-            f, g = objective(x)
-            return kappa * f, kappa * g
-
-        options = {
-            "maxcor": MEMORY_PAIRS, "ftol": RELATIVE_COST_TOLERANCE,
-            "gtol": GRADIENT_TOLERANCE * kappa, "maxiter": config.max_iterations,
-        }
-        res = _scipy_minimize(
-            scaled, x0, jac=True, method="L-BFGS-B", callback=callback,
-            bounds=None if bounds is None else Bounds(*bounds), options=options,
-        )
+        task = _lbfgsb(objective, x0, bounds, kappa, config)
 
     if report.cost_trace[-1] < config.tolerance:
         report.termination, report.message = TERMINATION_TOLERANCE, "cost below tolerance"
         if len(report.cost_trace) == 1:
             report.message = "initial point already below tolerance"
-    elif not x0.size:
+    elif task is None:
         report.termination, report.message = TERMINATION_GRADIENT, "no free parameters"
-    elif res.status == 1:
-        report.termination, report.message = TERMINATION_MAX_ITER, "iteration budget exhausted"
-    elif res.status == 0:
-        # The backend's flat-gradient / flat-cost stop, short of the tolerance.
-        report.termination, report.message = TERMINATION_GRADIENT, str(res.message)
     else:
-        report.termination, report.message = TERMINATION_LINE_SEARCH, str(res.message)
+        report.termination = {_STOP: TERMINATION_MAX_ITER, _CONVERGENCE: TERMINATION_GRADIENT}.get(
+            task[0], TERMINATION_LINE_SEARCH
+        )
+        report.message = _MESSAGES.get(task, f"L-BFGS-B task {task[0]}, {task[1]}")
 
     report.wall_time = time.perf_counter() - start
     return _clip(objective.best, bounds), report
-

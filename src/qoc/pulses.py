@@ -98,8 +98,9 @@ compiled BLAS extension, ``scipy/linalg/_fblas``, and not through
 ``scipy.linalg.blas``, whose package init a sweep never needs: after numpy,
 a fresh process took a median 0.23 s and 28 MB of peak RSS for that import
 and 0.017 s and 4 MB for ``import scipy`` and the file (seven processes, 2
-shared x86-64 cores).  Where scipy has no such file, zgemv comes from
-``scipy.linalg.blas``; either way it is the function that
+shared x86-64 cores).  ``optimize._load_extension`` loads it, as it loads
+the search's L-BFGS-B routine; where scipy has no such file, it imports
+``scipy.linalg._fblas`` by name.  Either way zgemv is the function that
 ``scipy.linalg.blas.zgemv`` names.
 
 Memory
@@ -164,25 +165,21 @@ small GEMMs.
 
 from __future__ import annotations
 
-import importlib.util
 import math
 import operator
 import os
-import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from importlib.machinery import EXTENSION_SUFFIXES
 from types import MappingProxyType
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy
 
 from .errors import ContractError
 from .hamiltonians import SystemModel
 from .linalg import StateVector, _bipartition_matrix
-from .optimize import _box
+from .optimize import _box, _load_extension
 
 __all__ = [
     "SIGN_FORWARD",
@@ -293,35 +290,7 @@ _WORKERS = (
 )
 
 
-def _load_zgemv(directory: str):
-    """zgemv of the ``_fblas`` extension in ``directory``, scipy.linalg's BLAS.
-
-    The extension is loaded as ``scipy.linalg._fblas``, the name scipy gives
-    it, so that a later import of ``scipy.linalg`` finds it in the
-    interpreter's extension cache and gets the same function objects.  Its
-    init registers it in ``sys.modules``; the entry is dropped again unless
-    it was there before, since its package is not loaded.  Without such a
-    file, zgemv comes from ``scipy.linalg.blas``.
-    """
-    name = "scipy.linalg._fblas"
-    for suffix in EXTENSION_SUFFIXES:
-        path = os.path.join(directory, "_fblas" + suffix)
-        if os.path.isfile(path):
-            break
-    else:
-        from scipy.linalg.blas import zgemv
-
-        return zgemv
-    registered = name in sys.modules
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    if not registered:
-        sys.modules.pop(name, None)
-    return module.zgemv
-
-
-zgemv = _load_zgemv(importlib.util.find_spec("scipy.linalg").submodule_search_locations[0])
+zgemv = _load_extension("linalg", "_fblas").zgemv
 
 
 @dataclass(frozen=True)

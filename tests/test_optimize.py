@@ -171,17 +171,15 @@ class TestLineSearchFailure:
 
     @pytest.fixture
     def backend_runs(self, monkeypatch):
-        # minimize imports the backend when it is called, so this wraps it.
-        import scipy.optimize
-
+        # Each call of the driver is one backend run.
         runs = []
-        backend = scipy.optimize.minimize
+        backend = optimize._lbfgsb
 
         def counted(*args, **kwargs):
             runs.append(1)
             return backend(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.optimize, "minimize", counted)
+        monkeypatch.setattr(optimize, "_lbfgsb", counted)
         return runs
 
     # From -1.9 the descent direction reaches the box's edge after 0.1.
@@ -237,6 +235,111 @@ class TestLineSearchFailure:
         _, report = minimize(quadratic_shifted, np.array(x0), OptimizerConfig(tolerance=0.5))
         assert report.termination == "tolerance"
         assert backend_runs == runs
+
+
+def rosenbrock_chain(x):
+    """The 40-variable Rosenbrock chain when x has 40 elements."""
+    d = x[1:] - x[:-1] ** 2
+    g = np.zeros_like(x)
+    g[:-1] = -2.0 * (1.0 - x[:-1]) - 400.0 * x[:-1] * d
+    g[1:] += 200.0 * d
+    return float(np.sum((1.0 - x[:-1]) ** 2) + 100.0 * np.sum(d**2)), g
+
+
+CHAIN_START = np.tile([-1.2, 1.0], 20)
+
+
+def scipy_search(fn, x0, config):
+    """The search through ``scipy.optimize.minimize(method="L-BFGS-B")``:
+    the same kappa-scaled objective and options, with the tolerance stop in
+    a callback.  Returns its objective, which holds the record, and the result.
+    """
+    from scipy.optimize import Bounds, minimize as scipy_minimize
+
+    objective = optimize._Objective(fn)
+    report = objective.report
+    objective.accept(x0)
+    kappa = optimize._first_step_scale(report.cost_trace[-1], objective.best_gradient, config.bounds)
+
+    def scaled(x):
+        f, g = objective(x)
+        return kappa * f, kappa * g
+
+    def callback(xk):
+        report.iterations += 1
+        if objective.accept(xk) < config.tolerance:
+            raise StopIteration
+
+    options = {
+        "maxcor": optimize.MEMORY_PAIRS, "ftol": optimize.RELATIVE_COST_TOLERANCE,
+        "gtol": GRADIENT_TOLERANCE * kappa, "maxiter": config.max_iterations,
+        "maxls": optimize.LINE_SEARCH_STEPS, "maxfun": optimize.MAX_EVALUATIONS,
+    }
+    res = scipy_minimize(
+        scaled, x0, jac=True, method="L-BFGS-B", callback=callback, options=options,
+        bounds=None if config.bounds is None else Bounds(*config.bounds),
+    )
+    return objective, res
+
+
+class TestParityWithScipy:
+    # minimize drives scipy's setulb itself, so it must take the public
+    # solver's steps bit for bit on every scipy it runs with.
+
+    @pytest.mark.parametrize(
+        "fn, x0, config, termination",
+        [
+            (rosenbrock_chain, CHAIN_START,
+             OptimizerConfig(tolerance=1e-10, max_iterations=1000, bounds=(-2.0, 2.0)), "tolerance"),
+            (rosenbrock, [-1.2, 1.0], OptimizerConfig(tolerance=1e-30, max_iterations=400),
+             "gradient"),
+            (rosenbrock, [-1.2, 1.0],
+             OptimizerConfig(tolerance=1e-30, max_iterations=500, bounds=(-2.0, 2.0)), "gradient"),
+            (uphill, [0.0] * 3, OptimizerConfig(tolerance=1e-8, max_iterations=50, bounds=(-2.0, 2.0)),
+             "line-search-failure"),
+            (rosenbrock_chain, CHAIN_START,
+             OptimizerConfig(tolerance=1e-10, max_iterations=7, bounds=(-2.0, 2.0)), "max-iter"),
+        ],
+        ids=["chain-in-box", "no-box", "gradient-in-box", "uphill", "max-iter"],
+    )
+    def test_same_search_as_scipy_minimize(self, fn, x0, config, termination):
+        x0 = np.array(x0)
+        recorded, calls = recording(fn)
+        x, report = minimize(recorded, x0, config)
+        recorded, want_calls = recording(fn)
+        want, res = scipy_search(recorded, x0, config)
+        assert len(calls) == len(want_calls) == report.evaluations == want.report.evaluations
+        assert all(np.array_equal(a[0], b[0]) for a, b in zip(calls, want_calls))
+        assert np.array_equal(x, np.clip(want.best, *config.bounds or (-np.inf, np.inf)))
+        assert report.cost_trace == want.report.cost_trace
+        assert report.gradient_norm_trace == want.report.gradient_norm_trace
+        assert report.iterations == want.report.iterations == res.nit
+        assert report.termination == termination
+        if report.cost_trace[-1] >= config.tolerance:
+            mapped = {0: "gradient", 1: "max-iter"}.get(res.status, "line-search-failure")
+            assert mapped == termination
+        if termination in ("gradient", "line-search-failure"):
+            assert report.message == res.message
+
+    def test_callable_that_overwrites_its_point_leaves_the_search_unchanged(self):
+        config = OptimizerConfig(tolerance=1e-10, max_iterations=60, bounds=(-2.0, 2.0))
+        recorded, want_calls = recording(rosenbrock_chain)
+        want_x, want = minimize(recorded, CHAIN_START, config)
+        seen = []
+
+        def overwriting(x):
+            seen.append(x.copy())
+            f, g = rosenbrock_chain(x)
+            x[:] = 0.5  # inside the box
+            return f, g
+
+        x0 = CHAIN_START.copy()
+        x, report = minimize(overwriting, x0, config)
+        assert np.array_equal(x0, CHAIN_START)
+        assert len(seen) == len(want_calls) > 60
+        assert all(np.array_equal(a, b[0]) for a, b in zip(seen, want_calls))
+        assert np.array_equal(x, want_x) and report.cost_trace == want.cost_trace
+        assert report.iterations == want.iterations == 60
 
 
 class TestEvaluatedPoints:
@@ -442,15 +545,12 @@ class TestReport:
 
         def chained(x):
             alive.append(sum(ref() is not None for ref in returned))
-            d = x[1:] - x[:-1] ** 2
-            g = np.zeros_like(x)
-            g[:-1] = -2.0 * (1.0 - x[:-1]) - 400.0 * x[:-1] * d
-            g[1:] += 200.0 * d
+            f, g = rosenbrock_chain(x)
             returned.append(weakref.ref(g))
-            return float(np.sum((1.0 - x[:-1]) ** 2) + 100.0 * np.sum(d**2)), g
+            return f, g
 
         cfg = OptimizerConfig(tolerance=1e-10, max_iterations=1000, bounds=(-2.0, 2.0))
-        _, report = minimize(chained, np.tile([-1.2, 1.0], 20), cfg)
+        _, report = minimize(chained, CHAIN_START, cfg)
         assert report.termination == "tolerance"
         assert report.evaluations == len(alive) > 200
         assert max(alive) <= 2

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.linalg.blas import zgemv
 
-from qoc import pulses
+from qoc import optimize, pulses
 from qoc.errors import ContractError
 from qoc.hamiltonians import (
     NMR_AMPLITUDE_BOUND_HZ,
@@ -1016,26 +1016,42 @@ class TestSweepReference:
         assert ws.plan is None and np.array_equal(got, want)
 
 
-class TestZgemvBinding:
-    """``pulses.zgemv`` is bound from scipy's ``_fblas`` extension without the
-    ``scipy.linalg`` package, or from ``scipy.linalg.blas`` where the
-    directory has no such file."""
+class TestExtensionBinding:
+    """``optimize._load_extension`` loads scipy's compiled extensions from
+    their files without their packages, or imports them by name where there
+    is no such file; ``pulses.zgemv`` comes from ``_fblas`` and
+    ``optimize.setulb`` from ``_lbfgsb`` this way."""
 
     @staticmethod
-    def extension_directory():
-        return os.path.dirname(sys.modules["scipy.linalg._fblas"].__file__)
+    def no_extension_files(patch):
+        # No suffix matches, so the loader finds no file and imports by name.
+        patch.setattr(optimize, "EXTENSION_SUFFIXES", [])
 
-    def test_loader_falls_back_without_an_extension_file(self, tmp_path):
-        assert pulses._load_zgemv(str(tmp_path)) is zgemv
+    def test_loader_falls_back_without_an_extension_file(self):
+        with pytest.MonkeyPatch.context() as patch:
+            self.no_extension_files(patch)
+            fblas = optimize._load_extension("linalg", "_fblas")
+            lbfgsb = optimize._load_extension("optimize", "_lbfgsb")
+        assert fblas is sys.modules["scipy.linalg._fblas"] and fblas.zgemv is zgemv
+        assert lbfgsb is sys.modules["scipy.optimize._lbfgsb"]
+        assert lbfgsb.setulb is optimize.setulb
 
-    def test_loader_keeps_the_extension_that_scipy_registered(self):
-        registered = sys.modules["scipy.linalg._fblas"]
-        assert pulses._load_zgemv(self.extension_directory()) is zgemv
-        assert sys.modules["scipy.linalg._fblas"] is registered
+    @pytest.mark.parametrize(
+        "subpackage, stem, routine", [("linalg", "_fblas", "zgemv"), ("optimize", "_lbfgsb", "setulb")]
+    )
+    def test_loader_keeps_the_extension_that_scipy_registered(self, subpackage, stem, routine):
+        import scipy.optimize  # registers scipy.optimize._lbfgsb
+
+        name = f"scipy.{subpackage}.{stem}"
+        registered = sys.modules[name]
+        loaded = optimize._load_extension(subpackage, stem)
+        assert getattr(loaded, routine) is getattr(registered, routine)
+        assert sys.modules[name] is registered
         assert pulses.zgemv is zgemv
+        assert optimize.setulb is scipy.optimize._lbfgsb.setulb
 
     @pytest.mark.parametrize("case", ["nmr4", "sc6-idle0"])
-    def test_results_are_bit_identical_on_either_path(self, case, tmp_path, rng):
+    def test_results_are_bit_identical_on_either_path(self, case, rng):
         # nmr4 sweeps dense, sc6 at idle 0 with full-box pulses by action.
         if case == "nmr4":
             model, seq = catalogue_nmr("iodotrifluoroethylene", 4, 1.0)
@@ -1051,9 +1067,11 @@ class TestZgemvBinding:
 
         want = results()
         assert want[-1] == (case == "sc6-idle0")
-        for directory in (self.extension_directory(), str(tmp_path)):
+        for from_file in (True, False):
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(pulses, "zgemv", pulses._load_zgemv(directory))
+                if not from_file:
+                    self.no_extension_files(patch)
+                patch.setattr(pulses, "zgemv", optimize._load_extension("linalg", "_fblas").zgemv)
                 got = results()
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
