@@ -171,7 +171,7 @@ class TestLineSearchFailure:
 
     @pytest.fixture
     def backend_runs(self, monkeypatch):
-        # Each call of the driver is one backend run.
+        # Each call of _lbfgsb is one backend run.
         runs = []
         backend = optimize._lbfgsb
 
