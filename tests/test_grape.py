@@ -1,20 +1,20 @@
 import dataclasses
+import functools
 import json
+import logging
 import math
 
 import numpy as np
 import pytest
 
 from qoc import grape
-from qoc.grape import GrapeProblem, GrapeResult, run_grape
+from qoc.grape import GrapeProblem, GrapeResult, igrape_plan, run_grape
 from qoc.hamiltonians import (
     NMR_AMPLITUDE_BOUND_HZ,
     SC_AMPLITUDE_BOUND_RAD_PER_NS,
-    NmrSample,
     SystemModel,
     build_nmr,
     build_sc,
-    frozen_subsystem_hamiltonian,
     sample_registry,
 )
 from qoc.linalg import StateVector, _bipartition_matrix, ground_state
@@ -53,7 +53,7 @@ def test_records_with_arrays_compare_and_hash_by_identity():
         bounds=(-2e4, 2e4),
     )
     result = run_grape(problem)
-    pulses = result.pulses
+    ((_, pulses),) = result.preparation
     _, ws = propagate(model, pulses, ground_state((2,)))
     for first, second in (
         (ghz(2), ghz(2)),
@@ -127,9 +127,10 @@ class TestRunGrape:
         }[case]()
         result = run_grape(problem)
         assert result.converged
-        assert result.iterations == result.report.iterations
-        assert result.report.evaluations >= 1 and result.report.wall_time > 0
-        assert result.final_cost == result.report.cost_trace[-1]
+        (report,) = result.reports
+        assert result.iterations == report.iterations
+        assert report.evaluations >= 1 and report.wall_time > 0
+        assert result.final_cost == report.cost_trace[-1] == result.stage_costs[0]
 
     def test_single_qubit_flip(self):
         model = single_channel_qubit()
@@ -158,12 +159,14 @@ class TestRunGrape:
             seed=5,
         )
         result = run_grape(problem)
-        replayed, _ = propagate(model, result.pulses, ground_state((2,)))
+        ((played_on, pulses),) = result.preparation
+        assert played_on is model
+        replayed, _ = propagate(model, pulses, ground_state((2,)))
         replay_fidelity = 1.0 - state_infidelity(replayed, one)
         assert abs(replay_fidelity - result.fidelity) < 1e-10
         assert abs(result.fidelity - (1.0 - result.final_cost)) < 1e-12
 
-    def test_non_convergence_is_flagged_not_hidden(self):
+    def test_non_convergence_is_flagged_not_hidden(self, caplog):
         model = single_channel_qubit()
         one = StateVector(np.array([0, 1], dtype=complex), (2,))
         problem = GrapeProblem(
@@ -174,9 +177,16 @@ class TestRunGrape:
             bounds=(-2e4, 2e4),
             seed=3,
         )
-        result = run_grape(problem)
+        with caplog.at_level(logging.DEBUG, logger="qoc.grape"):
+            result = run_grape(problem)
         assert not result.converged
         assert result.final_cost >= 1e-12
+        # A one-stage plan names the platform and site count in place of a sample.
+        assert [(r.levelname, r.getMessage().split(":")[0]) for r in caplog.records] == [
+            ("DEBUG", "stage 1 of 1 (1-site nmr model)"),
+            ("INFO", "1-site nmr model"),
+        ]
+        assert "stage 1 of 1 ended at" in caplog.records[-1].getMessage()
 
     def test_bell_state_with_sufficient_coupling_budget(self):
         # C-F pair of the three-spin sample: |J| = 194.4 Hz over 3 ms gives
@@ -217,9 +227,9 @@ class TestRunGrape:
         )
         result = run_grape(problem)
         assert isinstance(result, GrapeResult)
-        for amps in [result.pulses.amplitudes, *seen]:
+        for amps in [result.preparation[0][1].amplitudes, *seen]:
             assert amps.min() >= 1.0 and amps.max() <= 2e4
-        assert len(seen) == result.report.evaluations > 0
+        assert len(seen) == result.reports[0].evaluations > 0
 
     def test_determinism_same_seed(self):
         model = single_channel_qubit()
@@ -233,8 +243,8 @@ class TestRunGrape:
         )
         a = run_grape(GrapeProblem(seed=7, **kwargs))
         b = run_grape(GrapeProblem(seed=7, **kwargs))
-        assert np.array_equal(a.pulses.amplitudes, b.pulses.amplitudes)
-        assert a.report.cost_trace == b.report.cost_trace
+        assert np.array_equal(a.preparation[0][1].amplitudes, b.preparation[0][1].amplitudes)
+        assert a.reports[0].cost_trace == b.reports[0].cost_trace
 
     def test_unnormalized_target_rejected(self):
         model = single_channel_qubit()
@@ -325,8 +335,8 @@ class TestRunGrape:
         )
         result = run_grape(problem)
         assert not result.converged and result.final_cost == 1.0
-        assert result.pulses.amplitudes.shape == (5, 0)
-        assert result.report.message == "no free parameters"
+        assert result.preparation[0][1].amplitudes.shape == (5, 0)
+        assert result.reports[0].message == "no free parameters"
 
     def test_conflicting_optimizer_bounds_rejected(self):
         kwargs = dict(
@@ -343,15 +353,113 @@ class TestRunGrape:
             assert run_grape(problem).converged
 
 
-def embedded(pulses, channels):
-    """``pulses`` on ``channels`` by label, with zero amplitude on the channels it lacks."""
-    amps = np.zeros((pulses.grid.segments, len(channels)))
-    amps[:, [channels.index(label) for label in pulses.channels]] = pulses.amplitudes
-    return dataclasses.replace(pulses, amplitudes=amps, channels=channels)
+@functools.cache
+def igrape_run(name, max_iterations, target="ghz"):
+    """(problem, result) of iGRAPE's default plan from |0...0> to GHZ, or to
+    ``pqc_state(PqcSpec(n, 3, 0))``, on a spin sample, seed 0, tolerance
+    1e-6; the 3-spin sample runs on resonance.
+    """
+    sample = sample_registry().get(name)
+    if name == "diethyl-fluoromalonate-3q":
+        sample = sample.with_shifts(0.0)
+    psi = ghz(sample.size) if target == "ghz" else pqc_state(PqcSpec(sample.size, 3, 0))
+    optimizer = OptimizerConfig(tolerance=1e-6, max_iterations=max_iterations)
+    problem = GrapeProblem(
+        build_nmr(sample), psi, None, optimizer,
+        (-NMR_AMPLITUDE_BOUND_HZ, NMR_AMPLITUDE_BOUND_HZ), plan=igrape_plan(sample, optimizer),
+    )
+    return problem, run_grape(problem)
+
+
+SPIN_SAMPLES = ["iodotrifluoroethylene", "diethyl-fluoromalonate-3q"]
+
+
+class TestIgrape:
+    @pytest.mark.parametrize("name", SPIN_SAMPLES)
+    def test_default_plan_reaches_the_tolerance(self, name):
+        problem, result = igrape_run(name, 500)
+        first, last = problem.resolved_plan.stages
+        assert list(first.frozen) == list(range(1, len(problem.model.site_dims)))
+        assert last.model.site_dims == (2,) and not last.frozen
+        schedule = sample_registry().reference_schedule("nmr", len(problem.model.site_dims))
+        assert [stage.grid.segments for stage in (first, last)] == schedule["igrape"]
+        shares = [stage.optimizer.tolerance for stage in (first, last)]
+        assert shares[0] == shares[1] and abs((1 - shares[0]) ** 2 - (1 - 1e-6)) < 1e-15
+        assert result.converged and result.final_cost < 1e-6
+        assert [r.termination for r in result.reports] == ["tolerance", "tolerance"]
+
+    def test_a_plan_that_cannot_converge_returns_every_record(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="qoc.grape"):
+            problem, result = igrape_run.__wrapped__("diethyl-fluoromalonate-3q", 2)
+        assert not result.converged and result.final_cost >= 1e-6
+        assert len(result.reports) == len(result.stage_costs) == len(result.preparation) == 2
+        assert all(r.iterations <= 2 and r.termination == "max-iter" for r in result.reports)
+        messages = [(r.levelname, r.getMessage()) for r in caplog.records]
+        assert [level for level, _ in messages] == ["DEBUG", "DEBUG", "INFO"]
+        for i, (_, message) in enumerate(messages[:2]):
+            assert message.startswith(f"stage {i + 1} of 2 (diethyl-fluoromalonate-3q): cost ")
+            assert message.endswith("after 2 iterations (max-iter)")
+        assert messages[2][1].startswith("diethyl-fluoromalonate-3q: preparation did not converge")
+        assert "stage 1 of 2 ended at" in messages[2][1]
+
+    def test_record_is_plain_json(self):
+        problem, result = igrape_run("diethyl-fluoromalonate-3q", 500)
+        record = result.to_dict()
+        assert json.loads(json.dumps(record)) == record
+        assert record["plan"]["sample"] == "diethyl-fluoromalonate-3q"
+        assert [stage["frozen"] for stage in record["plan"]["stages"]] == [[1, 2], []]
+        assert [stage["cost"] for stage in record["stages"]] == list(result.stage_costs)
+        assert record["stages"][0]["report"] == result.reports[0].to_dict()
+        assert (record["final_cost"], record["converged"], record["seed"]) == (
+            result.final_cost, True, 0,
+        )
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "other-sample", "other-shifts", "stage-0-model", "last-stage-freezes",
+            "first-freezes-all", "grid-and-plan", "neither-grid-nor-plan",
+        ],
+    )
+    def test_plan_that_does_not_fit_the_problem_rejected(self, case):
+        sample = sample_registry().get("diethyl-fluoromalonate-3q").with_shifts(0.0)
+        optimizer = OptimizerConfig(tolerance=1e-6)
+        plan = igrape_plan(sample, optimizer)
+        first, last = plan.stages
+        model, grid, match = build_nmr(sample), None, "stage"
+        if case == "other-sample":
+            model = build_nmr(sample_registry().get("iodotrifluoroethylene"))
+        elif case == "other-shifts":
+            # Same sites and channels, but spin 0 off resonance: stage 1 would
+            # search a Hamiltonian other than the one the preparation plays on.
+            model = build_nmr(sample_registry().get("diethyl-fluoromalonate-3q"))
+        elif case == "stage-0-model":
+            plan = dataclasses.replace(plan, stages=(dataclasses.replace(first, model=model), last))
+        elif case == "last-stage-freezes":
+            plan = dataclasses.replace(plan, stages=(first, dataclasses.replace(last, frozen=(0,))))
+        elif case == "first-freezes-all":
+            first = dataclasses.replace(first, frozen=(0, 1, 2))
+            plan = dataclasses.replace(plan, stages=(first, last))
+        elif case == "grid-and-plan":
+            grid, match = PulseGrid(5e-6, 10), "grid"
+        else:
+            plan, match = None, "grid"
+        with pytest.raises(ValueError, match=match):
+            GrapeProblem(model, ghz(len(model.site_dims)), grid, optimizer, (-1e4, 1e4), plan=plan)
+
+    @pytest.mark.parametrize("tolerance", [1.0, 2.0])
+    def test_tolerance_that_cannot_be_split_rejected(self, tolerance):
+        sample = sample_registry().get("iodotrifluoroethylene")
+        with pytest.raises(ValueError, match=f"tolerance below 1, got {tolerance}"):
+            igrape_plan(sample, OptimizerConfig(tolerance=tolerance))
+
+    def test_chain_sample_rejected(self):
+        with pytest.raises(TypeError, match="spin samples"):
+            igrape_plan(sample_registry().get("sc-chain-12"), OptimizerConfig())
 
 
 class TestStagedPlayOut:
-    """The identities that iGRAPE's honest play-out rests on, on random pulses.
+    """The identities that iGRAPE's honest play-out rests on.
 
     A disentangling stage drives the target to a state whose frozen block is
     near |0...0>; the last stage prepares that block's row on the sites left.
@@ -359,37 +467,47 @@ class TestStagedPlayOut:
     the earlier stages' reversed play order.
     """
 
-    @pytest.mark.parametrize("fraction", [0.1, 1.0])
-    @pytest.mark.parametrize("target", ["ghz", "pqc"])
-    def test_honest_cost_is_the_product_of_the_stage_costs(self, target, fraction, rng):
-        registry = sample_registry()
-        sample = registry.get("iodotrifluoroethylene")
-        full, frozen = build_nmr(sample), [1, 2, 3]
-        reduced = frozen_subsystem_hamiltonian(sample, frozen)
-        schedule = registry.reference_schedule("nmr", 4)
-        box = (-NMR_AMPLITUDE_BOUND_HZ, NMR_AMPLITUDE_BOUND_HZ)
-        psi = ghz(4) if target == "ghz" else pqc_state(PqcSpec(4, 3, 0))
+    @pytest.mark.parametrize(
+        "name, max_iterations, target",
+        [
+            *((name, cap, "ghz") for name in SPIN_SAMPLES for cap in (2, 500)),
+            ("iodotrifluoroethylene", 2, "pqc"),
+        ],
+    )
+    def test_honest_cost_is_the_product_of_the_stage_costs(self, name, max_iterations, target):
+        # A staged run of run_grape, checked against a play-out of its
+        # preparation and stage costs recomputed here.  A cap of 2 leaves
+        # each stage far from its share, so eps_0 eps_1 is far above the
+        # bound and a rule such as eps_0 + eps_1 would fail.
+        problem, result = igrape_run(name, max_iterations, target)
+        full, psi = problem.model, problem.target
+        first, last = problem.resolved_plan.stages
+        (played, last_pulses), (again, first_pulses) = result.preparation
+        assert played is again is full
 
-        first = random_initial_pulses(
-            PulseGrid(schedule["dt"], schedule["igrape"][0]), full.channel_labels, box, rng,
-            SIGN_REVERSED, fraction=fraction,
-        )
-        chi, _ = propagate(full, first, psi)
-        eps0 = ground_leakage(chi, frozen)
-        row = _bipartition_matrix(chi, frozen)[0][0]
-        phi = StateVector(row / np.linalg.norm(row), reduced.site_dims)
+        chi, _ = propagate(full, first_pulses.reversed_play_order(), psi)
+        eps0 = ground_leakage(chi, first.frozen)
+        row = _bipartition_matrix(chi, first.frozen)[0][0]
+        phi = StateVector(row / np.linalg.norm(row), last.model.site_dims)
 
-        last = random_initial_pulses(
-            PulseGrid(schedule["dt"], schedule["igrape"][1]), reduced.channel_labels, box, rng,
-            SIGN_FORWARD, fraction=fraction,
+        reduced = last.model.channel_labels
+        columns = [full.channel_labels.index(label) for label in reduced]
+        assert not np.delete(last_pulses.amplitudes, columns, axis=1).any()
+        on_reduced = dataclasses.replace(
+            last_pulses, amplitudes=last_pulses.amplitudes[:, columns], channels=reduced
         )
-        w, _ = propagate(reduced, last, ground_state(reduced.site_dims))
+        w, _ = propagate(last.model, on_reduced, ground_state(last.model.site_dims))
         eps1 = state_infidelity(w, phi)
+        assert np.allclose(result.stage_costs, (eps0, eps1), rtol=0.0, atol=1e-12)
 
-        mid, _ = propagate(full, embedded(last, full.channel_labels), ground_state(full.site_dims))
-        final, _ = propagate(full, first.reversed_play_order(), mid)
-        assert 0.0 < eps0 < 1.0 and 0.0 < eps1 < 1.0
-        assert abs(state_infidelity(final, psi) - (1 - (1 - eps0) * (1 - eps1))) < 1e-12
+        mid, _ = propagate(full, last_pulses, ground_state(full.site_dims))
+        final, _ = propagate(full, first_pulses, mid)
+        assert abs(result.final_cost - state_infidelity(final, psi)) < 1e-12
+        eps = result.stage_costs
+        assert abs(result.final_cost - (1 - (1 - eps[0]) * (1 - eps[1]))) < 1e-12
+        if max_iterations == 2:
+            assert 0.0 < eps0 < 1.0 and 0.0 < eps1 < 1.0
+            assert eps0 * eps1 > 1e-6
 
     @pytest.mark.parametrize("fraction", [0.1, 1.0])
     @pytest.mark.parametrize("sign", [SIGN_FORWARD, SIGN_REVERSED])
@@ -410,5 +528,5 @@ class TestStagedPlayOut:
         start = pqc_state(PqcSpec(3, 2, 1))
         want, _ = propagate(reduced, seq, start)
         frozen = ground_state((2,))
-        got, _ = propagate(full, embedded(seq, full.channel_labels), kron(frozen, start))
+        got, _ = propagate(full, grape._embedded(seq, full.channel_labels), kron(frozen, start))
         assert np.abs(got.amplitudes - kron(frozen, want).amplitudes).max() < 1e-12
