@@ -9,26 +9,27 @@ pulses it returns.  Only the cost, the sign and the start state differ.
 * A disentangling stage freezes some of the sites still active.  From phi,
   the target at stage 0, its reversed-sign pulses drive the ground leakage
   1 - <0...0| rho_frozen |0...0> down.  The normalised |0...0> row of the
-  frozen block of its fresh play-out, a state on the sites left, is the next
-  stage's phi.  Its model holds every site frozen so far in |0...0>
-  (``frozen_subsystem_hamiltonian``); stage 0's is the problem's model.
+  frozen block of its fresh play-out is the next stage's phi.
 * The last stage freezes nothing: the forward-sign transfer |0...0> -> phi.
-  GRAPE is the plan of this stage alone, on the problem's model, grid and
-  optimizer, and that is the default plan.
+  GRAPE is the plan of this stage alone, and that is the default plan.
 
-The preparation is then played out afresh on the full model from |0...0>:
-the last stage's pulses first, then each earlier stage's
-``reversed_play_order``, from the last of them back to the first, every
-sequence embedded in the full channel set by label with zeros on the frozen
-channels.  Its infidelity to the target is the reported cost.  With eps_i
-each disentangling stage's fresh leakage and the last stage's fresh
-infidelity, that cost is 1 - prod(1 - eps_i) up to roundoff: each
-projection drops exactly the part orthogonal to the frozen |0...0>, and on
-a spin sample, whose drift is diagonal, the full model acts on a frozen
-|0...0> block as the stage's reduced model does (``GrapeProblem`` rejects a
-stage model for which this fails).  So a plan whose stages all
-end below their share of the tolerance meets it, and the result records
-each stage's part of the error.
+Each stage searches how the problem's model acts on the block of states
+with the sites frozen so far in |0...0> (``_block``), and plays on a
+full-size model: its own, or the problem's.  That model must keep the block
+and act on it as searched (``_acts_as``).  A spin sample's drift is
+diagonal, so any block is kept.  A chain's hopping carries an excitation
+across a coupler into a frozen |0>, so its stages switch off every coupler
+next to a frozen site; the couplers left on are the block's own.
+
+The preparation is then played out afresh from |0...0>: the last stage's
+pulses, then each earlier stage's ``reversed_play_order`` back to the first,
+each on its stage's model with zeros on the channels it did not search.  Its
+infidelity to the target, the reported cost, is 1 - prod(1 - eps_i) up to
+roundoff, with eps_i each disentangling stage's fresh leakage and the last
+stage's fresh infidelity: each projection drops exactly the part orthogonal
+to the frozen |0...0>, and each model acts on its block as searched, up to a
+global phase.  So a plan whose stages all end below their share of the
+tolerance meets it, and the result records each stage's part of the error.
 
 Non-convergence is a first-class outcome recorded in the result, never an
 exception: benchmark sweeps need failed seeds as data.
@@ -42,10 +43,11 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
-from .hamiltonians import NmrSample, SystemModel, frozen_subsystem_hamiltonian, sample_registry
+from .hamiltonians import NmrSample, ScSample, SystemModel, build_sc, sample_registry
 from .linalg import StateVector, _bipartition_matrix, ground_state
 from .optimize import OptimizationReport, OptimizerConfig, _box, minimize
 from .pulses import (
@@ -70,11 +72,11 @@ __all__ = ["GrapeProblem", "GrapeResult", "Plan", "Stage", "igrape_plan", "run_g
 class Stage:
     """One search of a plan.
 
-    ``frozen`` lists the sites of the stage's model that it drives into
-    |0...0>; the last stage freezes none.  ``grid`` sets its segments and
-    ``optimizer`` its iteration cap and tolerance; the problem's box is its
-    box.  ``model`` holds the sites no earlier stage froze.  Stage 0 leaves
-    it None and runs on the problem's model.
+    ``frozen`` lists the sites it drives into |0...0>, indexed among the
+    sites no earlier stage froze; the last stage freezes none.  ``grid``
+    sets its segments and ``optimizer`` its iteration cap and tolerance;
+    the problem's box is its box.  ``model`` is the full-size model its
+    pulses are played on, None for the problem's model.
     """
 
     frozen: tuple[int, ...]
@@ -86,12 +88,14 @@ class Stage:
         object.__setattr__(self, "frozen", tuple(sorted({operator.index(s) for s in self.frozen})))
 
     def to_dict(self) -> dict:
+        mask = None if self.model is None else self.model.coupling_mask
         return {
             "frozen": list(self.frozen),
             "dt": self.grid.dt,
             "segments": self.grid.segments,
             "max_iterations": self.optimizer.max_iterations,
             "tolerance": self.optimizer.tolerance,
+            "coupling_mask": None if mask is None else list(mask),
         }
 
 
@@ -108,32 +112,45 @@ class Plan:
         return {"sample": self.sample, "stages": [stage.to_dict() for stage in self.stages]}
 
 
-def igrape_plan(sample: NmrSample, optimizer: OptimizerConfig) -> Plan:
-    """iGRAPE's default plan on a spin sample: stage 0 freezes every spin but
-    spin 0, and the last stage prepares spin 0.
+def igrape_plan(
+    sample: NmrSample | ScSample, optimizer: OptimizerConfig, sites: Sequence[int] | None = None
+) -> Plan:
+    """iGRAPE's default plan on a spin sample, or on the chain over ``sites``.
 
-    Segment counts and dt are the catalogue's ``igrape`` row for the
-    sample's size.  Each of the S stages stops after
-    ``optimizer.max_iterations`` or below 1 - (1 - tolerance)^(1/S), an even
-    split of the tolerance under the product rule.  The models of the
-    stages after stage 0 are built here, once.
+    A spin sample's stage 0 freezes every spin but spin 0, and its last stage
+    prepares spin 0, both on the problem's model: its diagonal drift keeps
+    any frozen block.  On a chain every stage but the last freezes its first
+    active site, and stage i >= 1 plays on the chain over ``sites`` with the
+    couplers of its first i sites off, so no hop leaves the frozen |0...0>.
+    A chain needs ``sites`` (a long chain's dense model does not fit in
+    memory) and a spin sample takes none.  Segment counts and dt are the
+    catalogue's ``igrape`` row.  Stage i stops after ``max_iterations`` or
+    below 1 - (1 - tolerance)^(d_i / sum(d)), d_i the dimension it searches:
+    these shares meet the tolerance, and the largest search gets the most.
     """
-    if not isinstance(sample, NmrSample):
-        raise TypeError(
-            f"iGRAPE plans are built for spin samples only, got {type(sample).__name__}"
-        )
     if optimizer.tolerance >= 1.0:
         raise ValueError(f"iGRAPE splits a tolerance below 1, got {optimizer.tolerance}")
-    schedule = sample_registry().reference_schedule("nmr", sample.size)
-    share = -math.expm1(math.log1p(-optimizer.tolerance) / len(schedule["igrape"]))
-    stage_optimizer = dataclasses.replace(optimizer, tolerance=share)
-    stages, frozen_so_far = [], []
-    for frozen, segments in zip((range(1, sample.size), ()), schedule["igrape"], strict=True):
-        model = frozen_subsystem_hamiltonian(sample, frozen_so_far) if frozen_so_far else None
+    spins = isinstance(sample, NmrSample)
+    if spins != (sites is None):
+        raise ValueError(f"a chain plan needs sites and a spin plan takes none, got {sites}")
+    n = sample.size if spins else len(sites)
+    schedule = sample_registry().reference_schedule("nmr" if spins else "sc", n)
+    count = len(schedule["igrape"])
+    if spins:
+        name, site_dim, frozen, models = sample.name, 2, [range(1, n), ()], [None, None]
+    else:
+        name = f"{sample.name}[{','.join(sample.labels[q] for q in sites)}]"
+        site_dim, frozen = sample.truncation, [(0,)] * (count - 1) + [()]
+        masks = [[b >= i for b in range(n - 1)] for i in range(1, count)]
+        models = [None, *(build_sc(sample, mask, sites) for mask in masks)]
+    dims = [site_dim ** (n - sum(map(len, frozen[:i]))) for i in range(count)]
+    stages, rows = [], zip(frozen, schedule["igrape"], models, dims, strict=True)
+    for stage_frozen, segments, model, dim in rows:
+        share = -math.expm1(math.log1p(-optimizer.tolerance) * dim / sum(dims))
+        stage_optimizer = dataclasses.replace(optimizer, tolerance=share)
         grid = PulseGrid(schedule["dt"], segments)
-        stages.append(Stage(tuple(frozen), grid, stage_optimizer, model))
-        frozen_so_far += frozen
-    return Plan(tuple(stages), sample.name)
+        stages.append(Stage(stage_frozen, grid, stage_optimizer, model))
+    return Plan(tuple(stages), name)
 
 
 def _boxed(optimizer: OptimizerConfig, box: tuple[float, float]) -> OptimizerConfig:
@@ -142,35 +159,47 @@ def _boxed(optimizer: OptimizerConfig, box: tuple[float, float]) -> OptimizerCon
     return dataclasses.replace(optimizer, bounds=box)
 
 
-def _acts_as(model: SystemModel, reduced: SystemModel, frozen: list[int]) -> bool:
-    """Whether ``model`` keeps the block of basis states with the ``frozen``
-    sites in |0> and acts on it as ``reduced`` does, by its drift and by
-    each of ``reduced``'s channels, matched by label: what the product
-    identity rests on.  Each operator may differ by a multiple of the
-    identity, such as a frozen spin's own shift, which only turns the
-    global phase.
-    """
-    dims = model.site_dims
-    labels = model.channel_labels
-    if reduced.site_dims != tuple(d for j, d in enumerate(dims) if j not in frozen):
-        return False
-    if not set(reduced.channel_labels) <= set(labels):
-        return False
+def _in_block(dims: tuple[int, ...], frozen: list[int]) -> np.ndarray:
+    """(d,) bool: the basis states with the ``frozen`` sites in |0>."""
     block = np.zeros(dims, dtype=bool)
     block[tuple(0 if j in frozen else slice(None) for j in range(len(dims)))] = True
-    block = block.reshape(-1)
-    channels = [labels.index(label) for label in reduced.channel_labels]
-    for full, small in zip(
-        [model.drift, *model.control_stack[channels]], [reduced.drift, *reduced.control_stack]
-    ):
-        scale = 1e-12 * np.abs(full).max(initial=0.0)
-        if full[np.ix_(~block, block)].any():
-            return False
-        offset = full[np.ix_(block, block)] - small
-        offset[np.diag_indices_from(offset)] -= np.trace(offset) / len(offset)
-        if not np.allclose(offset, 0.0, rtol=0.0, atol=scale):
-            return False
-    return True
+    return block.reshape(-1)
+
+
+def _block(model: SystemModel, frozen: list[int]) -> SystemModel:
+    """How ``model`` acts on the block of basis states with the ``frozen``
+    sites in |0>: its drift there less its trace, and the channels nonzero
+    there, on the other sites.  With nothing frozen, ``model`` itself.
+    """
+    if not frozen:
+        return model
+    block = _in_block(model.site_dims, frozen)
+    drift = model.drift[np.ix_(block, block)]
+    drift[np.diag_indices_from(drift)] -= np.trace(drift) / len(drift)
+    controls = model.control_stack[np.ix_(range(model.num_channels), block, block)]
+    keep = controls.any(axis=(1, 2))
+    labels = [label for label, kept in zip(model.channel_labels, keep) if kept]
+    dims = [d for j, d in enumerate(model.site_dims) if j not in frozen]
+    return SystemModel(drift, controls[keep], labels, dims, model.platform)
+
+
+def _acts_as(model: SystemModel, reduced: SystemModel, frozen: list[int]) -> bool:
+    """Whether ``model`` keeps the block of basis states with the ``frozen``
+    sites in |0> and acts on it as ``reduced`` does: ``_block`` finds the
+    same sites and channels, and each operator within 1e-12 of its largest
+    entry.  That is what the product identity rests on.
+    """
+    own, block = _block(model, frozen), _in_block(model.site_dims, frozen)
+    if (own.site_dims, own.channel_labels) != (reduced.site_dims, reduced.channel_labels):
+        return False
+    channels = [model.channel_labels.index(label) for label in own.channel_labels]
+    fulls = [model.drift, *model.control_stack[channels]]
+    mine, theirs = [own.drift, *own.control_stack], [reduced.drift, *reduced.control_stack]
+    return all(
+        not full[np.ix_(~block, block)].any()
+        and np.allclose(a, b, rtol=0.0, atol=1e-12 * np.abs(full).max(initial=0.0))
+        for full, a, b in zip(fulls, mine, theirs)
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,14 +207,13 @@ class GrapeProblem:
     """|0...0> -> ``target`` on ``model``, with every channel inside ``bounds``.
 
     With ``plan`` None the run is GRAPE: one stage on ``model``, ``grid``
-    and ``optimizer``.  A plan given in its place sets every stage's grid,
-    so ``grid`` must then be None.  Its stage 0 runs on ``model``, and each
-    later stage's model must be how ``model`` acts with the sites frozen so
-    far in |0...0>.  Whatever the plan, ``converged`` compares the honest
-    cost with ``optimizer.tolerance``; with a plan, that tolerance and the
-    box are all that is read of ``optimizer``.  ``bounds`` is a box as
-    ``OptimizerConfig.bounds`` takes, but not None; every stage's optimizer
-    bounds are None or equal to it.  ``seed`` draws every stage's start.
+    and ``optimizer``.  A plan given in its place sets every stage's grid
+    and model, so ``grid`` must then be None.  Whatever the plan,
+    ``converged`` compares the honest cost with ``optimizer.tolerance``;
+    with a plan, that tolerance and the box are all that is read of
+    ``optimizer``.  ``bounds`` is a box as ``OptimizerConfig.bounds`` takes,
+    but not None; every stage's optimizer bounds are None or equal to it.
+    ``seed`` draws every stage's start.
     """
 
     model: SystemModel
@@ -215,38 +243,31 @@ class GrapeProblem:
         self.resolved_plan  # checks the plan's stages
 
     @cached_property
-    def resolved_plan(self) -> Plan:
-        """The plan as it runs: GRAPE's one stage when ``plan`` is None, and
-        every stage on its model and in the box.
+    def resolved_plan(self) -> tuple[Plan, tuple[SystemModel, ...]]:
+        """(plan, searched): the plan as it runs, GRAPE's one stage when
+        ``plan`` is None and every stage in the box, and the model each stage
+        searches, ``model``'s ``_block`` with the sites frozen so far.
         """
         model = self.model
-        plan = self.plan or Plan(
-            (Stage((), self.grid, self.optimizer),),
-            f"{len(model.site_dims)}-site {model.platform} model",
-        )
-        active, frozen_so_far, stages = list(range(len(model.site_dims))), [], []
+        grape = Stage((), self.grid, self.optimizer)
+        plan = self.plan or Plan((grape,), f"{len(model.site_dims)}-site {model.platform} model")
+        frozen, stages, searched = [], [], []
         for i, stage in enumerate(plan.stages):
-            if (stage.model is None) != (i == 0):
-                raise ValueError(
-                    f"stage {i} model: stage 0 runs on the problem's model, every later stage"
-                    " on a model of its own"
-                )
-            if i and not _acts_as(model, stage.model, frozen_so_far):
-                raise ValueError(
-                    f"stage {i} model is not how the problem's model acts with sites"
-                    f" {frozen_so_far} in |0...0>"
-                )
+            active = [j for j in range(len(model.site_dims)) if j not in frozen]
+            reduced, played = _block(model, frozen), stage.model or model
+            if played is not reduced and not _acts_as(played, reduced, frozen):
+                raise ValueError(f"stage {i} model must act as the problem's with {frozen} in |0>")
             last = i == len(plan.stages) - 1
             if last == bool(stage.frozen) or not set(stage.frozen) < set(range(len(active))):
                 raise ValueError(
                     f"stage {i} freezes sites {list(stage.frozen)} of {len(active)}: every stage"
-                    " but the last must freeze some of its model's sites and leave one"
+                    " but the last must freeze some of the sites left and leave one"
                 )
-            frozen_so_far += [active[j] for j in stage.frozen]
-            active = [site for j, site in enumerate(active) if j not in stage.frozen]
+            frozen += [active[j] for j in stage.frozen]
             boxed = _boxed(stage.optimizer, self.bounds)
-            stages.append(dataclasses.replace(stage, model=stage.model or model, optimizer=boxed))
-        return dataclasses.replace(plan, stages=tuple(stages))
+            stages.append(dataclasses.replace(stage, optimizer=boxed))
+            searched.append(reduced)
+        return dataclasses.replace(plan, stages=tuple(stages)), tuple(searched)
 
 
 @dataclass(eq=False)
@@ -255,7 +276,7 @@ class GrapeResult:
 
     ``reports`` and ``stage_costs`` hold each stage's search record and its
     eps_i, the cost of its fresh play-out, in search order.  Played in
-    order from |0...0>, the ``preparation``'s (full model, pulses) pairs
+    order from |0...0>, the ``preparation``'s (stage's model, pulses) pairs
     prepare the target up to ``final_cost``.
     """
 
@@ -289,11 +310,10 @@ class GrapeResult:
         }
 
 
-def _search_stage(stage: Stage, cost, sign: str, initial: StateVector, spec, seed: int):
-    """(pulses, report, final state): one seeded search of ``cost`` from
-    ``initial``, and a fresh play-out of the pulses it returns.
+def _search_stage(model: SystemModel, stage: Stage, cost, sign: str, initial, spec, seed: int):
+    """(pulses, report, final state): one seeded search of ``cost`` on
+    ``model`` from ``initial``, and a fresh play-out of the pulses it returns.
     """
-    model = stage.model
     guess = random_initial_pulses(
         stage.grid, model.channel_labels, stage.optimizer.bounds, seed, sign
     )
@@ -319,37 +339,37 @@ def run_grape(problem: GrapeProblem) -> GrapeResult:
     """Run the problem's plan, then play the preparation out afresh; flag
     rather than hide failures.
     """
-    model, plan = problem.model, problem.resolved_plan
-    stages, total = plan.stages, len(plan.stages)
-    phi, searched, reports, costs = problem.target, [], [], []
-    for i, stage in enumerate(stages):
+    plan, searched = problem.resolved_plan
+    stages, total, seed = plan.stages, len(plan.stages), problem.seed
+    phi, found, reports, costs = problem.target, [], [], []
+    for i, (stage, model) in enumerate(zip(stages, searched)):
         frozen = stage.frozen
         if frozen:
             pulses, report, final = _search_stage(
-                stage, ground_leakage_value_and_gradient, SIGN_REVERSED, phi, frozen, problem.seed
+                model, stage, ground_leakage_value_and_gradient, SIGN_REVERSED, phi, frozen, seed
             )
             cost = ground_leakage(final, frozen)
             row = _bipartition_matrix(final, frozen)[0][0]
-            phi = StateVector(row / np.linalg.norm(row), stages[i + 1].model.site_dims)
+            phi = StateVector(row / np.linalg.norm(row), searched[i + 1].site_dims)
         else:
-            start = ground_state(stage.model.site_dims)
+            start = ground_state(model.site_dims)
             pulses, report, final = _search_stage(
-                stage, infidelity_value_and_gradient, SIGN_FORWARD, start, phi, problem.seed
+                model, stage, infidelity_value_and_gradient, SIGN_FORWARD, start, phi, seed
             )
             cost = state_infidelity(final, phi)
         logger.debug(
             "stage %d of %d (%s): cost %.3e after %d iterations (%s)",
             i + 1, total, plan.sample, cost, report.iterations, report.termination,
         )
-        searched.append(pulses)
+        played = stage.model or problem.model
+        found.append((played, _embedded(pulses, played.channel_labels)))
         reports.append(report)
         costs.append(float(cost))
 
-    labels = model.channel_labels
-    *earlier, last = [_embedded(pulses, labels) for pulses in searched]
-    sequences = [last, *(seq.reversed_play_order() for seq in reversed(earlier))]
-    state = ground_state(model.site_dims)
-    for seq in sequences:
+    *earlier, last = found
+    preparation = (last, *((model, seq.reversed_play_order()) for model, seq in reversed(earlier)))
+    state = ground_state(problem.model.site_dims)
+    for model, seq in preparation:
         state, _ = propagate(model, seq, state)
     final_cost = float(state_infidelity(state, problem.target))
     converged = final_cost < problem.optimizer.tolerance
@@ -368,8 +388,8 @@ def run_grape(problem: GrapeProblem) -> GrapeResult:
         plan=plan,
         reports=tuple(reports),
         stage_costs=tuple(costs),
-        preparation=tuple((model, seq) for seq in sequences),
+        preparation=preparation,
         final_cost=final_cost,
         converged=converged,
-        seed=problem.seed,
+        seed=seed,
     )

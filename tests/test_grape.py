@@ -15,6 +15,7 @@ from qoc.hamiltonians import (
     SystemModel,
     build_nmr,
     build_sc,
+    frozen_subsystem_hamiltonian,
     sample_registry,
 )
 from qoc.linalg import StateVector, _bipartition_matrix, ground_state
@@ -30,7 +31,7 @@ from qoc.pulses import (
 )
 from qoc.targets import PqcSpec, ghz, pqc_state
 
-from conftest import SX, SZ, kron
+from conftest import SX, SZ
 
 
 def single_channel_qubit():
@@ -356,37 +357,58 @@ class TestRunGrape:
 @functools.cache
 def igrape_run(name, max_iterations, target="ghz"):
     """(problem, result) of iGRAPE's default plan from |0...0> to GHZ, or to
-    ``pqc_state(PqcSpec(n, 3, 0))``, on a spin sample, seed 0, tolerance
-    1e-6; the 3-spin sample runs on resonance.
+    ``pqc_state(PqcSpec(n, 3, 0))``, seed 0, tolerance 1e-6: on a spin
+    sample, the 3-spin one on resonance, or on sc-chain-12's Q1-Q4 at idle 0.
     """
     sample = sample_registry().get(name)
-    if name == "diethyl-fluoromalonate-3q":
-        sample = sample.with_shifts(0.0)
-    psi = ghz(sample.size) if target == "ghz" else pqc_state(PqcSpec(sample.size, 3, 0))
     optimizer = OptimizerConfig(tolerance=1e-6, max_iterations=max_iterations)
-    problem = GrapeProblem(
-        build_nmr(sample), psi, None, optimizer,
-        (-NMR_AMPLITUDE_BOUND_HZ, NMR_AMPLITUDE_BOUND_HZ), plan=igrape_plan(sample, optimizer),
-    )
+    if name == "sc-chain-12":
+        sample = sample.with_idle_frequencies(0.0)
+        model, bound = build_sc(sample, sites=range(4)), SC_AMPLITUDE_BOUND_RAD_PER_NS
+        plan = igrape_plan(sample, optimizer, range(4))
+    else:
+        if name == "diethyl-fluoromalonate-3q":
+            sample = sample.with_shifts(0.0)
+        model, bound = build_nmr(sample), NMR_AMPLITUDE_BOUND_HZ
+        plan = igrape_plan(sample, optimizer)
+    n = len(model.site_dims)
+    psi = ghz(n) if target == "ghz" else pqc_state(PqcSpec(n, 3, 0))
+    problem = GrapeProblem(model, psi, None, optimizer, (-bound, bound), plan=plan)
     return problem, run_grape(problem)
 
 
 SPIN_SAMPLES = ["iodotrifluoroethylene", "diethyl-fluoromalonate-3q"]
 
 
+def in_frozen_block(state, site_dims, frozen):
+    """``state``, on the sites not in ``frozen``, with the ``frozen`` sites in |0>."""
+    amplitudes = np.zeros(site_dims, dtype=complex)
+    index = tuple(0 if j in frozen else slice(None) for j in range(len(site_dims)))
+    amplitudes[index] = state.amplitudes.reshape(amplitudes[index].shape)
+    return StateVector(amplitudes.reshape(-1), site_dims)
+
+
 class TestIgrape:
-    @pytest.mark.parametrize("name", SPIN_SAMPLES)
+    @pytest.mark.parametrize("name", [*SPIN_SAMPLES, "sc-chain-12"])
     def test_default_plan_reaches_the_tolerance(self, name):
         problem, result = igrape_run(name, 500)
-        first, last = problem.resolved_plan.stages
-        assert list(first.frozen) == list(range(1, len(problem.model.site_dims)))
-        assert last.model.site_dims == (2,) and not last.frozen
-        schedule = sample_registry().reference_schedule("nmr", len(problem.model.site_dims))
-        assert [stage.grid.segments for stage in (first, last)] == schedule["igrape"]
-        shares = [stage.optimizer.tolerance for stage in (first, last)]
-        assert shares[0] == shares[1] and abs((1 - shares[0]) ** 2 - (1 - 1e-6)) < 1e-15
+        plan, searched = problem.resolved_plan
+        n, platform = len(problem.model.site_dims), problem.model.platform
+        frozen = [list(stage.frozen) for stage in plan.stages]
+        dims = [model.dim for model in searched]
+        if platform == "nmr":
+            assert frozen == [list(range(1, n)), []] and dims == [2**n, 2]
+        else:
+            assert frozen == [[0], [0], []] and dims == [16, 8, 4]
+        schedule = sample_registry().reference_schedule(platform, n)
+        assert [stage.grid.segments for stage in plan.stages] == schedule["igrape"]
+        # Split by price: log(1 - eps_i*) is the same share of log(1 - tol) as d_i of sum(d).
+        shares = [stage.optimizer.tolerance for stage in plan.stages]
+        assert abs(math.prod(1 - share for share in shares) - (1 - 1e-6)) < 1e-15
+        rates = [math.log1p(-share) / dim for share, dim in zip(shares, dims)]
+        assert np.allclose(rates, math.log1p(-1e-6) / sum(dims), rtol=1e-12, atol=0.0)
         assert result.converged and result.final_cost < 1e-6
-        assert [r.termination for r in result.reports] == ["tolerance", "tolerance"]
+        assert all(r.termination == "tolerance" for r in result.reports)
 
     def test_a_plan_that_cannot_converge_returns_every_record(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="qoc.grape"):
@@ -402,12 +424,25 @@ class TestIgrape:
         assert messages[2][1].startswith("diethyl-fluoromalonate-3q: preparation did not converge")
         assert "stage 1 of 2 ended at" in messages[2][1]
 
-    def test_record_is_plain_json(self):
-        problem, result = igrape_run("diethyl-fluoromalonate-3q", 500)
+    @pytest.mark.parametrize(
+        "name, sample, frozen, masks",
+        [
+            ("diethyl-fluoromalonate-3q", "diethyl-fluoromalonate-3q", [[1, 2], []], [None, None]),
+            (
+                "sc-chain-12", "sc-chain-12[Q1,Q2,Q3,Q4]", [[0], [0], []],
+                [None, [False, True, True], [False, False, True]],
+            ),
+        ],
+    )
+    def test_record_is_plain_json(self, name, sample, frozen, masks):
+        # coupling_mask names the couplers each stage played with, null on the
+        # problem's model.
+        problem, result = igrape_run(name, 500)
         record = result.to_dict()
         assert json.loads(json.dumps(record)) == record
-        assert record["plan"]["sample"] == "diethyl-fluoromalonate-3q"
-        assert [stage["frozen"] for stage in record["plan"]["stages"]] == [[1, 2], []]
+        assert record["plan"]["sample"] == sample
+        assert [stage["frozen"] for stage in record["plan"]["stages"]] == frozen
+        assert [stage["coupling_mask"] for stage in record["plan"]["stages"]] == masks
         assert [stage["cost"] for stage in record["stages"]] == list(result.stage_costs)
         assert record["stages"][0]["report"] == result.reports[0].to_dict()
         assert (record["final_cost"], record["converged"], record["seed"]) == (
@@ -417,35 +452,53 @@ class TestIgrape:
     @pytest.mark.parametrize(
         "case",
         [
-            "other-sample", "other-shifts", "stage-0-model", "last-stage-freezes",
-            "first-freezes-all", "grid-and-plan", "neither-grid-nor-plan",
+            "last-stage-freezes", "first-freezes-all", "grid-and-plan", "neither-grid-nor-plan",
+            "chain-stage-unmasked", "chain-stage-on-other-sites", "chain-at-other-frequencies",
         ],
     )
     def test_plan_that_does_not_fit_the_problem_rejected(self, case):
-        sample = sample_registry().get("diethyl-fluoromalonate-3q").with_shifts(0.0)
+        registry = sample_registry()
         optimizer = OptimizerConfig(tolerance=1e-6)
-        plan = igrape_plan(sample, optimizer)
-        first, last = plan.stages
-        model, grid, match = build_nmr(sample), None, "stage"
-        if case == "other-sample":
-            model = build_nmr(sample_registry().get("iodotrifluoroethylene"))
-        elif case == "other-shifts":
-            # Same sites and channels, but spin 0 off resonance: stage 1 would
-            # search a Hamiltonian other than the one the preparation plays on.
-            model = build_nmr(sample_registry().get("diethyl-fluoromalonate-3q"))
-        elif case == "stage-0-model":
-            plan = dataclasses.replace(plan, stages=(dataclasses.replace(first, model=model), last))
-        elif case == "last-stage-freezes":
-            plan = dataclasses.replace(plan, stages=(first, dataclasses.replace(last, frozen=(0,))))
+        if case.startswith("chain"):
+            chain = registry.get("sc-chain-12").with_idle_frequencies(0.0)
+            model, plan = build_sc(chain, sites=range(4)), igrape_plan(chain, optimizer, range(4))
+        else:
+            sample = registry.get("diethyl-fluoromalonate-3q").with_shifts(0.0)
+            model, plan = build_nmr(sample), igrape_plan(sample, optimizer)
+        stages, grid, match = list(plan.stages), None, "stage"
+        if case == "last-stage-freezes":
+            stages[-1] = dataclasses.replace(stages[-1], frozen=(0,))
         elif case == "first-freezes-all":
-            first = dataclasses.replace(first, frozen=(0, 1, 2))
-            plan = dataclasses.replace(plan, stages=(first, last))
+            stages[0] = dataclasses.replace(stages[0], frozen=(0, 1, 2))
+        elif case == "chain-stage-unmasked":
+            # Q1's coupler on: hopping carries an excitation into the frozen Q1.
+            stages[1] = dataclasses.replace(stages[1], model=build_sc(chain, sites=range(4)))
+        elif case == "chain-stage-on-other-sites":
+            # Q2-Q5 with Q2's coupler off: as many sites, and three of the labels.
+            other = build_sc(chain, (False, True, True), range(1, 5))
+            stages[1] = dataclasses.replace(stages[1], model=other)
+        elif case == "chain-at-other-frequencies":
+            # The stages' models at catalogue frequencies, the problem's at idle 0.
+            stages = igrape_plan(registry.get("sc-chain-12"), optimizer, range(4)).stages
         elif case == "grid-and-plan":
             grid, match = PulseGrid(5e-6, 10), "grid"
-        else:
+        plan = dataclasses.replace(plan, stages=tuple(stages))
+        if case == "neither-grid-nor-plan":
             plan, match = None, "grid"
         with pytest.raises(ValueError, match=match):
             GrapeProblem(model, ghz(len(model.site_dims)), grid, optimizer, (-1e4, 1e4), plan=plan)
+
+    @pytest.mark.parametrize("case", ["chain-without-sites", "spin-sample-given-sites"])
+    def test_sites_that_do_not_fit_the_sample_rejected(self, case):
+        # A chain plan needs its sites: each dense model of all 12 qubits
+        # would take 6 GiB.
+        registry = sample_registry()
+        if case == "chain-without-sites":
+            sample, sites = registry.get("sc-chain-12"), None
+        else:
+            sample, sites = registry.get("diethyl-fluoromalonate-3q"), range(3)
+        with pytest.raises(ValueError, match="needs sites and a spin plan takes none"):
+            igrape_plan(sample, OptimizerConfig(), sites)
 
     @pytest.mark.parametrize("tolerance", [1.0, 2.0])
     def test_tolerance_that_cannot_be_split_rejected(self, tolerance):
@@ -453,9 +506,12 @@ class TestIgrape:
         with pytest.raises(ValueError, match=f"tolerance below 1, got {tolerance}"):
             igrape_plan(sample, OptimizerConfig(tolerance=tolerance))
 
-    def test_chain_sample_rejected(self):
-        with pytest.raises(TypeError, match="spin samples"):
-            igrape_plan(sample_registry().get("sc-chain-12"), OptimizerConfig())
+
+def equal_up_to_identity(a, b):
+    """Whether a - b is a multiple of the identity, to 1e-12 of b's largest entry."""
+    offset = a - b
+    offset[np.diag_indices_from(offset)] -= np.trace(offset) / len(offset)
+    return np.abs(offset).max() <= 1e-12 * np.abs(b).max()
 
 
 class TestStagedPlayOut:
@@ -463,70 +519,108 @@ class TestStagedPlayOut:
 
     A disentangling stage drives the target to a state whose frozen block is
     near |0...0>; the last stage prepares that block's row on the sites left.
-    The preparation plays the last stage on the full model from |0...0>, then
-    the earlier stages' reversed play order.
+    The preparation plays the last stage on its model from |0...0>, then the
+    earlier stages' reversed play order, each on its own full-size model.
     """
 
     @pytest.mark.parametrize(
         "name, max_iterations, target",
         [
-            *((name, cap, "ghz") for name in SPIN_SAMPLES for cap in (2, 500)),
+            *((name, cap, "ghz") for name in [*SPIN_SAMPLES, "sc-chain-12"] for cap in (2, 500)),
             ("iodotrifluoroethylene", 2, "pqc"),
         ],
     )
     def test_honest_cost_is_the_product_of_the_stage_costs(self, name, max_iterations, target):
         # A staged run of run_grape, checked against a play-out of its
-        # preparation and stage costs recomputed here.  A cap of 2 leaves
-        # each stage far from its share, so eps_0 eps_1 is far above the
-        # bound and a rule such as eps_0 + eps_1 would fail.
+        # preparation and stage costs recomputed here, each on the full-size
+        # model its stage plays on.  A cap of 2 leaves each stage far from its
+        # share, so the product rule is far from a rule such as sum(eps_i).
         problem, result = igrape_run(name, max_iterations, target)
         full, psi = problem.model, problem.target
-        first, last = problem.resolved_plan.stages
-        (played, last_pulses), (again, first_pulses) = result.preparation
-        assert played is again is full
+        plan, searched = problem.resolved_plan
+        in_stage_order = result.preparation[::-1]
+        assert [model for model, _ in in_stage_order] == [s.model or full for s in plan.stages]
 
-        chi, _ = propagate(full, first_pulses.reversed_play_order(), psi)
-        eps0 = ground_leakage(chi, first.frozen)
-        row = _bipartition_matrix(chi, first.frozen)[0][0]
-        phi = StateVector(row / np.linalg.norm(row), last.model.site_dims)
+        phi, frozen, eps = psi, [], []
+        for stage, reduced, (model, seq) in zip(plan.stages, searched, in_stage_order):
+            columns = [model.channel_labels.index(label) for label in reduced.channel_labels]
+            assert not np.delete(seq.amplitudes, columns, axis=1).any()
+            if stage.frozen:
+                chi, _ = propagate(model, seq.reversed_play_order(), phi)
+                active = [j for j in range(len(full.site_dims)) if j not in frozen]
+                frozen += [active[j] for j in stage.frozen]
+                eps.append(ground_leakage(chi, frozen))
+                row = _bipartition_matrix(chi, frozen)[0][0]
+                rest = StateVector(row / np.linalg.norm(row), searched[len(eps)].site_dims)
+                phi = in_frozen_block(rest, full.site_dims, frozen)
+            else:
+                w, _ = propagate(model, seq, ground_state(full.site_dims))
+                eps.append(state_infidelity(w, phi))
+        assert np.allclose(result.stage_costs, eps, rtol=0.0, atol=1e-12)
 
-        reduced = last.model.channel_labels
-        columns = [full.channel_labels.index(label) for label in reduced]
-        assert not np.delete(last_pulses.amplitudes, columns, axis=1).any()
-        on_reduced = dataclasses.replace(
-            last_pulses, amplitudes=last_pulses.amplitudes[:, columns], channels=reduced
-        )
-        w, _ = propagate(last.model, on_reduced, ground_state(last.model.site_dims))
-        eps1 = state_infidelity(w, phi)
-        assert np.allclose(result.stage_costs, (eps0, eps1), rtol=0.0, atol=1e-12)
-
-        mid, _ = propagate(full, last_pulses, ground_state(full.site_dims))
-        final, _ = propagate(full, first_pulses, mid)
-        assert abs(result.final_cost - state_infidelity(final, psi)) < 1e-12
-        eps = result.stage_costs
-        assert abs(result.final_cost - (1 - (1 - eps[0]) * (1 - eps[1]))) < 1e-12
+        state = ground_state(full.site_dims)
+        for model, seq in result.preparation:
+            state, _ = propagate(model, seq, state)
+        assert abs(result.final_cost - state_infidelity(state, psi)) < 1e-12
+        product = 1 - math.prod(1 - e for e in result.stage_costs)
+        assert abs(result.final_cost - product) < 1e-12
         if max_iterations == 2:
-            assert 0.0 < eps0 < 1.0 and 0.0 < eps1 < 1.0
-            assert eps0 * eps1 > 1e-6
+            assert all(0.0 < e < 1.0 for e in eps)
+            assert sum(eps) - product > 1e-6
+        else:
+            assert result.final_cost < 1e-6
 
     @pytest.mark.parametrize("fraction", [0.1, 1.0])
     @pytest.mark.parametrize("sign", [SIGN_FORWARD, SIGN_REVERSED])
-    def test_reduced_chain_stage_on_the_masked_full_chain(self, sign, fraction, rng):
-        # At idle 0 the frozen site's |0> carries no phase.  The route rule
-        # sends the full model by action and the reduced one dense, so this
-        # also compares the routes.
+    @pytest.mark.parametrize("case", ["sc-idle-0", "sc-catalogue", "nmr"])
+    def test_reduced_chain_stage_on_the_masked_full_chain(self, case, sign, fraction, rng):
+        # Every stage after the first of the default plan, on the chain (Q1-Q4,
+        # its couplers off next to the frozen sites) and on a spin sample.  The
+        # model a stage searches, derived from the problem's, is the one the
+        # Keep-listed builders give; played on the stage's full-size model,
+        # its pulses give the reduced propagation tensored with the frozen
+        # |0...0>, up to a global phase.  That phase is 1 on the chain at idle
+        # 0, where the frozen |0> and the dropped trace carry none.  At idle 0
+        # the route rule sends the 4-site chains by action and the reduced
+        # ones dense, so this also compares the routes.
         registry = sample_registry()
-        sample = registry.get("sc-chain-12").with_idle_frequencies(0.0)
-        full = build_sc(sample, sites=range(4), coupling_mask=(False, True, True))
-        reduced = build_sc(sample, sites=range(1, 4))
-        schedule = registry.reference_schedule("sc", 4)
-        box = (-SC_AMPLITUDE_BOUND_RAD_PER_NS, SC_AMPLITUDE_BOUND_RAD_PER_NS)
-        seq = random_initial_pulses(
-            PulseGrid(schedule["dt"], schedule["igrape"][0]), reduced.channel_labels, box, rng,
-            sign, fraction=fraction,
-        )
-        start = pqc_state(PqcSpec(3, 2, 1))
-        want, _ = propagate(reduced, seq, start)
-        frozen = ground_state((2,))
-        got, _ = propagate(full, grape._embedded(seq, full.channel_labels), kron(frozen, start))
-        assert np.abs(got.amplitudes - kron(frozen, want).amplitudes).max() < 1e-12
+        optimizer = OptimizerConfig(tolerance=1e-6)
+        if case == "nmr":
+            sample, bound = registry.get("iodotrifluoroethylene"), NMR_AMPLITUDE_BOUND_HZ
+            model, plan = build_nmr(sample), igrape_plan(sample, optimizer)
+        else:
+            sample, bound = registry.get("sc-chain-12"), SC_AMPLITUDE_BOUND_RAD_PER_NS
+            if case == "sc-idle-0":
+                sample = sample.with_idle_frequencies(0.0)
+            model, plan = build_sc(sample, sites=range(4)), igrape_plan(sample, optimizer, range(4))
+        problem = GrapeProblem(model, ghz(4), None, optimizer, (-bound, bound), plan=plan)
+        plan, searched = problem.resolved_plan
+        frozen = list(plan.stages[0].frozen)
+        for stage, reduced in zip(plan.stages[1:], searched[1:]):
+            active = [j for j in range(4) if j not in frozen]
+            if case == "nmr":
+                built = frozen_subsystem_hamiltonian(sample, frozen)
+                assert reduced.spin_form is not None
+            else:
+                built = build_sc(sample, sites=active)
+            assert reduced.channel_labels == built.channel_labels
+            assert np.array_equal(reduced.control_stack, built.control_stack)
+            if case == "sc-idle-0":
+                assert np.array_equal(reduced.drift, built.drift)
+            assert equal_up_to_identity(reduced.drift, built.drift)
+
+            seq = random_initial_pulses(
+                stage.grid, reduced.channel_labels, (-bound, bound), rng, sign, fraction=fraction
+            )
+            start = pqc_state(PqcSpec(len(active), 2, 1))
+            want, _ = propagate(reduced, seq, start)
+            played = stage.model or model
+            embedded = grape._embedded(seq, played.channel_labels)
+            got, _ = propagate(played, embedded, in_frozen_block(start, model.site_dims, frozen))
+            want = in_frozen_block(want, model.site_dims, frozen).amplitudes
+            phase = np.vdot(want, got.amplitudes)
+            assert np.abs(got.amplitudes - phase * want).max() < 1e-12
+            assert abs(abs(phase) - 1.0) < 1e-12
+            if case == "sc-idle-0":
+                assert abs(phase - 1.0) < 1e-12
+            frozen += [active[j] for j in stage.frozen]
