@@ -47,7 +47,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .hamiltonians import NmrSample, ScSample, SystemModel, build_sc, sample_registry
+from .hamiltonians import NmrSample, ScSample, SystemModel, _pattern, build_sc, sample_registry
 from .linalg import StateVector, _bipartition_matrix, ground_state
 from .optimize import OptimizationReport, OptimizerConfig, _box, minimize
 from .pulses import (
@@ -122,18 +122,19 @@ def igrape_plan(
     any frozen block.  On a chain every stage but the last freezes its first
     active site, and stage i >= 1 plays on the chain over ``sites`` with the
     couplers of its first i sites off, so no hop leaves the frozen |0...0>.
-    A chain needs ``sites`` (a long chain's dense model does not fit in
-    memory) and a spin sample takes none.  Segment counts and dt are the
-    catalogue's ``igrape`` row.  Stage i stops after ``max_iterations`` or
-    below 1 - (1 - tolerance)^(d_i / sum(d)), d_i the dimension it searches:
-    these shares meet the tolerance, and the largest search gets the most.
+    ``sites`` defaults to the whole chain, as in ``build_sc``, and a spin
+    sample takes none.  Segment counts and dt are the catalogue's ``igrape``
+    row.  Stage i stops after ``max_iterations`` or below
+    1 - (1 - tolerance)^(d_i / sum(d)), d_i the dimension it searches: these
+    shares meet the tolerance, and the largest search gets the most.
     """
     if optimizer.tolerance >= 1.0:
         raise ValueError(f"iGRAPE splits a tolerance below 1, got {optimizer.tolerance}")
     spins = isinstance(sample, NmrSample)
-    if spins != (sites is None):
-        raise ValueError(f"a chain plan needs sites and a spin plan takes none, got {sites}")
-    n = sample.size if spins else len(sites)
+    if spins and sites is not None:
+        raise ValueError(f"a spin plan takes no sites, got {sites}")
+    sites = range(sample.size) if sites is None else sites
+    n = len(sites)
     schedule = sample_registry().reference_schedule("nmr" if spins else "sc", n)
     count = len(schedule["igrape"])
     if spins:
@@ -168,19 +169,36 @@ def _in_block(dims: tuple[int, ...], frozen: list[int]) -> np.ndarray:
 
 def _block(model: SystemModel, frozen: list[int]) -> SystemModel:
     """How ``model`` acts on the block of basis states with the ``frozen``
-    sites in |0>: its drift there less its trace, and the channels nonzero
-    there, on the other sites.  With nothing frozen, ``model`` itself.
+    sites in |0>: its drift there less its trace, which sums the whole
+    diagonal as ``np.trace`` does, and the channels nonzero there, on the
+    other sites; entries that end zero drop out.  With nothing frozen,
+    ``model`` itself.
     """
     if not frozen:
         return model
     block = _in_block(model.site_dims, frozen)
-    drift = model.drift[np.ix_(block, block)]
-    drift[np.diag_indices_from(drift)] -= np.trace(drift) / len(drift)
-    controls = model.control_stack[np.ix_(range(model.num_channels), block, block)]
-    keep = controls.any(axis=(1, 2))
+    size, place = int(block.sum()), np.cumsum(block) - 1  # a block state's index in the block
+    rows, cols, drift, driven, controls = model.pattern
+    inside = block[rows] & block[cols]
+    rows, cols, drift = place[rows[inside]], place[cols[inside]], drift[inside]
+    keys, off = cols * size + rows, rows != cols
+    diagonal = np.zeros(size, dtype=complex)
+    diagonal[rows[~off]] = drift[~off]
+    diagonal -= diagonal.sum() / size
+    controls = controls[:, inside[driven]]
+    keep = controls.any(axis=1)
+    drift = [(keys[off], drift[off]), (np.arange(size) * (size + 1), diagonal)]
+    pattern = _pattern(size, [drift, *([(keys[driven[inside]], c)] for c in controls[keep])])
     labels = [label for label, kept in zip(model.channel_labels, keep) if kept]
     dims = [d for j, d in enumerate(model.site_dims) if j not in frozen]
-    return SystemModel(drift, controls[keep], labels, dims, model.platform)
+    return SystemModel(pattern, labels, dims, model.platform)
+
+
+def _operators(model: SystemModel) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(keys, values) of the drift and then of each control, keyed col * d + row."""
+    rows, cols, drift, driven, controls = model.pattern
+    keys = cols * model.dim + rows
+    return [(keys, drift), *((keys[driven], values) for values in controls)]
 
 
 def _acts_as(model: SystemModel, reduced: SystemModel, frozen: list[int]) -> bool:
@@ -192,13 +210,14 @@ def _acts_as(model: SystemModel, reduced: SystemModel, frozen: list[int]) -> boo
     own, block = _block(model, frozen), _in_block(model.site_dims, frozen)
     if (own.site_dims, own.channel_labels) != (reduced.site_dims, reduced.channel_labels):
         return False
-    channels = [model.channel_labels.index(label) for label in own.channel_labels]
-    fulls = [model.drift, *model.control_stack[channels]]
-    mine, theirs = [own.drift, *own.control_stack], [reduced.drift, *reduced.control_stack]
+    fulls = _operators(model)
+    fulls = [fulls[0], *(fulls[1 + model.channel_labels.index(c)] for c in own.channel_labels)]
+    pairs = zip(_operators(own), _operators(reduced))
+    gaps = _pattern(own.dim, [[mine, (keys, -values)] for mine, (keys, values) in pairs])
     return all(
-        not full[np.ix_(~block, block)].any()
-        and np.allclose(a, b, rtol=0.0, atol=1e-12 * np.abs(full).max(initial=0.0))
-        for full, a, b in zip(fulls, mine, theirs)
+        not full[block[keys // model.dim] & ~block[keys % model.dim]].any()  # leaves the block
+        and np.abs(gap).max(initial=0.0) <= 1e-12 * np.abs(full).max(initial=0.0)
+        for (keys, full), gap in zip(fulls, [gaps[2], *gaps[4]])
     )
 
 

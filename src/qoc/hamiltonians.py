@@ -29,16 +29,13 @@ relaxation times and formulas are inert metadata that the loader skips.
 Non-finite shifts, couplings or frequencies, and repeated spin labels, are
 rejected when a sample is constructed.
 
-A ``SystemModel`` stores each operator once, read-only and checked finite
-and Hermitian at construction: the (d, d) ``drift`` and the (A, d, d)
-``control_stack``, whose channel a is ``channel_labels[a]``.  Its
-``pattern`` is their one sparse form: the union of their nonzeros, with the
-drift's values on all of them and the controls' on the driven ones, those
-where some control is nonzero.  It is all the pulse engine reads, together
-with what the model derives from it once, on first use: ``operator_norms``,
-``drive_pairs`` and ``spin_form``.  Each builder lists its drift terms and
-its x and y drives; ``_model`` forms each term as one Kronecker chain over
-sites, and embeds and labels both drives on every site.
+A ``SystemModel`` is its ``pattern``, read-only and checked finite and
+Hermitian at construction: the entries where the drift or some control is
+nonzero, the drift's values on all of them and the controls' on the driven
+ones.  The pulse engine reads only it and what the model derives from it
+once; the dense ``drift`` and ``control_stack`` are views, built on request.
+Each builder lists its drift terms and its x and y drives, and ``_model``
+forms each as a sparse Kronecker chain, straight into the pattern.
 """
 
 from __future__ import annotations
@@ -57,7 +54,6 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import SampleNotFoundError
-from .linalg import _check_hermitian
 
 __all__ = [
     "NmrSample",
@@ -80,14 +76,6 @@ SC_AMPLITUDE_BOUND_RAD_PER_NS = 2.0 * math.pi * 50.0e-3
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 _SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
-
-def _embed(factors: Mapping[int, np.ndarray], dims: Sequence[int]) -> np.ndarray:
-    """Full-space operator: ``factors[i]`` on site i, identity on every other site."""
-    out = np.eye(1, dtype=complex)
-    for i, d in enumerate(dims):
-        out = np.kron(out, factors[i] if i in factors else np.eye(d, dtype=complex))
-    return out
 
 
 @dataclass(frozen=True)
@@ -225,28 +213,25 @@ class ScSample:
 
 @dataclass(frozen=True, eq=False)
 class SystemModel:
-    """Drift (d, d) and control stack (A, d, d) in ``channel_labels`` order.
-
-    d = prod(site_dims), kept as a tuple of integers >= 1.  Each operator
-    must be finite and Hermitian, the channel labels distinct, and the
-    platform "nmr" or "sc".  ``coupling_mask``, when given, is kept as a
-    tuple of one bool per boundary between neighbouring sites.  Arrays that
-    are already complex128 are kept, not copied, and made read-only.
-    ``pattern`` is their one sparse form, the controls' values held on the
-    driven entries only, and ``operator_norms``, ``drive_pairs`` and
-    ``spin_form`` what the pulse engine derives from it once per model.
+    """The operators as their ``pattern``: (rows, cols, drift values (nnz,),
+    driven (nnz,) bool, control values (A, p)), control a on channel
+    ``channel_labels[a]``.  Its entries, distinct and in the C order of H^T,
+    are where the drift or some control is nonzero, ``driven`` marks the p
+    where some control is, and the controls' values are given on those only.
+    Each operator must be finite and Hermitian.  d = prod(site_dims), kept as
+    a tuple of integers >= 1; the channel labels must be distinct and the
+    platform "nmr" or "sc".  ``coupling_mask``, when given, is kept as a tuple
+    of one bool per boundary between neighbouring sites.  Arrays already of
+    the pattern's dtypes are kept, not copied, and made read-only.
     """
 
-    drift: np.ndarray
-    control_stack: np.ndarray
+    pattern: tuple[np.ndarray, ...]
     channel_labels: tuple[str, ...]
     site_dims: tuple[int, ...]
     platform: str  # "nmr" | "sc"
     coupling_mask: tuple[bool, ...] | None = None
 
     def __post_init__(self):
-        drift = np.asarray(self.drift, dtype=np.complex128)
-        stack = np.asarray(self.control_stack, dtype=np.complex128)
         labels = tuple(self.channel_labels)
         dims = tuple(operator.index(d) for d in self.site_dims)
         if any(d < 1 for d in dims):
@@ -261,19 +246,34 @@ class SystemModel:
         repeated = sorted({label for label in labels if labels.count(label) > 1})
         if repeated:
             raise ValueError(f"channel labels must be distinct, got {repeated} more than once")
-        _check_hermitian(drift, "drift")
-        dim = math.prod(dims)
-        if drift.shape[0] != dim or stack.shape != (len(labels), dim, dim):
-            raise ValueError(
-                f"drift {drift.shape} and control stack {stack.shape} do not fit "
-                f"{len(labels)} channel labels on sites {dims}"
-            )
-        for label, op in zip(labels, stack):
-            _check_hermitian(op, f"control {label!r}")
-        drift.flags.writeable = False
-        stack.flags.writeable = False
-        object.__setattr__(self, "drift", drift)
-        object.__setattr__(self, "control_stack", stack)
+        if len(self.pattern) != 5:
+            raise ValueError("a pattern is (rows, cols, drift values, driven, control values)")
+        dtypes = (np.intp, np.intp, complex, bool, complex)
+        pattern = tuple(np.ascontiguousarray(a, dtype=t) for a, t in zip(self.pattern, dtypes))
+        rows, cols, drift, driven, controls = pattern
+        dim, count, shapes = math.prod(dims), len(labels), [array.shape for array in pattern]
+        if shapes != [(len(rows),)] * 4 + [(count, driven.sum())]:
+            raise ValueError(f"pattern of shapes {shapes} does not fit {count} channel labels")
+        keys, flipped = cols * dim + rows, rows * dim + cols
+        within = ((rows | cols) >= 0) & (np.maximum(rows, cols) < dim)
+        if not np.all(within & (np.diff(keys, prepend=-1) > 0)):
+            raise ValueError(f"pattern entries must be distinct, below d = {dim}, in H^T's C order")
+        # max |A - A†| may reach 1e-12 max(1, max |A_ij|): lab-frame shifts reach 1e9 rad/s.
+        named = [(f"control {label!r}", values) for label, values in zip(labels, controls)]
+        for on, operators in ((slice(None), [("drift", drift)]), (driven, named)):
+            at = np.searchsorted(keys[on], flipped[on])
+            mirrored = keys[on].take(at, mode="clip") == flipped[on]
+            for what, values in operators:
+                if not np.isfinite(values).all():
+                    raise ValueError(f"{what}: matrix entries must be finite")
+                mirror = np.zeros_like(values)
+                mirror[mirrored] = values[at[mirrored]]
+                dev = float(np.abs(values - mirror.conj()).max(initial=0.0))
+                if dev > 1e-12 * max(1.0, float(np.abs(values).max(initial=0.0))):
+                    raise ValueError(f"{what}: matrix is not Hermitian, max |A - A†| = {dev:.3e}")
+        for array in pattern:
+            array.flags.writeable = False
+        object.__setattr__(self, "pattern", pattern)
         object.__setattr__(self, "channel_labels", labels)
         object.__setattr__(self, "site_dims", dims)
         object.__setattr__(self, "coupling_mask", mask)
@@ -282,29 +282,15 @@ class SystemModel:
         # Copies and unpickled models go through construction, so they are read-only too.
         return SystemModel, tuple(getattr(self, f.name) for f in dataclasses.fields(self))
 
-    @cached_property
-    def pattern(self) -> tuple[np.ndarray, ...]:
-        """(rows, cols, drift values (nnz,), driven (nnz,) bool, control values
-        (A, p) C-ordered), read-only: the model's one sparse form.
+    def _dense(self, values: np.ndarray, on) -> np.ndarray:
+        dense = np.zeros((len(values), self.dim, self.dim), dtype=complex)
+        dense[:, self.pattern[0][on], self.pattern[1][on]] = values
+        dense.flags.writeable = False
+        return dense
 
-        The entries where the drift or any control is nonzero, in the C order
-        of H^T, off which every H_k is zero.  ``driven`` marks the p of them
-        where some control is nonzero, and the control values are given on
-        those only: on the others every control is zero, so every H_k holds
-        the drift's value there, and a zero adds nothing to a norm, a pair
-        test or a contraction.  Built once, on first use, with no A d^2
-        temporary; a copy or an unpickled model builds its own.
-        """
-        touched = np.zeros(self.drift.shape, dtype=bool)
-        for op in self.control_stack:
-            touched |= op.T != 0
-        cols, rows = np.nonzero(touched | (self.drift.T != 0))
-        driven = touched[cols, rows]
-        controls = np.ascontiguousarray(self.control_stack[:, rows[driven], cols[driven]])
-        pattern = (rows, cols, self.drift[rows, cols], driven, controls)
-        for array in pattern:
-            array.flags.writeable = False
-        return pattern
+    # Read-only dense views of the operators, (d, d) and (A, d, d), built on each request.
+    drift = property(lambda self: self._dense(self.pattern[2][None], slice(None))[0])
+    control_stack = property(lambda self: self._dense(self.pattern[4], self.pattern[3]))
 
     @cached_property
     def operator_norms(self) -> tuple[np.floating, np.ndarray]:
@@ -409,26 +395,49 @@ class SystemModel:
         return len(self.channel_labels)
 
 
+def _kron_chain(factors: Mapping, dims: Sequence[int], scale: float = 1.0) -> tuple:
+    """(keys, values), keyed col * d + row, of ``scale`` times the Kronecker
+    chain of ``factors[i]`` on site i and identities: index arithmetic over
+    the factors' nonzeros, the values multiplied left to right as in np.kron."""
+    rows = cols = np.zeros(1, dtype=np.intp)
+    values = np.ones(1, dtype=complex)
+    for i, d in enumerate(dims):
+        factor = factors.get(i, np.eye(d))
+        r, c = np.nonzero(factor)
+        values = (values[:, None] * factor[r, c]).reshape(-1)
+        rows, cols = (rows[:, None] * d + r).reshape(-1), (cols[:, None] * d + c).reshape(-1)
+    return cols * math.prod(dims) + rows, scale * values
+
+
+def _pattern(dim: int, operators: Sequence[list]) -> tuple[np.ndarray, ...]:
+    """The pattern of operators, the drift first, each a list of terms (keys,
+    values) keyed col * dim + row: an operator's terms add in order, as a dense
+    sum adds them, and entries that end zero on every operator drop out."""
+    terms = [(a, keys, values) for a, op in enumerate(operators) for keys, values in op]
+    keys = np.concatenate([np.zeros(0, dtype=np.intp), *(k for _, k, _ in terms)])
+    keys, at = np.unique(keys, return_inverse=True)
+    values = np.zeros((len(operators), len(keys)), dtype=complex)
+    for (a, _, term), where in zip(terms, np.split(at, np.cumsum([len(k) for _, k, _ in terms]))):
+        np.add.at(values[a], where, term)
+    driven = (values[1:] != 0).any(axis=0)
+    kept = driven | (values[0] != 0)
+    keys = keys[kept]
+    return keys % dim, keys // dim, values[0, kept], driven[kept], values[1:, driven]
+
+
 def _model(
     dims: tuple[int, ...], terms: Iterable, drives: tuple, site_labels: Sequence[str],
     platform: str, coupling_mask: Sequence[bool] | None = None,
 ) -> SystemModel:
-    """Model whose drift sums the terms ``(c, {site: op})`` with c != 0, in order.
-
-    Each term is c times one Kronecker chain over sites.  Site j gets the two
-    ``drives`` as channels ``x:<site_labels[j]>`` and ``y:<site_labels[j]>``.
+    """Model whose drift sums the terms ``(c, {site: op})`` with c != 0, in order,
+    each c times one Kronecker chain over sites.  Site j gets the two ``drives``
+    as channels ``x:<site_labels[j]>`` and ``y:<site_labels[j]>``.
     """
-    dim = math.prod(dims)
-    drift = np.zeros((dim, dim), dtype=complex)
-    for coefficient, factors in terms:
-        if coefficient != 0.0:
-            drift += coefficient * _embed(factors, dims)
-    stack = np.empty((2 * len(dims), dim, dim), dtype=complex)
-    for pos in range(len(dims)):
-        for k, op in enumerate(drives):
-            stack[2 * pos + k] = _embed({pos: op}, dims)
+    drift = [_kron_chain(factors, dims, c) for c, factors in terms if c != 0.0]
+    controls = [[_kron_chain({pos: op}, dims)] for pos in range(len(dims)) for op in drives]
     labels = [f"{axis}:{label}" for label in site_labels for axis in "xy"]
-    return SystemModel(drift, stack, labels, dims, platform, coupling_mask)
+    pattern = _pattern(math.prod(dims), [drift, *controls])
+    return SystemModel(pattern, labels, dims, platform, coupling_mask)
 
 
 def build_nmr(sample: NmrSample) -> SystemModel:
@@ -464,13 +473,6 @@ def frozen_subsystem_hamiltonian(sample: NmrSample, frozen: Iterable[int]) -> Sy
     return build_nmr(sample.with_shifts(shifted).restricted(active))
 
 
-def _ladder(d: int) -> np.ndarray:
-    a = np.zeros((d, d), dtype=complex)
-    for k in range(1, d):
-        a[k - 1, k] = math.sqrt(k)
-    return a
-
-
 def build_sc(
     sample: ScSample,
     coupling_mask: Sequence[bool] | None = None,
@@ -492,7 +494,7 @@ def build_sc(
     n = len(sites)
     if coupling_mask is None:
         coupling_mask = (True,) * (n - 1)
-    a = _ladder(d)
+    a = np.diag(np.sqrt(np.arange(1.0, d)), 1).astype(complex)  # the lowering operator
     up = a.conj().T
     num = up @ a
     anh = num @ num - num  # n(n-1)

@@ -1,14 +1,14 @@
-"""State vectors and the Hermiticity check.
+"""State vectors on a tensor product of sites.
 
 States live on a tensor product of finite-dimensional sites; site 0 is the
 leftmost (most significant) factor, matching ``numpy.kron`` ordering.  The
 one value type, ``StateVector``, rejects non-finite amplitudes and owns a
-read-only copy of them, so it is immutable.  Operators are plain arrays that
-``_check_hermitian`` finds square, finite and Hermitian.  A state's
-amplitudes reshaped across a cut of its sites (``_bipartition_matrix``)
-underlie the reduced-state costs in ``pulses``.  Every operation here is a
-pure function, so everything in this module is safe to use from concurrent
-tasks.
+read-only copy of them, so it is immutable.  Operators are not kept here:
+a ``hamiltonians.SystemModel`` holds them as its sparse pattern and checks
+them there.  A state's amplitudes reshaped across a cut of its sites
+(``_bipartition_matrix``) underlie the reduced-state costs in ``pulses``.
+Every operation here is a pure function, so everything in this module is
+safe to use from concurrent tasks.
 """
 
 from __future__ import annotations
@@ -21,9 +21,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 __all__ = ["StateVector", "ground_state"]
-
-HERMITICITY_TOL = 1e-12
-
 
 @dataclass(frozen=True, eq=False)
 class StateVector:
@@ -70,22 +67,6 @@ class StateVector:
         if other.site_dims != self.site_dims:
             raise ValueError(f"sites mismatch: {self.site_dims} vs {other.site_dims}")
         return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-
-def _check_hermitian(matrix: np.ndarray, what: str) -> None:
-    """Raise ValueError unless ``matrix`` is square, finite and Hermitian.
-
-    max |A - A†| may reach 1e-12 times max(1, max |A_ij|): rounding grows
-    with the entries, and laboratory-frame shifts reach 1e9 rad/s.
-    """
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError(f"{what}: expected a square matrix, got shape {matrix.shape}")
-    # NaN would pass the Hermiticity test below: nan > tol is False.
-    if not np.all(np.isfinite(matrix)):
-        raise ValueError(f"{what}: matrix entries must be finite")
-    dev = float(np.abs(matrix - matrix.conj().T).max())
-    if dev > HERMITICITY_TOL * max(1.0, float(np.abs(matrix).max())):
-        raise ValueError(f"{what}: matrix is not Hermitian (max |A - A†| = {dev:.3e})")
 
 
 def ground_state(site_dims: Sequence[int]) -> StateVector:

@@ -20,16 +20,14 @@ serves all three ``*_value_and_gradient`` functions: it checks the sign,
 calls ``propagate``, contracts A[k, a] = <bw_k| H_a |fw_k> and returns
 factor dt Im(weight A).
 
-Every pass over the operators reads only the model's ``pattern``, its one
-sparse form, never the dense operators: the union of the nonzeros of the
-drift and of every control, the drift's values on all of them, a mask of
-the driven ones, where some control is nonzero, and the controls' values
-on those.  What depends on the operators alone, the model derives from it
-once: their norms (``operator_norms``), the x/y drive pairs
-(``drive_pairs``) and the real kernel's form (``spin_form``).  A dense
-model has all d^2 entries on it; the qubit chain's single-qubit drives and
-couplings leave 544 of 4096 at 6 qubits, 384 of them driven, and 2944 of
-65536 at 8.
+A model is its ``pattern``, and every pass over the operators reads it:
+the union of the nonzeros of the drift and of every control, the drift's
+values on all of them, a mask of the driven ones, where some control is
+nonzero, and the controls' values on those.  What depends on the operators
+alone, the model derives from it once: their norms (``operator_norms``),
+the x/y drive pairs (``drive_pairs``) and the real kernel's form
+(``spin_form``).  The qubit chain's single-qubit drives and couplings leave
+544 of 4096 entries at 6 qubits, 384 of them driven, and 2944 of 65536 at 8.
 
 Routes
 ------

@@ -30,6 +30,19 @@ def w3_amplitudes() -> np.ndarray:
     return amps
 
 
+def pattern_of(drift, stack) -> tuple[np.ndarray, ...]:
+    """The ``SystemModel.pattern`` of a dense (d, d) drift and (A, d, d) control
+    stack: the entries where either is nonzero, in the C order of H^T, the
+    drift's values on all of them and the controls' on the driven ones.
+    """
+    drift = np.asarray(drift, dtype=complex)
+    stack = np.asarray(stack, dtype=complex).reshape(-1, *drift.shape)
+    touched = (stack != 0).any(axis=0)
+    cols, rows = np.nonzero(((drift != 0) | touched).T)
+    driven = touched[rows, cols]
+    return rows, cols, drift[rows, cols], driven, stack[:, rows[driven], cols[driven]]
+
+
 def random_state(site_dims, rng: np.random.Generator) -> StateVector:
     """Haar-ish random normalized state (Gaussian amplitudes)."""
     dims = tuple(operator.index(d) for d in site_dims)

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import qoc
@@ -161,3 +162,75 @@ def test_scipy_linalg_stays_unloaded_after_import():
     assert seen["linalg"] == []
     assert seen["version"] == importlib.import_module("scipy").__version__
     assert seen["same_zgemv"] is True
+
+
+# Puts an empty directory first on scipy's package path, so that
+# optimize._load_extension finds no extension file and imports each module by
+# name; then runs an sc6 transfer gradient and a one-iteration boxed search.
+_BY_NAME = """
+import json, sys, tempfile
+import numpy as np
+import scipy
+with tempfile.TemporaryDirectory() as empty:
+    scipy.__path__.insert(0, empty)
+    from qoc import optimize, pulses
+    by_name = sorted(m for m in ("scipy.linalg", "scipy.optimize") if m in sys.modules)
+    from qoc.hamiltonians import SC_AMPLITUDE_BOUND_RAD_PER_NS as bound, build_sc, sample_registry
+    from qoc.linalg import ground_state
+    from qoc.targets import ghz
+    import scipy.linalg.blas
+    registry = sample_registry()
+    schedule = registry.reference_schedule("sc", 6)
+    model = build_sc(registry.get("sc-chain-12").with_idle_frequencies(0.0), sites=range(6))
+    seq = pulses.random_initial_pulses(
+        pulses.PulseGrid(schedule["dt"], schedule["grape"]), model.channel_labels,
+        (-bound, bound), 0, pulses.SIGN_FORWARD, fraction=1.0,
+    )
+    value, grad, _ = pulses.infidelity_value_and_gradient(
+        model, seq, ground_state(model.site_dims), ghz(6)
+    )
+    x, report = optimize.minimize(
+        lambda v: (float((v - 1.0) @ (v - 1.0)), 2.0 * (v - 1.0)), np.zeros(3),
+        optimize.OptimizerConfig(tolerance=1e-12, max_iterations=1, bounds=(-0.5, 2.0)),
+    )
+    print(json.dumps({
+        "by_name": by_name, "zgemv": pulses.zgemv is scipy.linalg.blas.zgemv,
+        "setulb": optimize.setulb is sys.modules["scipy.optimize._lbfgsb"].setulb,
+        "value": value, "grad": grad.tolist(),
+        "iterations": report.iterations, "x": x.tolist(),
+    }))
+"""
+
+
+def test_extensions_load_by_name_where_scipy_has_no_file():
+    # Where the loader finds no extension file it imports each module by name,
+    # scipy.linalg and scipy.optimize with it: the same zgemv and setulb serve
+    # the sweeps and the search.
+    from qoc.hamiltonians import SC_AMPLITUDE_BOUND_RAD_PER_NS as bound, build_sc, sample_registry
+    from qoc.linalg import ground_state
+    from qoc.pulses import (
+        SIGN_FORWARD, PulseGrid, infidelity_value_and_gradient, random_initial_pulses,
+    )
+    from qoc.targets import ghz
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(qoc.__file__)))
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", _BY_NAME],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    seen = json.loads(out.splitlines()[-1])
+    assert seen["by_name"] == ["scipy.linalg", "scipy.optimize"]  # the packages came too
+    assert seen["zgemv"] is True and seen["setulb"] is True
+    assert seen["iterations"] == 1 and all(-0.5 <= v <= 2.0 for v in seen["x"])
+    registry = sample_registry()
+    schedule = registry.reference_schedule("sc", 6)
+    model = build_sc(registry.get("sc-chain-12").with_idle_frequencies(0.0), sites=range(6))
+    seq = random_initial_pulses(
+        PulseGrid(schedule["dt"], schedule["grape"]), model.channel_labels,
+        (-bound, bound), 0, SIGN_FORWARD, fraction=1.0,
+    )
+    value, grad, _ = infidelity_value_and_gradient(model, seq, ground_state(model.site_dims), ghz(6))
+    assert abs(seen["value"] - value) <= 1e-12
+    assert np.allclose(seen["grad"], grad, rtol=1e-10, atol=1e-14)

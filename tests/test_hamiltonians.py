@@ -28,7 +28,7 @@ from qoc.hamiltonians import (
 from qoc.linalg import ground_state
 from qoc.pulses import SIGN_FORWARD, PulseGrid, PulseSequence, propagate
 
-from conftest import SX, SY, SZ, expm_hermitian, kron, random_state
+from conftest import SX, SY, SZ, expm_hermitian, kron, pattern_of, random_state
 
 
 def two_spin_sample(j=47.6, shifts=(0.0, 0.0)):
@@ -117,24 +117,52 @@ CATALOGUE_DIGESTS = {
 class TestSystemModel:
     @staticmethod
     def model(drift=SZ, stack=(SX, SY), labels=("x", "y"), site_dims=(2,)):
-        return SystemModel(drift, np.array(stack), labels, site_dims, platform="nmr")
+        return SystemModel(pattern_of(drift, stack), labels, site_dims, platform="nmr")
 
     def test_accepts_pauli_operators(self):
         model = self.model()
         assert (model.dim, model.num_channels, model.channel_labels) == (2, 2, ("x", "y"))
         assert model.drift.dtype == model.control_stack.dtype == np.complex128
 
-    def test_rejects_non_square_drift(self):
-        with pytest.raises(ValueError, match="drift: expected a square matrix"):
-            self.model(drift=np.zeros((2, 3)))
+    @pytest.mark.parametrize(
+        "case, match",
+        [
+            ("four arrays", "a pattern is"),
+            ("short cols", "does not fit"),
+            ("controls off the driven entries", "does not fit"),
+            ("two-dimensional rows", "does not fit"),
+            ("repeated entry", "pattern entries must be distinct"),
+            ("rows before cols", "pattern entries must be distinct"),
+            ("negative row", "below d = 2"),
+        ],
+    )
+    def test_rejects_malformed_patterns(self, case, match):
+        rows, cols, drift, driven, controls = (np.array(a) for a in pattern_of(SZ, (SX, SY)))
+        assert rows.tolist() == [0, 1, 0, 1] and cols.tolist() == [0, 0, 1, 1]
+        pattern = [rows, cols, drift, driven, controls]
+        if case == "four arrays":
+            pattern.pop()
+        elif case == "short cols":
+            pattern[1] = cols[:-1]
+        elif case == "controls off the driven entries":
+            pattern[4] = np.zeros((2, 4))
+        elif case == "two-dimensional rows":
+            pattern[0] = rows[None]
+        elif case == "repeated entry":
+            pattern[0], pattern[1] = np.array([0, 1, 1, 1]), np.array([0, 0, 0, 1])
+        elif case == "rows before cols":  # the C order of H, not of H^T
+            pattern[0], pattern[1] = cols, rows
+        else:
+            pattern[0] = np.array([0, -1, 0, 1])
+        with pytest.raises(ValueError, match=match):
+            SystemModel(tuple(pattern), ("x", "y"), (2,), "nmr")
 
     def test_shapes_must_match_site_dims(self):
-        with pytest.raises(ValueError, match="do not fit"):
-            self.model(site_dims=(2, 2))
-        with pytest.raises(ValueError, match="do not fit"):
-            self.model(drift=np.kron(SZ, SZ))
-        with pytest.raises(ValueError, match="do not fit"):
-            self.model(drift=np.kron(SZ, SZ), site_dims=(2, 2))
+        with pytest.raises(ValueError, match="below d = 2"):
+            self.model(np.kron(SZ, SZ), (np.kron(SX, SX),), ("x",), site_dims=(2,))
+        with pytest.raises(ValueError, match="below d = 2"):
+            self.model(np.kron(SZ, SZ), (np.kron(SX, SX),), ("x",), site_dims=(1, 2))
+        assert self.model(np.kron(SZ, SZ), (np.kron(SX, SX),), ("x",), site_dims=(2, 2)).dim == 4
 
     def test_site_dims_stored_as_a_tuple(self):
         # A list used to be kept as given, so every propagate raised
@@ -157,7 +185,7 @@ class TestSystemModel:
         # A 7-entry list on a 3-spin model used to be stored as given.
         stack = np.array([np.eye(8)])
         with pytest.raises(ValueError, match="coupling mask needs 2 entries"):
-            SystemModel(np.eye(8), stack, ("x",), (2, 2, 2), "nmr", coupling_mask=mask)
+            SystemModel(pattern_of(np.eye(8), stack), ("x",), (2, 2, 2), "nmr", mask)
 
     def test_site_dims_must_be_positive(self):
         # (-2, -2) multiplies out to the drift's 4 rows.
@@ -181,7 +209,7 @@ class TestSystemModel:
     @pytest.mark.parametrize("platform", ["banana", "NMR", ""])
     def test_rejects_unknown_platform(self, platform):
         with pytest.raises(ValueError, match="platform must be 'nmr' or 'sc'"):
-            SystemModel(SZ, np.array((SX, SY)), ("x", "y"), (2,), platform=platform)
+            SystemModel(pattern_of(SZ, (SX, SY)), ("x", "y"), (2,), platform=platform)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_entries(self, bad):
@@ -253,19 +281,25 @@ class TestSystemModel:
         assert controls.flags.c_contiguous
         assert np.all(drift[~mask] != 0)
 
-    def test_copies_build_their_own_pattern(self):
+    def test_copies_hold_equal_read_only_patterns(self):
         built = build_nmr(two_spin_sample())
         pattern = built.pattern
-        for model in (
-            pickle.loads(pickle.dumps(built)),
-            copy.deepcopy(built),
-            dataclasses.replace(built, coupling_mask=None),
-        ):
+        for model in (pickle.loads(pickle.dumps(built)), copy.deepcopy(built)):
             assert all(a is not b and np.array_equal(a, b) for a, b in zip(model.pattern, pattern))
-        # The two-spin drift is diagonal and the controls are zero on it.
-        rows, cols, drift, driven, _ = dataclasses.replace(built, drift=np.zeros((4, 4))).pattern
-        assert len(rows) < len(pattern[0]) and np.all(rows != cols) and not drift.any()
-        assert driven.all()
+            assert [a.dtype for a in model.pattern] == [a.dtype for a in pattern]
+            assert not any(array.flags.writeable for array in model.pattern)
+        # A replaced field leaves the read-only arrays shared.
+        replaced = dataclasses.replace(built, coupling_mask=None)
+        assert all(a is b for a, b in zip(replaced.pattern, pattern))
+
+    def test_entries_that_sum_to_zero_leave_the_pattern(self):
+        # Opposite shifts and no coupling: the drift cancels exactly on |00>
+        # and |11>, so only its two other diagonal entries and the drives'
+        # off-diagonal ones are left.
+        rows, cols, drift, driven, _ = build_nmr(two_spin_sample(0.0, (10.0, -10.0))).pattern
+        assert [(r, c) for r, c in zip(rows, cols) if r == c] == [(1, 1), (2, 2)]
+        assert np.all(drift[rows == cols] != 0) and driven[rows != cols].all()
+        assert not driven[rows == cols].any()
 
     @pytest.mark.parametrize("spins", [True, False], ids=["nmr4", "coupled-sc3"])
     def test_derived_forms_built_once_read_only_and_equal_to_the_dense_operators(self, spins):
@@ -339,7 +373,9 @@ class TestSystemModel:
             stack[1] *= 2.0
         else:
             stack[1, 0, 2] = stack[1, 2, 0] = 0.0  # spin 0 is the high bit
-        spoiled = SystemModel(model.drift, stack, model.channel_labels, model.site_dims, "nmr")
+        spoiled = SystemModel(
+            pattern_of(model.drift, stack), model.channel_labels, model.site_dims, "nmr"
+        )
         assert model.drive_pairs.tolist() == [[0, 1], [2, 3]]
         assert spoiled.drive_pairs.tolist() == [[2, 3]]
 
@@ -352,17 +388,19 @@ class TestSystemModel:
         keys = {first: "first", second: "second"}
         assert len(keys) == 2 and keys[second] == "second"
 
-    def test_built_model_holds_one_copy_of_each_operator(self):
+    def test_built_model_holds_its_pattern_only(self):
         sample = sample_registry().get("sc-chain-12")
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             model = build_sc(sample, sites=range(6))
-            stack = model.control_stack  # reading it must not build a second copy
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert held < 1.1 * (model.drift.nbytes + stack.nbytes)
+        assert held < 1.1 * sum(array.nbytes for array in model.pattern)
+        assert set(vars(model)) == {f.name for f in dataclasses.fields(model)}
+        # The dense operators are views, built afresh on each request.
+        assert model.drift is not model.drift and model.control_stack is not model.control_stack
         assert set(vars(model)) == {f.name for f in dataclasses.fields(model)}
 
 

@@ -47,6 +47,7 @@ from conftest import (
     finite_difference_gradient,
     ghz_amplitudes,
     kron,
+    pattern_of,
     random_state,
     w3_amplitudes,
 )
@@ -63,7 +64,7 @@ def toy_model(rng, n_sites=2, n_channels=3):
     drift = unit_norm_hermitian(rng, d)
     stack = np.array([unit_norm_hermitian(rng, d) for _ in range(n_channels)])
     labels = tuple(f"c{j}" for j in range(n_channels))
-    return SystemModel(drift, stack, labels, site_dims=(2,) * n_sites, platform="nmr")
+    return SystemModel(pattern_of(drift, stack), labels, site_dims=(2,) * n_sites, platform="nmr")
 
 
 def toy_sequence(rng, model, segments, dt, sign, scale=2.0):
@@ -219,7 +220,8 @@ class TestSegmentHamiltonians:
     def test_matches_operator_sum_and_is_fortran_ordered(self, segments, channels, rng):
         toy = toy_model(rng, n_sites=3)
         stack = toy.control_stack[:channels]
-        model = SystemModel(toy.drift, stack, toy.channel_labels[:channels], toy.site_dims, "nmr")
+        labels = toy.channel_labels[:channels]
+        model = SystemModel(pattern_of(toy.drift, stack), labels, toy.site_dims, "nmr")
         amps = rng.uniform(-2.0, 2.0, (segments, channels))
         h = pulses.segment_hamiltonians(model, amps)
         assert h.shape == (segments, model.dim, model.dim)
@@ -256,7 +258,7 @@ class TestSegmentHamiltonians:
             drift = np.diag(np.diag(drift))
             keep = np.triu(rng.random(drift.shape) < 0.1, 1)
             stack = stack * (keep | keep.T)
-        return SystemModel(drift, stack, labels, toy.site_dims, "nmr")
+        return SystemModel(pattern_of(drift, stack), labels, toy.site_dims, "nmr")
 
     @pytest.mark.parametrize("segments", [1, 257])
     @pytest.mark.parametrize("case", ["no controls", "all zero", "dense", "disjoint", "chain"])
@@ -355,7 +357,9 @@ class TestNormBounds:
         else:
             sc6, seq = self.case("sc6", 1.0, SIGN_FORWARD)
             stack = sc6.control_stack * np.array([1.0, 2.0] * 6)[:, None, None]
-            model = SystemModel(sc6.drift, stack, sc6.channel_labels, sc6.site_dims, "sc")
+            model = SystemModel(
+                pattern_of(sc6.drift, stack), sc6.channel_labels, sc6.site_dims, "sc"
+            )
         assert not len(model.drive_pairs)
         drift, controls = model.operator_norms
         want = seq.grid.dt * (drift + np.abs(seq.amplitudes) @ controls)
@@ -1122,15 +1126,10 @@ class TestPatternOnly:
         return out
 
     @pytest.mark.parametrize("name", ["action", "dense"])
-    def test_propagation_and_gradients_read_only_the_pattern(self, name, route, rng):
+    def test_propagation_and_gradients_read_only_the_pattern(self, name, route, rng, monkeypatch):
         model = toy_model(rng, n_sites=3)
-        blind = SystemModel(
-            model.drift, model.control_stack, model.channel_labels, model.site_dims, "nmr"
-        )
-        blind.pattern  # built from the operators on first use
-        object.__setattr__(blind, "drift", Untouchable())
-        object.__setattr__(blind, "control_stack", Untouchable())
-        assert blind.dim == model.dim
+        # A model of its own, so that it derives its forms under the patch below.
+        blind = SystemModel(model.pattern, model.channel_labels, model.site_dims, "nmr")
         route(name)
         args = (
             toy_sequence(rng, model, 40, 0.3, SIGN_FORWARD),
@@ -1138,7 +1137,10 @@ class TestPatternOnly:
             random_state(model.site_dims, rng),
             random_state(model.site_dims, rng),
         )
-        want, got = self.results(model, *args), self.results(blind, *args)
+        want = self.results(model, *args)
+        for view in ("drift", "control_stack"):
+            monkeypatch.setattr(SystemModel, view, property(lambda self: Untouchable()))
+        got = self.results(blind, *args)
         assert (got[2] is None) == (name == "action")
         for a, b in zip(want, got):
             assert (a is None and b is None) or np.array_equal(a, b)
@@ -1202,8 +1204,7 @@ class TestChunkedContraction:
         # Zero drift and amplitudes make the sweeps exact and free of matvecs.
         toy = toy_model(rng, n_sites=6, n_channels=12)
         model = SystemModel(
-            drift=np.zeros((toy.dim, toy.dim)),
-            control_stack=toy.control_stack,
+            pattern=pattern_of(np.zeros((toy.dim, toy.dim)), toy.control_stack),
             channel_labels=toy.channel_labels,
             site_dims=toy.site_dims,
             platform="nmr",
